@@ -264,47 +264,53 @@ def _sampled_shapley_effects(
 ) -> dict[str, list[float]]:
     if m_permutations < 1:
         raise ExplainError(f"m_permutations must be positive, got {m_permutations}")
-    effects: dict[str, list[float]] = {}
+    # Plan: draw every order up front (they never depend on model outputs)
+    # and realize each comment's distinct prefix coalitions once.
+    texts: list[str] = []
+    plans: list[tuple[list[str], list[list[int]], dict[int, int]]] = []
     for comment in corpus:
         tokens, spans_by_token = _capped_tokens(comment.text, max_tokens_per_comment)
         k = len(tokens)
         if k == 0:
             continue
         rng = _comment_rng(rng_seed, comment.id)
-        value_memo: dict[int, float] = {}
+        orders = [rng.permutation(k).tolist() for _ in range(m_permutations)]
+        slot_of: dict[int, int] = {}  # coalition bitset -> index into texts
+        for bits in _prefix_bitsets(orders):
+            if bits not in slot_of:
+                slot_of[bits] = len(texts)
+                mask = [(bits >> j) & 1 for j in range(k)]
+                texts.append(_realize_mask(comment.text, tokens, spans_by_token, mask))
+        plans.append((tokens, orders, slot_of))
 
-        def coalition_text(bits: int) -> str:
-            mask = [(bits >> j) & 1 for j in range(k)]
-            return _realize_mask(comment.text, tokens, spans_by_token, mask)
+    # Score: one call for every comment's coalitions.
+    values = predict_batch(texts, adapter, cache)
 
-        def ensure_values(bit_sets: list[int]) -> None:
-            missing = [b for b in dict.fromkeys(bit_sets) if b not in value_memo]
-            if not missing:
-                return
-            texts = [coalition_text(b) for b in missing]
-            for b, p in zip(missing, predict_batch(texts, adapter, cache)):
-                value_memo[b] = p
-
-        marginals = np.zeros(k)
-        ensure_values([0])
-        for _ in range(m_permutations):
-            order = rng.permutation(k)
-            states = [0]
+    # Reduce: replay the orders, accumulating marginals in draw order.
+    effects: dict[str, list[float]] = {}
+    for tokens, orders, slot_of in plans:
+        marginals = [0.0] * len(tokens)
+        for order in orders:
+            previous = values[slot_of[0]]
             bits = 0
             for j in order:
-                bits |= 1 << int(j)
-                states.append(bits)
-            ensure_values(states)
-            previous = value_memo[0]
-            bits = 0
-            for j in order:
-                bits |= 1 << int(j)
-                current = value_memo[bits]
-                marginals[int(j)] += current - previous
+                bits |= 1 << j
+                current = values[slot_of[bits]]
+                marginals[j] += current - previous
                 previous = current
         for token, total in zip(tokens, marginals):
-            effects.setdefault(token, []).append(float(total) / m_permutations)
+            effects.setdefault(token, []).append(total / m_permutations)
     return effects
+
+
+def _prefix_bitsets(orders: list[list[int]]):
+    """The empty coalition, then every prefix of every order, in draw order."""
+    yield 0
+    for order in orders:
+        bits = 0
+        for j in order:
+            bits |= 1 << j
+            yield bits
 
 
 def global_importance(
@@ -324,6 +330,11 @@ def global_importance(
     the complement. Support counts the comments where the token was an
     explained feature (comments beyond ``max_tokens_per_comment`` unique
     tokens only expose their first ones).
+
+    Both methods plan every perturbed text first and score them all in one
+    batched :func:`predict_batch` call, about ``ceil(distinct texts /
+    batch_size)`` adapter calls. Shapley orders are drawn up front from the
+    same per-comment RNG streams, so the values do not depend on batching.
     """
     if method not in ("occlusion", "sampled_shapley"):
         raise ExplainError(f"unknown importance method {method!r}")

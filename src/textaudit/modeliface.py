@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import shlex
 import subprocess
 import threading
@@ -62,6 +63,8 @@ class AdapterConfig:
             raise AdapterError(f"batch_size must be positive, got {self.batch_size}")
         if self.max_retries < 0:
             raise AdapterError(f"max_retries must be >= 0, got {self.max_retries}")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise AdapterError(f"timeout must be a positive number of seconds, got {self.timeout}")
 
     @property
     def is_live(self) -> bool:
@@ -179,6 +182,10 @@ class HttpAdapter:
             body = response.json()
         except ValueError as exc:
             raise AdapterProtocolError(f"{self._url} returned non-JSON body") from exc
+        if not isinstance(body, dict):
+            raise AdapterProtocolError(
+                f"{self._url} returned a JSON {type(body).__name__}, expected an object"
+            )
         probabilities = body.get("probabilities")
         if not isinstance(probabilities, list):
             raise AdapterProtocolError('response is missing the "probabilities" array')
@@ -186,10 +193,11 @@ class HttpAdapter:
             raise AdapterProtocolError(
                 f"response count mismatch: sent {len(texts)} texts, got {len(probabilities)}"
             )
-        try:
-            return [float(p) for p in probabilities]
-        except (TypeError, ValueError) as exc:
-            raise AdapterProtocolError(f"non-numeric probability in response: {exc}") from exc
+        for p in probabilities:
+            # bool is an int subclass, but JSON true/false is not a probability
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                raise AdapterProtocolError(f"non-numeric probability in response: {p!r}")
+        return [float(p) for p in probabilities]
 
 
 class PredictionsFileAdapter:

@@ -1,7 +1,15 @@
+import math
+from unittest import mock
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import CallableAdapter
+from stub_model import keyword_probability
 
+from textaudit import explain
 from textaudit.corpus import Comment, LabeledCorpus
 from textaudit.errors import ExplainError
 from textaudit.explain import (
@@ -9,7 +17,7 @@ from textaudit.explain import (
     global_importance,
     local_explain,
 )
-from textaudit.modeliface import PredictionCache
+from textaudit.modeliface import PredictionCache, predict_batch
 
 
 def keyword_model(keyword, present=0.9, absent=0.1):
@@ -194,6 +202,119 @@ def test_sampled_shapley_deterministic():
     first = global_importance(corpus, adapter, method="sampled_shapley", m_permutations=20, rng_seed=9)
     second = global_importance(corpus, adapter, method="sampled_shapley", m_permutations=20, rng_seed=9)
     assert first == second
+
+
+def reference_sampled_shapley_effects(
+    corpus, adapter, m_permutations, max_tokens_per_comment, rng_seed, cache
+):
+    """The per-permutation loop: one memoized ``predict_batch`` per order."""
+    if m_permutations < 1:
+        raise ExplainError(f"m_permutations must be positive, got {m_permutations}")
+    effects = {}
+    for comment in corpus:
+        tokens, spans_by_token = explain._capped_tokens(comment.text, max_tokens_per_comment)
+        k = len(tokens)
+        if k == 0:
+            continue
+        rng = explain._comment_rng(rng_seed, comment.id)
+        value_memo = {}
+
+        def coalition_text(bits):
+            mask = [(bits >> j) & 1 for j in range(k)]
+            return explain._realize_mask(comment.text, tokens, spans_by_token, mask)
+
+        def ensure_values(bit_sets):
+            missing = [b for b in dict.fromkeys(bit_sets) if b not in value_memo]
+            if not missing:
+                return
+            texts = [coalition_text(b) for b in missing]
+            for b, p in zip(missing, predict_batch(texts, adapter, cache)):
+                value_memo[b] = p
+
+        marginals = np.zeros(k)
+        ensure_values([0])
+        for _ in range(m_permutations):
+            order = rng.permutation(k)
+            states = [0]
+            bits = 0
+            for j in order:
+                bits |= 1 << int(j)
+                states.append(bits)
+            ensure_values(states)
+            previous = value_memo[0]
+            bits = 0
+            for j in order:
+                bits |= 1 << int(j)
+                current = value_memo[bits]
+                marginals[int(j)] += current - previous
+                previous = current
+        for token, total in zip(tokens, marginals):
+            effects.setdefault(token, []).append(float(total) / m_permutations)
+    return effects
+
+
+class RecordingAdapter(CallableAdapter):
+    def __init__(self, fn, batch_size):
+        super().__init__(fn, batch_size=batch_size)
+        self.sent = []
+
+    def score_batch(self, texts):
+        self.sent.extend(texts)
+        return super().score_batch(texts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rng_seed=st.integers(0, 2**32 - 1),
+    m_permutations=st.integers(1, 30),
+    max_tokens=st.sampled_from([0, 3, 12]),
+    batch_size=st.integers(1, 64),
+)
+def test_sampled_shapley_matches_reference_loop(
+    fixture_corpus, rng_seed, m_permutations, max_tokens, batch_size
+):
+    def run(adapter):
+        return global_importance(
+            fixture_corpus,
+            adapter,
+            method="sampled_shapley",
+            m_permutations=m_permutations,
+            max_tokens_per_comment=max_tokens,
+            rng_seed=rng_seed,
+        )
+
+    batched = RecordingAdapter(keyword_probability, batch_size)
+    result = run(batched)
+    reference_adapter = RecordingAdapter(keyword_probability, batch_size)
+    with mock.patch.object(
+        explain, "_sampled_shapley_effects", reference_sampled_shapley_effects
+    ):
+        expected = run(reference_adapter)
+
+    assert result.to_dict() == expected.to_dict()
+    assert len(set(batched.sent)) == len(batched.sent)
+    assert set(batched.sent) == set(reference_adapter.sent)
+    assert batched.calls == math.ceil(len(batched.sent) / batch_size)
+
+
+def test_sampled_shapley_one_batched_call_for_shared_coalitions():
+    corpus = LabeledCorpus(
+        [Comment(id="a", text="you filthy liar", label=1), Comment(id="b", text="filthy", label=1)]
+    )
+    adapter = RecordingAdapter(keyword_probability, batch_size=64)
+    cache = PredictionCache()
+    cache.store("filthy", keyword_probability("filthy"))
+    global_importance(corpus, adapter, method="sampled_shapley", m_permutations=20, cache=cache)
+    assert adapter.calls == 1
+    assert "filthy" not in adapter.sent  # served from the cache
+    assert len(adapter.sent) == len(set(adapter.sent))
+
+
+def test_sampled_shapley_rejects_nonpositive_permutations():
+    with pytest.raises(ExplainError, match="m_permutations"):
+        global_importance(
+            ten_comment_corpus(), constant_adapter(), method="sampled_shapley", m_permutations=0
+        )
 
 
 def test_global_importance_rows_sorted():

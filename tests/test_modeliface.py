@@ -125,8 +125,17 @@ def test_adapter_config_validation():
         AdapterConfig(kind="carrier_pigeon", location="x")
     with pytest.raises(AdapterError, match="batch_size"):
         AdapterConfig(kind="http", location="x", batch_size=0)
+    with pytest.raises(AdapterError, match="max_retries"):
+        AdapterConfig(kind="http", location="x", max_retries=-1)
     assert AdapterConfig(kind="http", location="x").is_live
     assert not AdapterConfig(kind="predictions_file", location="x").is_live
+
+
+@pytest.mark.parametrize("kind", ["http", "subprocess"])
+@pytest.mark.parametrize("timeout", [0, -1, float("inf"), float("nan")])
+def test_adapter_config_rejects_bad_timeout(kind, timeout):
+    with pytest.raises(AdapterError, match="timeout must be a positive"):
+        AdapterConfig(kind=kind, location="x", timeout=timeout)
 
 
 def test_subprocess_adapter_end_to_end():
@@ -189,6 +198,58 @@ def test_http_adapter_end_to_end(http_stub):
     adapter = HttpAdapter(AdapterConfig(kind="http", location=http_stub, timeout=5))
     probs = predict_batch(["nice day", "filthy"], adapter)
     assert probs == [pytest.approx(0.08), pytest.approx(0.58)]
+
+
+class _CannedHTTPHandler(BaseHTTPRequestHandler):
+    """Answers every POST with the raw body stored on the server."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        data = self.server.canned_body
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def canned_http():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _CannedHTTPHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+
+    def adapter_answering(body: bytes) -> HttpAdapter:
+        server.canned_body = body
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        return HttpAdapter(AdapterConfig(kind="http", location=url, timeout=5, max_retries=0))
+
+    yield adapter_answering
+    server.shutdown()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"[0.1]", "JSON list, expected an object"),
+        (b"0.5", "JSON float, expected an object"),
+        (b'{"probabilities": [true]}', "non-numeric probability in response: True"),
+        (b'{"probabilities": [false]}', "non-numeric probability in response: False"),
+        (b'{"probabilities": ["0.5"]}', "non-numeric probability in response: '0.5'"),
+        (b'{"probabilities": [null]}', "non-numeric probability in response: None"),
+    ],
+)
+def test_http_adapter_rejects_malformed_response(canned_http, body, message):
+    adapter = canned_http(body)
+    with pytest.raises(AdapterProtocolError, match=message):
+        predict_batch(["x"], adapter)
+
+
+def test_http_adapter_accepts_integer_probabilities(canned_http):
+    assert predict_batch(["x", "y"], canned_http(b'{"probabilities": [0, 1]}')) == [0.0, 1.0]
 
 
 def test_http_adapter_unreachable():

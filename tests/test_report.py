@@ -102,6 +102,13 @@ def test_config_adapter_validated():
         AuditConfig.from_dict({"adapter": {"kind": "telepathy", "location": "x"}})
 
 
+@pytest.mark.parametrize("timeout", [0, -1, float("inf")])
+def test_config_adapter_timeout_validated(timeout):
+    adapter = {"kind": "subprocess", "location": "x", "timeout": timeout}
+    with pytest.raises(ConfigError, match=r"config\.adapter: timeout must be a positive"):
+        AuditConfig.from_dict({"adapter": adapter})
+
+
 def test_config_explanation_mode_validated():
     with pytest.raises(ConfigError, match="explanation.mode"):
         AuditConfig.from_dict({"explanation": {"mode": "banana"}})
