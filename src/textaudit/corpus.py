@@ -233,6 +233,40 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Tok
     return spans
 
 
+def narrow_abbreviations(
+    text: str, spans: list[TokenSpan], abbreviations: frozenset[str]
+) -> list[TokenSpan]:
+    """The tokens ``tokenize(text, abbreviations)`` gives, derived from ``spans``.
+
+    ``spans`` must come from tokenizing ``text`` with a superset of
+    ``abbreviations``. Only trimming depends on the set, so a token differs
+    only where its run kept a trailing period for a term outside
+    ``abbreviations``; that token is trimmed further by the tokenizer's rule
+    and its end moves back. Returns ``spans`` itself when nothing changes.
+    """
+    narrowed = None
+    encoded = None
+    for k, span in enumerate(spans):
+        if not span.token.endswith("."):
+            continue
+        if encoded is None:
+            encoded = text.encode("utf-8")
+        run = encoded[span.start : span.end].decode("utf-8")
+        if not run.endswith(".") or run.lower() in abbreviations:
+            continue
+        # A kept token always holds a letter or digit, so trimming cannot empty it.
+        _, end = _trim_run(run, 0, len(run), abbreviations)
+        kept = run[:end]
+        if narrowed is None:
+            narrowed = list(spans)
+        narrowed[k] = TokenSpan(
+            token=unicodedata.normalize("NFKC", kept.lower()),
+            start=span.start,
+            end=span.start + len(kept.encode("utf-8")),
+        )
+    return spans if narrowed is None else narrowed
+
+
 def _trim_run(text: str, i: int, j: int, abbreviations: frozenset[str]) -> tuple[int, int] | None:
     while i < j and text[i] in _RUN_EXTRA:
         i += 1

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .corpus import LabeledCorpus, tokenize
 from .errors import EmptyPartitionError
 from .lexicon import IdentityTermList
-from .mining import AnnotatedCorpus, term_occurrences
+from .mining import AnnotatedCorpus, TermIndex
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,15 @@ def identity_term_frequencies(
     Containment is whole-token; rows follow the input term order.
     """
     n_h, n_nh = _check_partitions(corpus)
-    abbreviations = frozenset(t for t in terms.terms if t.endswith("."))
+    index = TermIndex(
+        ((term, term) for term in terms.terms),
+        frozenset(t for t in terms.terms if t.endswith(".")),
+    )
     counts = {term: [0, 0] for term in terms.terms}  # [hateful, not-hateful]
     for comment in corpus:
-        tokens = tokenize(comment.text, abbreviations)
-        for term in terms.terms:
-            if term_occurrences(tokens, term):
-                counts[term][0 if comment.label == 1 else 1] += 1
+        found = {term for term, _, _ in index.matches(tokenize(comment.text, index.abbreviations))}
+        for term in found:
+            counts[term][0 if comment.label == 1 else 1] += 1
     return [_row(term, counts[term][0], counts[term][1], n_h, n_nh) for term in terms.terms]
 
 

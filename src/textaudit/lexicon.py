@@ -125,6 +125,7 @@ class SwapTable:
     attribute: str
     pairs: tuple[tuple[str, str], ...]
     _partner: dict[str, str] = field(repr=False, compare=False, default_factory=dict)
+    _abbreviations: frozenset[str] = field(repr=False, compare=False, default=frozenset())
 
     def __post_init__(self):
         mapping: dict[str, str] = {}
@@ -134,6 +135,7 @@ class SwapTable:
             mapping[a] = b
             mapping[b] = a
         object.__setattr__(self, "_partner", mapping)
+        object.__setattr__(self, "_abbreviations", frozenset(t for t in mapping if t.endswith(".")))
 
     def partner(self, term: str) -> str | None:
         return self._partner.get(term)
@@ -142,7 +144,7 @@ class SwapTable:
         return frozenset(self._partner)
 
     def abbreviations(self) -> frozenset[str]:
-        return frozenset(t for t in self._partner if t.endswith("."))
+        return self._abbreviations
 
 
 def aligned_swap_pairs(

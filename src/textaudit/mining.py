@@ -4,14 +4,21 @@ Two deterministic extractors feed every bias assessment: a look-up over the
 attribute lexicon and a gazetteer matcher for nationality/religion/political
 group mentions. Matching is whole-token only (multi-token terms match as
 contiguous token runs); "gayety" never matches "gay".
+
+Both extractors, and the identity-term counts in :mod:`textaudit.databias`,
+match through a :class:`TermIndex` that keys every term on its first token.
+A pass over a corpus tokenizes each comment once and then costs one dict
+lookup per token, whatever the number of terms; :func:`annotate_corpus`
+feeds both extractors from that one token list.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Hashable, Iterable, Iterator
 
-from .corpus import Comment, LabeledCorpus, TokenSpan, tokenize
+from .corpus import Comment, LabeledCorpus, TokenSpan, narrow_abbreviations, tokenize
 from .lexicon import AttributeLexicon, Gazetteer
 
 METHOD_LOOKUP = "lookup"
@@ -55,7 +62,8 @@ def term_occurrences(tokens: list[TokenSpan], term: str) -> list[TokenSpan]:
     """Whole-token occurrences of a (possibly multi-token) term.
 
     Multi-token terms match contiguous token sequences; the returned span
-    covers the whole run.
+    covers the whole run. This is the one-term-at-a-time reference that
+    :class:`TermIndex` must agree with.
     """
     parts = term.split()
     if not parts:
@@ -74,51 +82,91 @@ def term_occurrences(tokens: list[TokenSpan], term: str) -> list[TokenSpan]:
     return hits
 
 
-def _mine(
-    tokens: list[TokenSpan],
-    targets: list[tuple[str, str, str]],
-    method: str,
-) -> list[SubgroupRef]:
-    # targets: (attribute, subgroup, term) triples in deterministic order
-    grouped: dict[tuple[str, str], dict[tuple[int, int], tuple[str, TokenSpan]]] = {}
-    for attribute, subgroup, term in targets:
-        for span in term_occurrences(tokens, term):
-            key = (attribute, subgroup)
-            grouped.setdefault(key, {}).setdefault((span.start, span.end), (term, span))
-    refs: list[SubgroupRef] = []
-    for (attribute, subgroup) in sorted(grouped):
-        matches = [grouped[(attribute, subgroup)][k] for k in sorted(grouped[(attribute, subgroup)])]
-        refs.append(
-            SubgroupRef(
-                attribute=attribute,
-                subgroup=subgroup,
-                matched_terms=tuple(matches),
-                method=method,
-            )
+class TermIndex:
+    """Whole-token matcher for many terms at once, keyed on each term's first token.
+
+    Built from ``(term, target)`` pairs. Each first token maps to the
+    remaining tokens, the term and the target of every term that starts with
+    it, in the order the pairs were given. ``abbreviations`` are the
+    period-terminated terms the tokenizer must keep intact for these terms to
+    match. Matching a comment costs one dict lookup per token, plus one
+    comparison per multi-token candidate, however many terms there are.
+    """
+
+    def __init__(self, pairs: Iterable[tuple[str, Hashable]], abbreviations: frozenset[str]):
+        self.abbreviations = abbreviations
+        self._by_first: dict[str, list[tuple[tuple[str, ...], str, str, Hashable]]] = {}
+        for term, target in pairs:
+            parts = term.split()
+            # A one-token term matches only a token equal to the term verbatim.
+            if not parts or (len(parts) == 1 and parts[0] != term):
+                continue
+            entry = (tuple(parts[1:]), term, " ".join(parts), target)
+            self._by_first.setdefault(parts[0], []).append(entry)
+
+    def matches(self, tokens: list[TokenSpan]) -> Iterator[tuple[Hashable, str, TokenSpan]]:
+        """``(target, term, span)`` per occurrence, in token order, then pair order.
+
+        Finds exactly the spans :func:`term_occurrences` finds for each term.
+        """
+        by_first = self._by_first
+        n = len(tokens)
+        for i, first in enumerate(tokens):
+            for rest, term, joined, target in by_first.get(first.token, ()):
+                if not rest:
+                    yield target, term, first
+                    continue
+                last = i + len(rest)
+                if last < n and all(tokens[i + 1 + k].token == part for k, part in enumerate(rest)):
+                    yield target, term, TokenSpan(token=joined, start=first.start, end=tokens[last].end)
+
+
+def _group(matches: Iterable[tuple[Hashable, str, TokenSpan]]) -> dict:
+    """target -> {(start, end): (term, span)}; the first term found keeps a span."""
+    grouped: dict = {}
+    for target, term, span in matches:
+        grouped.setdefault(target, {}).setdefault((span.start, span.end), (term, span))
+    return grouped
+
+
+def _refs(grouped: dict, method: str) -> list[SubgroupRef]:
+    return [
+        SubgroupRef(
+            attribute=attribute,
+            subgroup=subgroup,
+            matched_terms=tuple(spans[key] for key in sorted(spans)),
+            method=method,
         )
-    return refs
+        for (attribute, subgroup), spans in sorted(grouped.items())
+    ]
+
+
+def _lookup_index(lexicon: AttributeLexicon) -> TermIndex:
+    pairs = (
+        (term, (attribute, subgroup))
+        for attribute, subgroups in lexicon.attributes.items()
+        for subgroup, terms in subgroups.items()
+        for term in dict.fromkeys(terms)
+    )
+    return TermIndex(pairs, lexicon.abbreviations())
+
+
+def _gazetteer_index(gaz: Gazetteer) -> TermIndex:
+    return TermIndex(gaz.entries.items(), frozenset(t for t in gaz.entries if t.endswith(".")))
+
+
+def _mine(comment: Comment, index: TermIndex, method: str) -> list[SubgroupRef]:
+    return _refs(_group(index.matches(tokenize(comment.text, index.abbreviations))), method)
 
 
 def mine_lookup(comment: Comment, lexicon: AttributeLexicon) -> list[SubgroupRef]:
     """Look-up extraction: one ref per (attribute, subgroup) with >= 1 term match."""
-    tokens = tokenize(comment.text, lexicon.abbreviations())
-    targets = [
-        (attribute, subgroup, term)
-        for attribute, subgroups in lexicon.attributes.items()
-        for subgroup, terms in subgroups.items()
-        for term in dict.fromkeys(terms)
-    ]
-    return _mine(tokens, targets, METHOD_LOOKUP)
+    return _mine(comment, _lookup_index(lexicon), METHOD_LOOKUP)
 
 
 def mine_gazetteer(comment: Comment, gaz: Gazetteer) -> list[SubgroupRef]:
     """Gazetteer extraction: whole-token matches against NORP-style entries."""
-    abbreviations = frozenset(t for t in gaz.entries if t.endswith("."))
-    tokens = tokenize(comment.text, abbreviations)
-    targets = [
-        (attribute, subgroup, term) for term, (attribute, subgroup) in gaz.entries.items()
-    ]
-    return _mine(tokens, targets, METHOD_GAZETTEER)
+    return _mine(comment, _gazetteer_index(gaz), METHOD_GAZETTEER)
 
 
 def annotate_corpus(
@@ -127,31 +175,28 @@ def annotate_corpus(
     """Union of look-up and gazetteer references per comment.
 
     Matches are deduplicated on (attribute, subgroup, span) with the look-up
-    path taking precedence; output order is deterministic.
+    path taking precedence; output order is deterministic. Each comment is
+    tokenized once, keeping the periods of both extractors' terms; each
+    extractor then sees the tokens its own terms alone would give.
     """
+    lookup = _lookup_index(lexicon)
+    gazetteer = _gazetteer_index(gaz)
+    abbreviations = lookup.abbreviations | gazetteer.abbreviations
     annotations: dict[str, tuple[SubgroupRef, ...]] = {}
     for comment in corpus:
-        refs: list[SubgroupRef] = []
-        claimed: set[tuple[str, str, int, int]] = set()
-        for ref in mine_lookup(comment, lexicon):
-            for term, span in ref.matched_terms:
-                claimed.add((ref.attribute, ref.subgroup, span.start, span.end))
-            refs.append(ref)
-        for ref in mine_gazetteer(comment, gaz):
-            fresh = tuple(
-                (term, span)
-                for term, span in ref.matched_terms
-                if (ref.attribute, ref.subgroup, span.start, span.end) not in claimed
-            )
-            if fresh:
-                refs.append(
-                    SubgroupRef(
-                        attribute=ref.attribute,
-                        subgroup=ref.subgroup,
-                        matched_terms=fresh,
-                        method=ref.method,
-                    )
-                )
+        text = comment.text
+        tokens = tokenize(text, abbreviations)
+        found = _group(lookup.matches(narrow_abbreviations(text, tokens, lookup.abbreviations)))
+        gazetted = _group(
+            gazetteer.matches(narrow_abbreviations(text, tokens, gazetteer.abbreviations))
+        )
+        fresh: dict = {}
+        for target, spans in gazetted.items():
+            claimed = found.get(target, {})
+            unclaimed = {key: match for key, match in spans.items() if key not in claimed}
+            if unclaimed:
+                fresh[target] = unclaimed
+        refs = _refs(found, METHOD_LOOKUP) + _refs(fresh, METHOD_GAZETTEER)
         if refs:
             refs.sort(key=lambda r: (r.attribute, r.subgroup, r.method != METHOD_LOOKUP))
             annotations[comment.id] = tuple(refs)

@@ -59,6 +59,10 @@ class AdapterConfig:
     def __post_init__(self):
         if self.kind not in ADAPTER_KINDS:
             raise AdapterError(f"unknown adapter kind {self.kind!r} (expected one of {ADAPTER_KINDS})")
+        for name in ("batch_size", "max_retries"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise AdapterError(f"{name} must be an integer, got {value!r}")
         if self.batch_size < 1:
             raise AdapterError(f"batch_size must be positive, got {self.batch_size}")
         if self.max_retries < 0:

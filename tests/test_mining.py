@@ -1,11 +1,38 @@
-from textaudit.corpus import Comment, LabeledCorpus
-from textaudit.lexicon import default_gazetteer, default_lexicon, _lexicon_from_obj
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import FIXTURES_DIR, REPO_ROOT
+
+from textaudit.corpus import Comment, LabeledCorpus, tokenize
+from textaudit.databias import (
+    _row,
+    frequency_table_csv,
+    identity_term_frequencies,
+    subgroup_reference_frequencies,
+)
+from textaudit.lexicon import (
+    AttributeLexicon,
+    Gazetteer,
+    IdentityTermList,
+    default_gazetteer,
+    default_identity_terms,
+    default_lexicon,
+    _lexicon_from_obj,
+)
 from textaudit.mining import (
+    METHOD_GAZETTEER,
+    METHOD_LOOKUP,
+    AnnotatedCorpus,
+    SubgroupRef,
     annotate_corpus,
     annotations_to_jsonl,
     mine_gazetteer,
     mine_lookup,
+    term_occurrences,
 )
+from textaudit.report import AuditConfig, run_audit
 
 LEX = default_lexicon()
 GAZ = default_gazetteer()
@@ -170,3 +197,176 @@ def test_annotations_jsonl_export(fixture_annotated):
 
     first = json.loads(lines[0])
     assert set(first) == {"id", "attribute", "subgroup", "terms", "method"}
+
+
+# ---------------------------------------------------------------------------
+# brute-force reference: every term scanned on its own, each extractor and the
+# identity counts tokenizing with their own abbreviation set
+# ---------------------------------------------------------------------------
+
+
+def reference_mine(tokens, targets, method):
+    grouped = {}
+    for attribute, subgroup, term in targets:
+        for span in term_occurrences(tokens, term):
+            grouped.setdefault((attribute, subgroup), {}).setdefault((span.start, span.end), (term, span))
+    return [
+        SubgroupRef(
+            attribute=attribute,
+            subgroup=subgroup,
+            matched_terms=tuple(matches[key] for key in sorted(matches)),
+            method=method,
+        )
+        for (attribute, subgroup), matches in sorted(grouped.items())
+    ]
+
+
+def reference_lookup(comment, lexicon):
+    targets = [
+        (attribute, subgroup, term)
+        for attribute, subgroups in lexicon.attributes.items()
+        for subgroup, terms in subgroups.items()
+        for term in dict.fromkeys(terms)
+    ]
+    return reference_mine(tokenize(comment.text, lexicon.abbreviations()), targets, METHOD_LOOKUP)
+
+
+def reference_gazetteer(comment, gaz):
+    abbreviations = frozenset(t for t in gaz.entries if t.endswith("."))
+    targets = [(attribute, subgroup, term) for term, (attribute, subgroup) in gaz.entries.items()]
+    return reference_mine(tokenize(comment.text, abbreviations), targets, METHOD_GAZETTEER)
+
+
+def reference_annotate_corpus(corpus, lexicon, gaz):
+    annotations = {}
+    for comment in corpus:
+        refs = reference_lookup(comment, lexicon)
+        claimed = {
+            (ref.attribute, ref.subgroup, span.start, span.end)
+            for ref in refs
+            for _, span in ref.matched_terms
+        }
+        for ref in reference_gazetteer(comment, gaz):
+            fresh = tuple(
+                (term, span)
+                for term, span in ref.matched_terms
+                if (ref.attribute, ref.subgroup, span.start, span.end) not in claimed
+            )
+            if fresh:
+                refs.append(SubgroupRef(ref.attribute, ref.subgroup, fresh, ref.method))
+        if refs:
+            refs.sort(key=lambda r: (r.attribute, r.subgroup, r.method != METHOD_LOOKUP))
+            annotations[comment.id] = tuple(refs)
+    return AnnotatedCorpus(corpus=corpus, annotations=annotations)
+
+
+def reference_identity_term_frequencies(corpus, terms):
+    abbreviations = frozenset(t for t in terms.terms if t.endswith("."))
+    counts = {term: [0, 0] for term in terms.terms}
+    for comment in corpus:
+        tokens = tokenize(comment.text, abbreviations)
+        for term in terms.terms:
+            if term_occurrences(tokens, term):
+                counts[term][0 if comment.label == 1 else 1] += 1
+    n_h, n_nh = corpus.counts[1], corpus.counts[0]
+    return [_row(term, counts[term][0], counts[term][1], n_h, n_nh) for term in terms.terms]
+
+
+# Terms that share tokens, differ only by trailing periods ("mr" / "mr." /
+# "mr.."), span several tokens, differ only in whitespace ("new  york",
+# "he "), or change under NFKC ("ﬁ.").
+TERMS = [
+    "mr", "mr.", "mr..", "mrs.", "ms", "ms.", "he", "he ", "his", "new", "new york",
+    "new  york", "york", "mr. smith", "ms. jones", "jones", "st. louis", "st.", "ﬁ.",
+    "fi.", "fi",
+]
+AFFIXES = ["", "", ".", "..", "'", "'.", ".'", ",", "!"]
+SUBGROUPS = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "z")]
+
+
+@st.composite
+def mining_inputs(draw):
+    term_lists = st.lists(st.sampled_from(TERMS), min_size=1, max_size=5)
+    lexicon = AttributeLexicon(
+        attributes={
+            "a": {"x": tuple(draw(term_lists)), "y": tuple(draw(term_lists))},
+            "b": {"x": tuple(draw(term_lists)), "z": tuple(draw(term_lists))},
+        }
+    )
+    gaz = Gazetteer(
+        entries=draw(st.dictionaries(st.sampled_from(TERMS), st.sampled_from(SUBGROUPS), max_size=6))
+    )
+    identity = IdentityTermList(
+        terms=tuple(draw(st.lists(st.sampled_from(TERMS), min_size=1, max_size=6, unique=True)))
+    )
+    word = st.tuples(
+        st.sampled_from(["", "", "'", "("]),
+        st.sampled_from([t.strip() for t in TERMS] + ["ok", "smith"]),
+        st.sampled_from([str.lower, str.upper, str.title]),
+        st.sampled_from(AFFIXES),
+    )
+    texts = draw(
+        st.lists(
+            st.lists(word, min_size=1, max_size=8).map(
+                lambda words: " ".join(lead + case(body) + tail for lead, body, case, tail in words)
+            ),
+            min_size=2,
+            max_size=6,
+        )
+    )
+    corpus = LabeledCorpus(
+        [Comment(id=f"c{i}", text=text, label=i % 2) for i, text in enumerate(texts)]
+    )
+    return lexicon, gaz, identity, corpus
+
+
+@settings(max_examples=300, deadline=None)
+@given(mining_inputs())
+def test_indexed_mining_matches_brute_force(inputs):
+    lexicon, gaz, identity, corpus = inputs
+    annotated = annotate_corpus(corpus, lexicon, gaz)
+    expected = reference_annotate_corpus(corpus, lexicon, gaz)
+    assert annotated.annotations == expected.annotations
+    assert annotations_to_jsonl(annotated) == annotations_to_jsonl(expected)
+    for comment in corpus:
+        assert mine_lookup(comment, lexicon) == reference_lookup(comment, lexicon)
+        assert mine_gazetteer(comment, gaz) == reference_gazetteer(comment, gaz)
+    assert identity_term_frequencies(corpus, identity) == reference_identity_term_frequencies(
+        corpus, identity
+    )
+
+
+def test_gazetteer_keeps_its_own_tokens_next_to_lexicon_abbreviation():
+    # The lexicon keeps the period of "mr."; the gazetteer entry "mr" must still match.
+    lexicon = AttributeLexicon(attributes={"a": {"x": ("mr.",), "y": ("she",)}})
+    gaz = Gazetteer(entries={"mr": ("a", "y")})
+    text = "Hello Mr.. and mr'. and 'MR.'"
+    corpus = LabeledCorpus([Comment(id="1", text=text, label=0)])
+    refs = annotate_corpus(corpus, lexicon, gaz).refs("1")
+    assert refs == reference_annotate_corpus(corpus, lexicon, gaz).refs("1")
+    by_method = {r.method: r for r in refs}
+    assert [(r.subgroup, r.method) for r in refs] == [("x", METHOD_LOOKUP), ("y", METHOD_GAZETTEER)]
+    data = text.encode("utf-8")
+    assert [data[s.start : s.end] for _, s in by_method[METHOD_LOOKUP].matched_terms] == [b"Mr.", b"MR."]
+    assert [data[s.start : s.end] for _, s in by_method[METHOD_GAZETTEER].matched_terms] == [
+        b"Mr",
+        b"mr",
+        b"MR",
+    ]
+
+
+def test_fixture_outputs_byte_identical_to_brute_force(fixture_corpus, monkeypatch, tmp_path):
+    monkeypatch.chdir(REPO_ROOT)
+    config = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
+    config.update(adapter=None, sections=["data_bias"], output_dir=str(tmp_path))
+    run_audit(AuditConfig.from_dict(config))
+
+    expected = reference_annotate_corpus(fixture_corpus, default_lexicon(), default_gazetteer())
+    identity_rows = reference_identity_term_frequencies(fixture_corpus, default_identity_terms())
+    assert (tmp_path / "annotations.jsonl").read_bytes() == annotations_to_jsonl(expected).encode()
+    assert (tmp_path / "data_bias_identity_terms.csv").read_bytes() == frequency_table_csv(
+        identity_rows
+    ).encode()
+    assert (tmp_path / "data_bias_subgroup_references.csv").read_bytes() == frequency_table_csv(
+        subgroup_reference_frequencies(expected)
+    ).encode()

@@ -127,6 +127,12 @@ def test_adapter_config_validation():
         AdapterConfig(kind="http", location="x", batch_size=0)
     with pytest.raises(AdapterError, match="max_retries"):
         AdapterConfig(kind="http", location="x", max_retries=-1)
+    for bad in (2.5, True, "8"):
+        with pytest.raises(AdapterError, match="batch_size must be an integer"):
+            AdapterConfig(kind="http", location="x", batch_size=bad)
+    for bad in (1.5, False, None):
+        with pytest.raises(AdapterError, match="max_retries must be an integer"):
+            AdapterConfig(kind="http", location="x", max_retries=bad)
     assert AdapterConfig(kind="http", location="x").is_live
     assert not AdapterConfig(kind="predictions_file", location="x").is_live
 

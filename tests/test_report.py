@@ -102,6 +102,15 @@ def test_config_adapter_validated():
         AuditConfig.from_dict({"adapter": {"kind": "telepathy", "location": "x"}})
 
 
+@pytest.mark.parametrize(
+    "field, value", [("batch_size", 2.5), ("batch_size", True), ("max_retries", 1.5)]
+)
+def test_config_adapter_integers_validated(field, value):
+    adapter = {"kind": "subprocess", "location": "x", field: value}
+    with pytest.raises(ConfigError, match=rf"config\.adapter: {field} must be an integer"):
+        AuditConfig.from_dict({"adapter": adapter})
+
+
 @pytest.mark.parametrize("timeout", [0, -1, float("inf")])
 def test_config_adapter_timeout_validated(timeout):
     adapter = {"kind": "subprocess", "location": "x", "timeout": timeout}
