@@ -1,8 +1,14 @@
 """Labeled comment datasets and the tokenizer shared by every assessment.
 
-Tokenization is deliberately simple and deterministic: lowercase, NFKC,
-whole-word segmentation with byte spans back into the original text.
-Hashtags, @-mentions and URLs are kept as ordinary tokens; there is no
+Tokenization is deliberately simple and deterministic. One compiled
+pattern finds every token: a letter or digit, then further letters and
+digits with apostrophes and periods between them; trailing periods stay only
+on known abbreviations such as "mr.". Tokens are lowercased and
+NFKC-normalized, and carry byte spans back into the original UTF-8 text. The
+byte offsets are computed only at span boundaries, and ASCII text, where
+character and byte offsets agree and NFKC changes nothing, skips both the
+encoding and the normalization. Hashtags, @-mentions and URLs get no special
+treatment: their letters and digits become ordinary tokens. There is no
 stemming, sentence splitting or emoji normalization.
 """
 
@@ -10,10 +16,11 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DatasetError
 
@@ -23,11 +30,13 @@ SPLITS = ("train", "test", "unsplit")
 # built-in lexicon (terms such as "mr." would otherwise lose their period).
 DEFAULT_ABBREVIATIONS = frozenset({"mr.", "mrs.", "ms."})
 
-_RUN_EXTRA = {"'", "."}
+# One token: group 1 runs from its first letter or digit to its last, group 2
+# is the apostrophes and periods after it. ``[^\W_]`` matches exactly the
+# characters for which ``str.isalnum()`` is true.
+_TOKEN = re.compile(r"([^\W_](?:['.]*[^\W_])*)(['.]*)")
 
 
-@dataclass(frozen=True)
-class TokenSpan:
+class TokenSpan(NamedTuple):
     """A lowercased token plus its byte span in the original UTF-8 text."""
 
     token: str
@@ -47,6 +56,15 @@ class Comment:
             raise DatasetError(f"comment {self.id!r}: label must be 0 or 1, got {self.label!r}")
         if not self.text.strip():
             raise DatasetError(f"comment {self.id!r}: text is empty after whitespace trim")
+        if not self.text.isascii():
+            # JSON escapes can carry lone surrogates, which have no UTF-8 bytes
+            # and so no byte spans.
+            try:
+                self.text.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DatasetError(
+                    f"comment {self.id!r}: text is not valid Unicode ({exc.reason})"
+                ) from exc
         if self.split not in SPLITS:
             raise DatasetError(f"comment {self.id!r}: unknown split {self.split!r}")
 
@@ -198,38 +216,36 @@ def _check_duplicate(comment_id: str, seen: dict[str, int], line: int) -> None:
 def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[TokenSpan]:
     """Segment text into lowercased word tokens with byte spans.
 
-    A token is a maximal run of Unicode letters/digits plus internal
-    apostrophes and periods. Leading and trailing apostrophes/periods are
-    stripped, except a trailing period kept when the token is a known
-    abbreviation (e.g. "mr."). Spans are byte offsets into the UTF-8
-    encoding of ``text``; lowercasing ``text[start:end]`` reproduces the
-    token for plain ASCII input.
+    A token is one match of ``_TOKEN``: a letter or digit, then any further
+    letters and digits with apostrophes and periods between them. Leading
+    apostrophes and periods are never part of a token; of the trailing ones,
+    a token keeps the longest prefix ending in a period that makes it a known
+    abbreviation (e.g. "mr."), and no others. Tokens are lowercased, then
+    NFKC-normalized.
+
+    Spans are byte offsets into the UTF-8 encoding of ``text``; lowercasing
+    ``text[start:end]`` reproduces the token for plain ASCII input. Offsets
+    are computed only at span boundaries, by encoding the text between one
+    span and the next. ASCII text skips the encoding and NFKC, which are both
+    identities on it, and uses character offsets as byte offsets.
     """
     if abbreviations is None:
         abbreviations = DEFAULT_ABBREVIATIONS
     spans: list[TokenSpan] = []
-    n = len(text)
-    byte_at = [0] * (n + 1)
-    pos = 0
-    for i, ch in enumerate(text):
-        byte_at[i] = pos
-        pos += len(ch.encode("utf-8"))
-    byte_at[n] = pos
-
-    i = 0
-    while i < n:
-        if text[i].isalnum() or text[i] in _RUN_EXTRA:
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in _RUN_EXTRA):
-                j += 1
-            trimmed = _trim_run(text, i, j, abbreviations)
-            if trimmed is not None:
-                s, e = trimmed
-                token = unicodedata.normalize("NFKC", text[s:e].lower())
-                spans.append(TokenSpan(token=token, start=byte_at[s], end=byte_at[e]))
-            i = j
-        else:
-            i += 1
+    ascii_text = text.isascii()
+    char_pos = byte_pos = 0
+    for match in _TOKEN.finditer(text):
+        start, end = match.span(1)
+        if "." in match[2]:
+            end = _kept_end(text, start, end, match.end(), abbreviations)
+        piece = text[start:end]
+        if ascii_text:
+            spans.append(TokenSpan(piece.lower(), start, end))
+            continue
+        first = byte_pos + len(text[char_pos:start].encode("utf-8"))
+        byte_pos = first + len(piece.encode("utf-8"))
+        char_pos = end
+        spans.append(TokenSpan(unicodedata.normalize("NFKC", piece.lower()), first, byte_pos))
     return spans
 
 
@@ -252,33 +268,32 @@ def narrow_abbreviations(
         if encoded is None:
             encoded = text.encode("utf-8")
         run = encoded[span.start : span.end].decode("utf-8")
-        if not run.endswith(".") or run.lower() in abbreviations:
+        # A span starts at a letter or digit, so the pattern matches from 0.
+        end = _kept_end(run, 0, _TOKEN.match(run).end(1), len(run), abbreviations)
+        if end == len(run):
             continue
-        # A kept token always holds a letter or digit, so trimming cannot empty it.
-        _, end = _trim_run(run, 0, len(run), abbreviations)
         kept = run[:end]
         if narrowed is None:
             narrowed = list(spans)
         narrowed[k] = TokenSpan(
-            token=unicodedata.normalize("NFKC", kept.lower()),
-            start=span.start,
-            end=span.start + len(kept.encode("utf-8")),
+            unicodedata.normalize("NFKC", kept.lower()),
+            span.start,
+            span.start + len(kept.encode("utf-8")),
         )
     return spans if narrowed is None else narrowed
 
 
-def _trim_run(text: str, i: int, j: int, abbreviations: frozenset[str]) -> tuple[int, int] | None:
-    while i < j and text[i] in _RUN_EXTRA:
-        i += 1
-    while j > i and text[j - 1] in _RUN_EXTRA:
-        if text[j - 1] == "." and text[i:j].lower() in abbreviations:
-            break
-        j -= 1
-    if j <= i or not any(text[k].isalnum() for k in range(i, j)):
-        return None
-    return i, j
+def _kept_end(text: str, start: int, end: int, run_end: int, abbreviations: frozenset[str]) -> int:
+    """Where the token ``text[start:end]`` ends once its trailing run is trimmed.
 
-
-def token_strings(text: str, abbreviations: frozenset[str] | None = None) -> list[str]:
-    """Convenience wrapper returning only the token strings."""
-    return [span.token for span in tokenize(text, abbreviations)]
+    ``text[end:run_end]`` are the apostrophes and periods after the token's
+    last letter or digit. Walking back from ``run_end``, the first cut just
+    after a period that leaves a known abbreviation wins; otherwise the whole
+    run goes.
+    """
+    k = text.rfind(".", end, run_end)
+    while k >= 0:
+        if text[start : k + 1].lower() in abbreviations:
+            return k + 1
+        k = text.rfind(".", end, k)
+    return end

@@ -33,13 +33,23 @@ def _read_path(path: str | Path) -> str:
         raise LexiconError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
+def _clean_term(raw: str) -> str:
+    """A term as the file loaders store it: lowercase, words joined by one space.
+
+    The lexicon types accept only terms equal to their cleaned form. Terms
+    match token by token, so any other whitespace would leave a one-token term
+    unmatchable and let a multi-token term match under another name.
+    """
+    return " ".join(raw.split()).lower()
+
+
 @dataclass(frozen=True)
 class AttributeLexicon:
     """Protected attribute -> subgroup -> ordered term list.
 
     Term lists keep their file order and duplicates: swap-pair alignment is
     positional. Every attribute must have at least two non-empty subgroups
-    and terms are stored lowercase.
+    and terms are stored lowercase, their words separated by single spaces.
     """
 
     attributes: dict[str, dict[str, tuple[str, ...]]]
@@ -54,7 +64,7 @@ class AttributeLexicon:
                 if not terms:
                     raise LexiconError(f"subgroup {attribute}.{subgroup} has no terms")
                 for term in terms:
-                    if not term or term != term.lower():
+                    if not term or term != _clean_term(term):
                         raise LexiconError(
                             f"subgroup {attribute}.{subgroup}: invalid term {term!r}"
                         )
@@ -101,7 +111,7 @@ def _lexicon_from_obj(obj) -> AttributeLexicon:
         for subgroup, terms in subgroups.items():
             if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
                 raise LexiconError(f"subgroup {attribute}.{subgroup} must be a list of strings")
-            parsed[subgroup] = tuple(t.strip().lower() for t in terms)
+            parsed[subgroup] = tuple(_clean_term(t) for t in terms)
         attributes[attribute] = parsed
     return AttributeLexicon(attributes=attributes)
 
@@ -199,14 +209,14 @@ class IdentityTermList:
         if len(set(self.terms)) != len(self.terms):
             raise LexiconError("identity term list contains duplicates")
         for term in self.terms:
-            if not term or term != term.lower():
+            if not term or term != _clean_term(term):
                 raise LexiconError(f"invalid identity term {term!r}")
 
 
 def _parse_word_list(text: str) -> list[str]:
     words: list[str] = []
     for line in text.splitlines():
-        word = line.split("#", 1)[0].strip().lower()
+        word = _clean_term(line.split("#", 1)[0])
         if word:
             words.append(word)
     return words
@@ -245,7 +255,7 @@ class Gazetteer:
 
     def __post_init__(self):
         for term, target in self.entries.items():
-            if not term or term != term.lower():
+            if not term or term != _clean_term(term):
                 raise LexiconError(f"invalid gazetteer term {term!r}")
             if len(target) != 2:
                 raise LexiconError(f"gazetteer entry {term!r} must map to [attribute, subgroup]")
@@ -258,7 +268,7 @@ def _gazetteer_from_obj(obj) -> Gazetteer:
     for term, target in obj.items():
         if not isinstance(target, list) or len(target) != 2:
             raise LexiconError(f"gazetteer entry {term!r} must map to [attribute, subgroup]")
-        entries[term.strip().lower()] = (str(target[0]), str(target[1]))
+        entries[_clean_term(term)] = (str(target[0]), str(target[1]))
     return Gazetteer(entries=entries)
 
 

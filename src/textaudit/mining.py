@@ -85,24 +85,22 @@ def term_occurrences(tokens: list[TokenSpan], term: str) -> list[TokenSpan]:
 class TermIndex:
     """Whole-token matcher for many terms at once, keyed on each term's first token.
 
-    Built from ``(term, target)`` pairs. Each first token maps to the
-    remaining tokens, the term and the target of every term that starts with
-    it, in the order the pairs were given. ``abbreviations`` are the
-    period-terminated terms the tokenizer must keep intact for these terms to
-    match. Matching a comment costs one dict lookup per token, plus one
-    comparison per multi-token candidate, however many terms there are.
+    Built from ``(term, target)`` pairs whose terms are non-empty words
+    separated by single spaces, as :mod:`textaudit.lexicon` checks them to
+    be. Each first token maps to the remaining tokens, the term and the
+    target of every term that starts with it, in the order the pairs were
+    given. ``abbreviations`` are the period-terminated terms the tokenizer
+    must keep intact for these terms to match. Matching a comment costs one
+    dict lookup per token, plus one comparison per multi-token candidate,
+    however many terms there are.
     """
 
     def __init__(self, pairs: Iterable[tuple[str, Hashable]], abbreviations: frozenset[str]):
         self.abbreviations = abbreviations
-        self._by_first: dict[str, list[tuple[tuple[str, ...], str, str, Hashable]]] = {}
+        self._by_first: dict[str, list[tuple[tuple[str, ...], str, Hashable]]] = {}
         for term, target in pairs:
-            parts = term.split()
-            # A one-token term matches only a token equal to the term verbatim.
-            if not parts or (len(parts) == 1 and parts[0] != term):
-                continue
-            entry = (tuple(parts[1:]), term, " ".join(parts), target)
-            self._by_first.setdefault(parts[0], []).append(entry)
+            first, *rest = term.split()
+            self._by_first.setdefault(first, []).append((tuple(rest), term, target))
 
     def matches(self, tokens: list[TokenSpan]) -> Iterator[tuple[Hashable, str, TokenSpan]]:
         """``(target, term, span)`` per occurrence, in token order, then pair order.
@@ -112,13 +110,13 @@ class TermIndex:
         by_first = self._by_first
         n = len(tokens)
         for i, first in enumerate(tokens):
-            for rest, term, joined, target in by_first.get(first.token, ()):
+            for rest, term, target in by_first.get(first.token, ()):
                 if not rest:
                     yield target, term, first
                     continue
                 last = i + len(rest)
                 if last < n and all(tokens[i + 1 + k].token == part for k, part in enumerate(rest)):
-                    yield target, term, TokenSpan(token=joined, start=first.start, end=tokens[last].end)
+                    yield target, term, TokenSpan(term, first.start, tokens[last].end)
 
 
 def _group(matches: Iterable[tuple[Hashable, str, TokenSpan]]) -> dict:

@@ -1,6 +1,18 @@
-import pytest
+import sys
+import unicodedata
 
-from textaudit.corpus import Comment, load_dataset, tokenize, token_strings
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from textaudit.corpus import (
+    _TOKEN,
+    Comment,
+    TokenSpan,
+    load_dataset,
+    narrow_abbreviations,
+    tokenize,
+)
 from textaudit.errors import DatasetError
 
 
@@ -58,6 +70,15 @@ def test_jsonl_non_object_record(tmp_path):
         load_dataset(path, "jsonl")
 
 
+def test_jsonl_lone_surrogate_rejected(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_text(
+        '{"id": "a", "text": "fine", "label": 0}\n{"id": "b", "text": "bad \\ud800", "label": 1}\n'
+    )
+    with pytest.raises(DatasetError, match="'b': text is not valid Unicode"):
+        load_dataset(path, "jsonl")
+
+
 def test_split_column_honored(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("id,text,label,split\n1,hello there,0,test\n2,more text,1,\n")
@@ -90,11 +111,11 @@ def test_comment_validation():
 
 
 def test_tokenize_lowercase_strip():
-    assert token_strings("He is SICK!") == ["he", "is", "sick"]
+    assert [s.token for s in tokenize("He is SICK!")] == ["he", "is", "sick"]
 
 
 def test_tokenize_internal_apostrophe():
-    assert token_strings("ma'am said hi") == ["ma'am", "said", "hi"]
+    assert [s.token for s in tokenize("ma'am said hi")] == ["ma'am", "said", "hi"]
 
 
 def test_tokenize_spans_hand_enumerated():
@@ -111,12 +132,14 @@ def test_tokenize_spans_hand_enumerated():
 
 
 def test_tokenize_abbreviation_period():
-    assert token_strings("Mr. Smith met Ms. Jones.") == ["mr.", "smith", "met", "ms.", "jones"]
+    assert [s.token for s in tokenize("Mr. Smith met Ms. Jones.")] == [
+        "mr.", "smith", "met", "ms.", "jones",
+    ]
 
 
 def test_tokenize_trailing_period_stripped():
-    assert token_strings("the end.") == ["the", "end"]
-    assert token_strings("wait... what") == ["wait", "what"]
+    assert [s.token for s in tokenize("the end.")] == ["the", "end"]
+    assert [s.token for s in tokenize("wait... what")] == ["wait", "what"]
 
 
 def test_tokenize_empty_and_punct_only():
@@ -149,3 +172,126 @@ def test_tokenize_multibyte_offsets():
     data = text.encode("utf-8")
     assert [s.token for s in spans] == ["héllo", "wörld"]
     assert data[spans[1].start : spans[1].end].decode() == "wörld"
+
+
+# ---------------------------------------------------------------------------
+# reference: the character-at-a-time tokenizer the compiled pattern replaced
+# ---------------------------------------------------------------------------
+
+_RUN_EXTRA = {"'", "."}
+
+
+def _reference_trim_run(text, i, j, abbreviations):
+    while i < j and text[i] in _RUN_EXTRA:
+        i += 1
+    while j > i and text[j - 1] in _RUN_EXTRA:
+        if text[j - 1] == "." and text[i:j].lower() in abbreviations:
+            break
+        j -= 1
+    if j <= i or not any(text[k].isalnum() for k in range(i, j)):
+        return None
+    return i, j
+
+
+def reference_tokenize(text, abbreviations):
+    """Maximal runs of letters, digits, apostrophes and periods, trimmed one by one."""
+    spans = []
+    n = len(text)
+    byte_at = [0] * (n + 1)
+    pos = 0
+    for i, ch in enumerate(text):
+        byte_at[i] = pos
+        pos += len(ch.encode("utf-8"))
+    byte_at[n] = pos
+
+    i = 0
+    while i < n:
+        if text[i].isalnum() or text[i] in _RUN_EXTRA:
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in _RUN_EXTRA):
+                j += 1
+            trimmed = _reference_trim_run(text, i, j, abbreviations)
+            if trimmed is not None:
+                s, e = trimmed
+                token = unicodedata.normalize("NFKC", text[s:e].lower())
+                spans.append(TokenSpan(token=token, start=byte_at[s], end=byte_at[e]))
+            i = j
+        else:
+            i += 1
+    return spans
+
+
+# ASCII word characters and the run punctuation; characters whose lowercase
+# differs in length ("İ") or depends on context ("Σ"); characters NFKC
+# rewrites ("ﬁ", "²", "①"); a non-Latin digit and a 4-byte UTF-8 letter.
+CHARACTERS = list("aAzZ09_'.- ") + [
+    "ß", "é", "\u0301", "İ", "Σ", "ﬁ", "²", "①", "١", "𝐀",
+]
+ABBREVIATIONS = ["mr.", "u.s.", "ß.", "ﬁ.", "'a.", "a..", "a.", "σ."]
+
+# Free character soup, and words built to sit next to the abbreviations:
+# a lead, a body in some casing, then trailing apostrophes and periods.
+soup = st.lists(st.sampled_from(CHARACTERS), max_size=30).map("".join)
+word = st.tuples(
+    st.sampled_from(["", "", "'", ".", "'."]),
+    st.sampled_from(
+        ["mr", "u.s", "ß", "ﬁ", "a", "σ", "İ", "𝐀b", "١", "①", "e\u0301", "x_y"]
+    ),
+    st.sampled_from([str.lower, str.upper, str.title]),
+    st.sampled_from(["", "", ".", "..", "...", "'", ".'", "'.", "..'"]),
+).map(lambda parts: parts[0] + parts[2](parts[1]) + parts[3])
+words = st.lists(
+    st.tuples(word, st.sampled_from([" ", " ", "-", "_", "", "²"])), max_size=8
+).map(lambda pairs: "".join(w + sep for w, sep in pairs))
+texts = st.lists(st.one_of(soup, words), min_size=1, max_size=3).map("".join)
+abbreviation_sets = st.frozensets(st.sampled_from(ABBREVIATIONS))
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts, abbreviation_sets)
+def test_tokenize_matches_reference(text, abbreviations):
+    assert tokenize(text, abbreviations) == reference_tokenize(text, abbreviations)
+
+
+@settings(max_examples=500, deadline=None)
+@given(texts, abbreviation_sets, st.data())
+def test_narrow_abbreviations_equals_tokenizing_with_narrow_set(text, wide, data):
+    narrow = data.draw(
+        st.frozensets(st.sampled_from(sorted(wide))) if wide else st.just(frozenset())
+    )
+    assert narrow_abbreviations(text, tokenize(text, wide), narrow) == tokenize(text, narrow)
+
+
+def test_narrow_abbreviations_trims_the_raw_text():
+    # "ﬁ" is one character of three UTF-8 bytes, but its NFKC token "fi" is
+    # two, so narrowing must cut the text, not the token.
+    text = "ﬁ. MR.. a...'"
+    wide = frozenset({"ﬁ.", "mr..", "a..", "a."})
+    narrowed = narrow_abbreviations(text, tokenize(text, wide), frozenset({"a."}))
+    assert narrowed == tokenize(text, frozenset({"a."}))
+    assert narrowed == [("fi", 0, 3), ("mr", 5, 7), ("a.", 10, 12)]
+
+
+def test_tokenize_default_abbreviations_and_unicode_examples():
+    assert tokenize("Mr.. ß. U.S.' ﬁ.") == reference_tokenize(
+        "Mr.. ß. U.S.' ﬁ.", frozenset({"mr.", "mrs.", "ms."})
+    )
+    # The longest trailing run that makes an abbreviation wins.
+    assert [s.token for s in tokenize("A... a..' a.x a.", frozenset({"a.", "a.."}))] == [
+        "a..", "a..", "a.x", "a.",
+    ]
+    # Final sigma, a lowercase two characters long, a 4-byte letter, NFKC.
+    assert tokenize("ΟΔΟΣ. İstanbul 𝐚b ①.", frozenset({"οδος."})) == [
+        ("οδος.", 0, 9),
+        ("i̇stanbul", 10, 19),
+        ("ab", 20, 25),
+        ("1", 26, 29),
+    ]
+
+
+def test_token_pattern_letters_and_digits_are_exactly_isalnum():
+    # Every code point on its own: the pattern must find exactly those for
+    # which str.isalnum() holds, under this interpreter's Unicode database.
+    everything = [chr(code) for code in range(sys.maxunicode + 1)]
+    found = [match[1] for match in _TOKEN.finditer(" ".join(everything))]
+    assert found == [ch for ch in everything if ch.isalnum()]

@@ -1,5 +1,7 @@
 import json
+import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +14,7 @@ from textaudit.databias import (
     identity_term_frequencies,
     subgroup_reference_frequencies,
 )
+from textaudit.errors import LexiconError
 from textaudit.lexicon import (
     AttributeLexicon,
     Gazetteer,
@@ -19,6 +22,8 @@ from textaudit.lexicon import (
     default_gazetteer,
     default_identity_terms,
     default_lexicon,
+    load_identity_terms,
+    _gazetteer_from_obj,
     _lexicon_from_obj,
 )
 from textaudit.mining import (
@@ -273,11 +278,11 @@ def reference_identity_term_frequencies(corpus, terms):
 
 
 # Terms that share tokens, differ only by trailing periods ("mr" / "mr." /
-# "mr.."), span several tokens, differ only in whitespace ("new  york",
-# "he "), or change under NFKC ("ﬁ.").
+# "mr.."), span several tokens, or change under NFKC ("ﬁ."). Terms with stray
+# whitespace are rejected by the lexicon types (see the test below).
 TERMS = [
-    "mr", "mr.", "mr..", "mrs.", "ms", "ms.", "he", "he ", "his", "new", "new york",
-    "new  york", "york", "mr. smith", "ms. jones", "jones", "st. louis", "st.", "ﬁ.",
+    "mr", "mr.", "mr..", "mrs.", "ms", "ms.", "he", "his", "new", "new york",
+    "york", "mr. smith", "ms. jones", "jones", "st. louis", "st.", "ﬁ.",
     "fi.", "fi",
 ]
 AFFIXES = ["", "", ".", "..", "'", "'.", ".'", ",", "!"]
@@ -301,7 +306,7 @@ def mining_inputs(draw):
     )
     word = st.tuples(
         st.sampled_from(["", "", "'", "("]),
-        st.sampled_from([t.strip() for t in TERMS] + ["ok", "smith"]),
+        st.sampled_from(TERMS + ["ok", "smith"]),
         st.sampled_from([str.lower, str.upper, str.title]),
         st.sampled_from(AFFIXES),
     )
@@ -334,6 +339,29 @@ def test_indexed_mining_matches_brute_force(inputs):
     assert identity_term_frequencies(corpus, identity) == reference_identity_term_frequencies(
         corpus, identity
     )
+
+
+@pytest.mark.parametrize("term", ["he ", " he", "new  york", "new\tyork", "new york\n", "  "])
+def test_terms_with_stray_whitespace_rejected(term):
+    # Matching is token by token: "he " could never match, "new  york" would
+    # match "new york" under another name.
+    named = re.escape(repr(term))
+    with pytest.raises(LexiconError, match=named):
+        AttributeLexicon(attributes={"a": {"x": (term,), "y": ("she",)}})
+    with pytest.raises(LexiconError, match=named):
+        Gazetteer(entries={term: ("a", "x")})
+    with pytest.raises(LexiconError, match=named):
+        IdentityTermList(terms=(term,))
+
+
+def test_loaders_collapse_whitespace_in_terms(tmp_path):
+    lexicon = _lexicon_from_obj({"a": {"x": [" New  York "], "y": ["he\t"]}})
+    assert lexicon.terms("a", "x") == ("new york",)
+    assert lexicon.terms("a", "y") == ("he",)
+    assert _gazetteer_from_obj({"St.\n Louis": ["a", "x"]}).entries == {"st. louis": ("a", "x")}
+    path = tmp_path / "identity.txt"
+    path.write_text("New   York  # a city\n\the\n")
+    assert load_identity_terms(path).terms == ("new york", "he")
 
 
 def test_gazetteer_keeps_its_own_tokens_next_to_lexicon_abbreviation():
