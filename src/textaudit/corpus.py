@@ -5,11 +5,10 @@ pattern finds every token: a letter or digit, then further letters and
 digits with apostrophes and periods between them; trailing periods stay only
 on known abbreviations such as "mr.". Tokens are lowercased and
 NFKC-normalized, and carry byte spans back into the original UTF-8 text. The
-byte offsets are computed only at span boundaries, and ASCII text, where
-character and byte offsets agree and NFKC changes nothing, skips both the
-encoding and the normalization. Hashtags, @-mentions and URLs get no special
-treatment: their letters and digits become ordinary tokens. There is no
-stemming, sentence splitting or emoji normalization.
+byte offsets are computed only at span boundaries, counting forward from the
+previous span. Hashtags, @-mentions and URLs get no special treatment: their
+letters and digits become ordinary tokens. There is no stemming, sentence
+splitting or emoji normalization.
 """
 
 from __future__ import annotations
@@ -56,15 +55,14 @@ class Comment:
             raise DatasetError(f"comment {self.id!r}: label must be 0 or 1, got {self.label!r}")
         if not self.text.strip():
             raise DatasetError(f"comment {self.id!r}: text is empty after whitespace trim")
-        if not self.text.isascii():
-            # JSON escapes can carry lone surrogates, which have no UTF-8 bytes
-            # and so no byte spans.
-            try:
-                self.text.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise DatasetError(
-                    f"comment {self.id!r}: text is not valid Unicode ({exc.reason})"
-                ) from exc
+        # JSON escapes can carry lone surrogates, which have no UTF-8 bytes
+        # and so no byte spans.
+        try:
+            self.text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DatasetError(
+                f"comment {self.id!r}: text is not valid Unicode ({exc.reason})"
+            ) from exc
         if self.split not in SPLITS:
             raise DatasetError(f"comment {self.id!r}: unknown split {self.split!r}")
 
@@ -226,22 +224,18 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Tok
     Spans are byte offsets into the UTF-8 encoding of ``text``; lowercasing
     ``text[start:end]`` reproduces the token for plain ASCII input. Offsets
     are computed only at span boundaries, by encoding the text between one
-    span and the next. ASCII text skips the encoding and NFKC, which are both
-    identities on it, and uses character offsets as byte offsets.
+    span and the next and the token itself; all text, ASCII or not, takes
+    this one path.
     """
     if abbreviations is None:
         abbreviations = DEFAULT_ABBREVIATIONS
     spans: list[TokenSpan] = []
-    ascii_text = text.isascii()
     char_pos = byte_pos = 0
     for match in _TOKEN.finditer(text):
         start, end = match.span(1)
         if "." in match[2]:
             end = _kept_end(text, start, end, match.end(), abbreviations)
         piece = text[start:end]
-        if ascii_text:
-            spans.append(TokenSpan(piece.lower(), start, end))
-            continue
         first = byte_pos + len(text[char_pos:start].encode("utf-8"))
         byte_pos = first + len(piece.encode("utf-8"))
         char_pos = end
