@@ -66,22 +66,6 @@ class ClassReport:
             "zero_division_flags": list(self.zero_division_flags),
         }
 
-    def render_text(self) -> str:
-        """Fixed-width table in the conventional classification-report layout."""
-        rows = [
-            ("Not-hateful", self.per_class[0]),
-            ("Hateful", self.per_class[1]),
-            ("Macro Avg.", self.macro),
-            ("Weighted Avg.", self.weighted),
-        ]
-        lines = [f"{'':<14}{'Precision':>10}{'Recall':>8}{'F1-Score':>10}{'Support':>9}"]
-        for name, m in rows:
-            lines.append(
-                f"{name:<14}{m.precision:>10.2f}{m.recall:>8.2f}{m.f1:>10.2f}{m.support:>9d}"
-            )
-        lines.append(f"Accuracy: {self.accuracy:.2f}  (threshold {self.threshold:.2f})")
-        return "\n".join(lines)
-
 
 def _safe_ratio(numerator: int, denominator: int, flag: str, flags: list[str]) -> float:
     if denominator == 0:

@@ -3,8 +3,8 @@
 Tokenization is deliberately simple and deterministic. One compiled
 pattern finds every token: a letter or digit, then further letters and
 digits with apostrophes and periods between them; trailing periods stay only
-on known abbreviations such as "mr.". Tokens are lowercased and
-NFKC-normalized, and carry byte spans back into the original UTF-8 text. The
+on known abbreviations such as "mr.". Tokens are NFKC-normalized, then
+lowercased, and carry byte spans back into the original UTF-8 text. The
 byte offsets are computed only at span boundaries, counting forward from the
 previous span. Hashtags, @-mentions and URLs get no special treatment: their
 letters and digits become ordinary tokens. There is no stemming, sentence
@@ -218,8 +218,9 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Tok
     letters and digits with apostrophes and periods between them. Leading
     apostrophes and periods are never part of a token; of the trailing ones,
     a token keeps the longest prefix ending in a period that makes it a known
-    abbreviation (e.g. "mr."), and no others. Tokens are lowercased, then
-    NFKC-normalized.
+    abbreviation (e.g. "mr."), and no others. Tokens are NFKC-normalized,
+    then lowercased, so letters that only NFKC maps to ASCII ("𝐆") lose
+    their case too.
 
     Spans are byte offsets into the UTF-8 encoding of ``text``; lowercasing
     ``text[start:end]`` reproduces the token for plain ASCII input. Offsets
@@ -239,7 +240,7 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Tok
         first = byte_pos + len(text[char_pos:start].encode("utf-8"))
         byte_pos = first + len(piece.encode("utf-8"))
         char_pos = end
-        spans.append(TokenSpan(unicodedata.normalize("NFKC", piece.lower()), first, byte_pos))
+        spans.append(TokenSpan(unicodedata.normalize("NFKC", piece).lower(), first, byte_pos))
     return spans
 
 
@@ -270,7 +271,7 @@ def narrow_abbreviations(
         if narrowed is None:
             narrowed = list(spans)
         narrowed[k] = TokenSpan(
-            unicodedata.normalize("NFKC", kept.lower()),
+            unicodedata.normalize("NFKC", kept).lower(),
             span.start,
             span.start + len(kept.encode("utf-8")),
         )

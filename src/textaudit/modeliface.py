@@ -3,26 +3,30 @@
 The auditor never loads the model itself; it talks to it through one of
 three adapters: an offline predictions file (per-comment probabilities), a
 subprocess speaking a line protocol (one JSON-encoded text in, one decimal
-probability out), or an HTTP endpoint (POST /predict). A normalized-text
-cache keeps swap/counterfactual/explanation workloads affordable.
-Probabilities outside [0, 1] are rejected, never clamped: they signal a
-broken adapter and clamping would corrupt every downstream metric.
+probability out), or an HTTP endpoint (POST /predict over one kept-alive
+standard-library connection per adapter). Every adapter has one lifecycle:
+it is opened by :func:`open_adapter`, scores batches, and is closed with
+``close()`` or by leaving a ``with`` block. A normalized-text cache keeps
+swap/counterfactual/explanation workloads affordable. Probabilities outside
+[0, 1] are rejected, never clamped: they signal a broken adapter and
+clamping would corrupt every downstream metric.
 """
 
 from __future__ import annotations
 
 import csv
+import http.client
 import json
 import math
 import shlex
+import ssl
 import subprocess
 import threading
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, Sequence
-
-import requests
+from urllib.parse import urlsplit
 
 from .corpus import LabeledCorpus
 from .errors import (
@@ -117,7 +121,20 @@ class Adapter(Protocol):
     def score_batch(self, texts: Sequence[str]) -> list[float]: ...
 
 
-class SubprocessAdapter:
+class _AdapterLifecycle:
+    """Open on construction, score, then close; also a context manager."""
+
+    def close(self) -> None:
+        """Release what the adapter holds; safe to call more than once."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+
+class SubprocessAdapter(_AdapterLifecycle):
     """Spawns the scoring command per batch and speaks the line protocol.
 
     One JSON string per line on stdin; one decimal probability per line on
@@ -164,26 +181,67 @@ class SubprocessAdapter:
         return probabilities
 
 
-class HttpAdapter:
-    """POSTs {"texts": [...]} to <location>/predict and reads {"probabilities": [...]}."""
+class HttpAdapter(_AdapterLifecycle):
+    """POSTs {"texts": [...]} to <location>/predict and reads {"probabilities": [...]}.
+
+    Every batch goes over one kept-alive ``http.client`` connection. HTTPS
+    verifies the server against the system CA store; proxy environment
+    variables are not honoured. A transport failure closes the connection,
+    so the next attempt opens a fresh one.
+    """
 
     def __init__(self, config: AdapterConfig):
         self.config = config
         self._url = config.location.rstrip("/") + "/predict"
+        parts = urlsplit(self._url)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise AdapterError(
+                f"http adapter needs an http:// or https:// URL with a host, got {config.location!r}"
+            )
+        if parts.username is not None:
+            raise AdapterError("http adapter location must not carry credentials")
+        try:
+            port = parts.port
+        except ValueError as exc:
+            raise AdapterError(f"http adapter location {config.location!r}: {exc}") from exc
+        self._target = parts.path + (f"?{parts.query}" if parts.query else "")
+        if parts.scheme == "https":
+            self._conn = http.client.HTTPSConnection(
+                parts.hostname, port, timeout=config.timeout, context=ssl.create_default_context()
+            )
+        else:
+            self._conn = http.client.HTTPConnection(parts.hostname, port, timeout=config.timeout)
+
+    def close(self) -> None:
+        self._conn.close()
+
+    def _send(self, body: bytes) -> http.client.HTTPResponse:
+        self._conn.request("POST", self._target, body, {"Content-Type": "application/json"})
+        return self._conn.getresponse()
 
     def score_batch(self, texts: Sequence[str]) -> list[float]:
+        payload = json.dumps({"texts": list(texts)}).encode("utf-8")
         try:
-            response = requests.post(
-                self._url, json={"texts": list(texts)}, timeout=self.config.timeout
-            )
-        except requests.RequestException as exc:
+            reused = self._conn.sock is not None
+            try:
+                response = self._send(payload)
+            except (ConnectionResetError, BrokenPipeError):
+                # The server closed an idle kept-alive connection before
+                # answering (http.client.RemoteDisconnected is a
+                # ConnectionResetError): send once more on a fresh one. This
+                # is not a failed attempt, so it is not counted as a retry.
+                if not reused:
+                    raise
+                self._conn.close()
+                response = self._send(payload)
+            data = response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            self._conn.close()
             raise AdapterUnavailableError(f"cannot reach {self._url}: {exc}") from exc
-        if response.status_code != 200:
-            raise AdapterUnavailableError(
-                f"{self._url} answered with status {response.status_code}"
-            )
+        if response.status != 200:
+            raise AdapterUnavailableError(f"{self._url} answered with status {response.status}")
         try:
-            body = response.json()
+            body = json.loads(data)
         except ValueError as exc:
             raise AdapterProtocolError(f"{self._url} returned non-JSON body") from exc
         if not isinstance(body, dict):
@@ -204,7 +262,7 @@ class HttpAdapter:
         return [float(p) for p in probabilities]
 
 
-class PredictionsFileAdapter:
+class PredictionsFileAdapter(_AdapterLifecycle):
     """Placeholder for the offline kind; cannot score novel texts."""
 
     def __init__(self, config: AdapterConfig):

@@ -36,7 +36,7 @@ from .databias import (
     subgroup_reference_frequencies,
 )
 from .embedbias import embedding_bias, embedding_bias_csv, load_embeddings
-from .errors import AuditError, ConfigError
+from .errors import AdapterError, AuditError, ConfigError
 from .explain import global_importance, local_explain
 from .lexicon import (
     aligned_swap_pairs,
@@ -473,7 +473,10 @@ class _AuditRun:
             )
         except AuditError as exc:
             raise ConfigError(str(exc)) from exc
-        self.adapter = open_adapter(config.adapter) if config.adapter else None
+        try:
+            self.adapter = open_adapter(config.adapter) if config.adapter else None
+        except AdapterError as exc:
+            raise ConfigError(f"adapter: {exc}") from exc
 
     # -- shared lazy resources ------------------------------------------------
 
@@ -738,11 +741,17 @@ def run_audit(config: AuditConfig) -> AuditReport:
     """Execute every requested section and (if configured) write the outputs.
 
     Only configuration problems raise; anything that goes wrong inside a
-    section is captured as that section's failed(error) status. Output files
-    are written atomically into ``config.output_dir``.
+    section is captured as that section's failed(error) status. The run's
+    adapter is opened once and closed after the last section, whatever
+    happened in it. Output files are written atomically into
+    ``config.output_dir``.
     """
     run = _AuditRun(config)
-    report = run.run()
+    try:
+        report = run.run()
+    finally:
+        if run.adapter is not None:
+            run.adapter.close()
     if config.output_dir:
         run.write_outputs(report, config.output_dir)
     return report

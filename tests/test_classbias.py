@@ -132,18 +132,6 @@ def test_performance_weighted_identity_and_trace():
         assert sum(report.per_class[c].support for c in (0, 1)) == len(corpus)
 
 
-def test_render_text_layout():
-    corpus = four_comment_corpus()
-    preds = records([("a", 0.9), ("b", 0.2), ("c", 0.1), ("d", 0.1)])
-    text = performance_report(corpus, preds).render_text()
-    lines = text.splitlines()
-    assert "Precision" in lines[0] and "F1-Score" in lines[0] and "Support" in lines[0]
-    assert lines[1].startswith("Not-hateful")
-    assert lines[2].startswith("Hateful")
-    assert lines[3].startswith("Macro Avg.")
-    assert lines[4].startswith("Weighted Avg.")
-
-
 # ---------------------------------------------------------------------------
 # subgroup probability statistics
 # ---------------------------------------------------------------------------

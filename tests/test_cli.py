@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -55,6 +58,29 @@ def test_unknown_config_key_exit_one(tmp_path, capsys):
     code = main(["audit", "--config", str(bad)])
     assert code == 1
     assert "unknown key" in capsys.readouterr().err
+
+
+def test_bad_http_location_exit_one(tmp_path, capsys):
+    config = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
+    config["adapter"] = {"kind": "http", "location": "localhost:8000"}
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(config))
+    code = main(["perf", "--config", str(path)])
+    assert code == 1
+    assert "adapter: http adapter needs an http:// or https:// URL" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_third_party_http_client():
+    # The http adapter uses only the standard library; requests and urllib3
+    # would add to every audit's start-up time.
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    probe = "import sys, textaudit.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_failed_section_exit_two(tmp_path, capsys):

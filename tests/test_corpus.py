@@ -213,7 +213,7 @@ def reference_tokenize(text, abbreviations):
             trimmed = _reference_trim_run(text, i, j, abbreviations)
             if trimmed is not None:
                 s, e = trimmed
-                token = unicodedata.normalize("NFKC", text[s:e].lower())
+                token = unicodedata.normalize("NFKC", text[s:e]).lower()
                 spans.append(TokenSpan(token=token, start=byte_at[s], end=byte_at[e]))
             i = j
         else:
@@ -287,6 +287,8 @@ def test_tokenize_default_abbreviations_and_unicode_examples():
         ("ab", 20, 25),
         ("1", 26, 29),
     ]
+    # NFKC before lowercasing: mathematical bold capitals become "gay".
+    assert tokenize("𝐆𝐀𝐘 people") == [("gay", 0, 12), ("people", 13, 19)]
 
 
 def test_token_pattern_letters_and_digits_are_exactly_isalnum():

@@ -5,7 +5,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from conftest import CallableAdapter, TESTS_DIR
+from conftest import FIXTURES_DIR, REPO_ROOT, CallableAdapter, TESTS_DIR
 from stub_model import keyword_probability
 
 from textaudit.corpus import Comment, LabeledCorpus
@@ -26,6 +26,7 @@ from textaudit.modeliface import (
     open_adapter,
     predict_batch,
 )
+from textaudit.report import AuditConfig, run_audit
 
 STUB_CMD = f"{sys.executable} {TESTS_DIR / 'stub_model.py'}"
 
@@ -172,20 +173,32 @@ def test_subprocess_adapter_non_numeric_line(tmp_path):
 
 
 class _StubHTTPHandler(BaseHTTPRequestHandler):
+    """HTTP/1.1 keyword stub that records connections and request bodies."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.server.connections += 1
+
     def do_POST(self):
-        length = int(self.headers["Content-Length"])
-        body = json.loads(self.rfile.read(length))
+        raw = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.requests.append((self.headers["Content-Type"], raw))
         if self.path != "/predict":
             self.send_response(404)
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
-        payload = {"probabilities": [keyword_probability(t) for t in body["texts"]]}
-        data = json.dumps(payload).encode()
+        texts = json.loads(raw)["texts"]
+        data = json.dumps({"probabilities": [keyword_probability(t) for t in texts]}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+        # Optionally hang up after answering without a "Connection: close"
+        # header, as a server does when an idle kept-alive connection times out.
+        self.close_connection = self.server.drop_after_answer
 
     def log_message(self, *args):
         pass
@@ -194,15 +207,20 @@ class _StubHTTPHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def http_stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHTTPHandler)
+    server.connections = 0
+    server.requests = []
+    server.drop_after_answer = False
+    server.url = f"http://127.0.0.1:{server.server_address[1]}"
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield f"http://127.0.0.1:{server.server_address[1]}"
+    yield server
     server.shutdown()
+    server.server_close()
 
 
 def test_http_adapter_end_to_end(http_stub):
-    adapter = HttpAdapter(AdapterConfig(kind="http", location=http_stub, timeout=5))
-    probs = predict_batch(["nice day", "filthy"], adapter)
+    with HttpAdapter(AdapterConfig(kind="http", location=http_stub.url, timeout=5)) as adapter:
+        probs = predict_batch(["nice day", "filthy"], adapter)
     assert probs == [pytest.approx(0.08), pytest.approx(0.58)]
 
 
@@ -235,6 +253,7 @@ def canned_http():
 
     yield adapter_answering
     server.shutdown()
+    server.server_close()
 
 
 @pytest.mark.parametrize(
@@ -264,6 +283,96 @@ def test_http_adapter_unreachable():
     )
     with pytest.raises(AdapterUnavailableError):
         predict_batch(["x"], adapter)
+
+
+@pytest.mark.parametrize(
+    "location",
+    ["localhost:8000", "ftp://example.org", "http://", "http://host:port", "http://u:p@host"],
+)
+def test_http_adapter_rejects_bad_location(location):
+    with pytest.raises(AdapterError, match="http adapter"):
+        HttpAdapter(AdapterConfig(kind="http", location=location))
+
+
+FIVE_TEXTS = ["nice day", "filthy", "a", "b", "c"]
+
+
+def test_http_adapter_sends_every_batch_over_one_connection(http_stub):
+    config = AdapterConfig(kind="http", location=http_stub.url, batch_size=2, timeout=5)
+    with HttpAdapter(config) as adapter:
+        probs = predict_batch(FIVE_TEXTS, adapter)
+    assert probs == [keyword_probability(t) for t in FIVE_TEXTS]
+    assert len(http_stub.requests) == 3
+    assert http_stub.connections == 1
+
+
+def test_http_adapter_resends_when_server_drops_kept_alive_connection(http_stub):
+    http_stub.drop_after_answer = True
+    config = AdapterConfig(
+        kind="http", location=http_stub.url, batch_size=2, timeout=5, max_retries=0
+    )
+    with HttpAdapter(config) as adapter:
+        probs = predict_batch(FIVE_TEXTS, adapter)
+    assert probs == [keyword_probability(t) for t in FIVE_TEXTS]
+    assert len(http_stub.requests) == 3
+    assert http_stub.connections == 3
+
+
+def test_http_adapter_sends_utf8_json(http_stub):
+    text = "café 𝐆 ✓"
+    with HttpAdapter(AdapterConfig(kind="http", location=http_stub.url, timeout=5)) as adapter:
+        adapter.score_batch([text])
+    content_type, raw = http_stub.requests[0]
+    assert content_type == "application/json"
+    assert raw == json.dumps({"texts": [text]}).encode("utf-8")
+    assert json.loads(raw)["texts"] == [text]
+
+
+def test_http_adapter_status_other_than_200_is_unavailable(http_stub):
+    location = http_stub.url + "/v1/"
+    with HttpAdapter(AdapterConfig(kind="http", location=location, timeout=5)) as adapter:
+        with pytest.raises(AdapterUnavailableError, match="v1/predict answered with status 404"):
+            adapter.score_batch(["x"])
+
+
+def test_https_location_speaks_tls(http_stub):
+    # A plain-HTTP server cannot complete the TLS handshake.
+    location = http_stub.url.replace("http://", "https://")
+    adapter = HttpAdapter(AdapterConfig(kind="http", location=location, timeout=5, max_retries=0))
+    with pytest.raises(AdapterUnavailableError, match="cannot reach"):
+        predict_batch(["x"], adapter)
+
+
+def test_adapters_close_more_than_once(http_stub):
+    adapter = HttpAdapter(AdapterConfig(kind="http", location=http_stub.url, timeout=5))
+    assert adapter.score_batch(["filthy"]) == [keyword_probability("filthy")]
+    adapter.close()
+    adapter.close()
+    for kind, location in (("subprocess", STUB_CMD), ("predictions_file", "preds.csv")):
+        with open_adapter(AdapterConfig(kind=kind, location=location)) as other:
+            other.close()
+        other.close()
+
+
+def test_run_audit_closes_adapter_when_a_section_fails(canned_http, monkeypatch):
+    monkeypatch.chdir(REPO_ROOT)  # the fixture config uses repo-relative paths
+    closed = []
+    close = HttpAdapter.close
+
+    def recording_close(self):
+        closed.append(self)
+        close(self)
+
+    monkeypatch.setattr(HttpAdapter, "close", recording_close)
+    location = canned_http(b'{"probabilities": "none"}').config.location
+    data = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
+    data.update(
+        adapter={"kind": "http", "location": location, "max_retries": 0},
+        sections=["performance"],
+    )
+    report = run_audit(AuditConfig.from_dict(data))
+    assert report.sections["performance"]["status"] == "failed"
+    assert len(closed) == 1
 
 
 def test_prediction_record_range():
