@@ -217,6 +217,77 @@ def test_section_isolation(full_report, module_chdir, tmp_path):
         assert section == full_report.sections[name], name
 
 
+LIVE_SECTIONS = (
+    "performance", "subgroup_stats", "swap_favor", "counterfactual", "fairness_metrics",
+    "explanations",
+)
+
+# A line-protocol model that logs one line per start and exits with status 3
+# when it should fail; otherwise it scores like tests/stub_model.py.
+FAILING_MODEL = """\
+import json, sys
+sys.path.insert(0, {tests_dir!r})
+from stub_model import keyword_probability
+texts = [json.loads(line) for line in sys.stdin if line.strip()]
+with open({log!r}, "a") as log:
+    log.write("attempt\\n")
+if {fail_on!r} is None or {fail_on!r} in texts:
+    sys.stderr.write("model down")
+    sys.exit(3)
+for text in texts:
+    print(f"{{keyword_probability(text):.6f}}")
+"""
+
+
+def failing_model_config(tmp_path, fail_on, max_retries):
+    """The fixture config over FAILING_MODEL; returns it and the attempt log."""
+    import shlex
+    import sys
+
+    log = tmp_path / "attempts.log"
+    script = tmp_path / "failing_model.py"
+    script.write_text(
+        FAILING_MODEL.format(tests_dir=str(FIXTURES_DIR.parent), log=str(log), fail_on=fail_on)
+    )
+    adapter = json.loads((FIXTURES_DIR / "audit_config.json").read_text())["adapter"]
+    adapter["location"] = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+    adapter["max_retries"] = max_retries
+    return fixture_config(adapter=adapter), log
+
+
+def test_section_isolation_model_failing_one_counterfactual_text(
+    full_report, module_chdir, tmp_path
+):
+    config, _ = failing_model_config(
+        tmp_path, fail_on="Every Muslim neighbor deserves respect", max_retries=0
+    )
+    report = run_audit(config)
+    section = report.sections["counterfactual"]
+    assert section["status"] == "failed"
+    assert section["error"].startswith("AdapterUnavailableError: batch failed after 1 attempt(s)")
+    for name, section in report.sections.items():
+        if name != "counterfactual":
+            assert section == full_report.sections[name], name
+
+
+def test_section_isolation_model_always_failing(full_report, module_chdir, tmp_path):
+    config, log = failing_model_config(tmp_path, fail_on=None, max_retries=1)
+    report = run_audit(config)
+    error = (
+        "AdapterUnavailableError: batch failed after 2 attempt(s): "
+        "scoring command exited with 3: model down"
+    )
+    for name, section in report.sections.items():
+        if name in LIVE_SECTIONS:
+            assert section == {"status": "failed", "error": error}, name
+        else:
+            assert section == full_report.sections[name], name
+    # Each live section fails on its first batch; at most one more failed
+    # batch may come before them.
+    attempts = len(log.read_text().splitlines())
+    assert 2 * len(LIVE_SECTIONS) <= attempts <= 2 * (len(LIVE_SECTIONS) + 1)
+
+
 def test_input_hashes_match_files(full_report):
     by_name = {entry["name"]: entry for entry in full_report.inputs}
     dataset = by_name["dataset"]
