@@ -16,7 +16,7 @@ from .corpus import LabeledCorpus, tokenize
 from .errors import AuditError, CoverageError, LexiconError
 from .lexicon import IDENTITY_SLOT, AttributeLexicon, SwapTable, TemplateSet
 from .mining import AnnotatedCorpus
-from .modeliface import Adapter, PredictionCache, PredictionRecord, predict_batch
+from .modeliface import Adapter, PredictionCache, PredictionRecord, ScoringPlan
 
 CLASS_NAMES = {0: "not-hateful", 1: "hateful"}
 
@@ -269,6 +269,61 @@ class FavorReport:
         }
 
 
+def plan_swap_favor(
+    annotated: AnnotatedCorpus,
+    table: SwapTable,
+    attribute: str,
+    sub_a: str,
+    sub_b: str,
+    rounding_decimals: int = 4,
+) -> ScoringPlan[FavorReport]:
+    """The original and swapped texts :func:`swap_favor_analysis` scores, and the tally."""
+    eligible: list[tuple[str, int, str]] = []  # (comment id, label, referenced subgroup)
+    for comment in annotated.corpus:
+        referenced = annotated.subgroups_referenced(comment.id, attribute) & {sub_a, sub_b}
+        if len(referenced) == 1:
+            eligible.append((comment.id, comment.label, referenced.pop()))
+    if not eligible:
+        raise AuditError(
+            f"no comment references exactly one of {sub_a!r}/{sub_b!r} for attribute {attribute!r}"
+        )
+
+    originals = [annotated.corpus.get(cid).text for cid, _, _ in eligible]
+    swapped = [swap_text(text, table) for text in originals]
+    n = len(eligible)
+
+    def finish(probs: list[float]) -> FavorReport:
+        tallies = {sub_a: 0, sub_b: 0, "no_change": 0}
+        by_label = {CLASS_NAMES[0]: {sub_a: 0, sub_b: 0, "no_change": 0},
+                    CLASS_NAMES[1]: {sub_a: 0, sub_b: 0, "no_change": 0}}
+        for (cid, label, referenced), po, ps in zip(eligible, probs[:n], probs[n:]):
+            ro = round(po, rounding_decimals)
+            rs = round(ps, rounding_decimals)
+            other = sub_b if referenced == sub_a else sub_a
+            if ro == rs:
+                outcome = "no_change"
+            elif label == 0:
+                outcome = referenced if ro < rs else other
+            else:
+                outcome = referenced if ro > rs else other
+            tallies[outcome] += 1
+            by_label[CLASS_NAMES[label]][outcome] += 1
+
+        return FavorReport(
+            attribute=attribute,
+            sub_a=sub_a,
+            sub_b=sub_b,
+            fraction_favor_a=tallies[sub_a] / n,
+            fraction_favor_b=tallies[sub_b] / n,
+            fraction_no_change=tallies["no_change"] / n,
+            n_swapped=n,
+            rounding_decimals=rounding_decimals,
+            by_label=by_label,
+        )
+
+    return ScoringPlan(originals + swapped, finish)
+
+
 def swap_favor_analysis(
     annotated: AnnotatedCorpus,
     adapter: Adapter,
@@ -285,49 +340,8 @@ def swap_favor_analysis(
     referencing both are excluded because a simultaneous bidirectional swap
     makes "favor" ill-defined.
     """
-    eligible: list[tuple[str, int, str]] = []  # (comment id, label, referenced subgroup)
-    for comment in annotated.corpus:
-        referenced = annotated.subgroups_referenced(comment.id, attribute) & {sub_a, sub_b}
-        if len(referenced) == 1:
-            eligible.append((comment.id, comment.label, referenced.pop()))
-    if not eligible:
-        raise AuditError(
-            f"no comment references exactly one of {sub_a!r}/{sub_b!r} for attribute {attribute!r}"
-        )
-
-    originals = [annotated.corpus.get(cid).text for cid, _, _ in eligible]
-    swapped = [swap_text(text, table) for text in originals]
-    p_orig = predict_batch(originals, adapter, cache)
-    p_swap = predict_batch(swapped, adapter, cache)
-
-    tallies = {sub_a: 0, sub_b: 0, "no_change": 0}
-    by_label = {CLASS_NAMES[0]: {sub_a: 0, sub_b: 0, "no_change": 0},
-                CLASS_NAMES[1]: {sub_a: 0, sub_b: 0, "no_change": 0}}
-    for (cid, label, referenced), po, ps in zip(eligible, p_orig, p_swap):
-        ro = round(po, rounding_decimals)
-        rs = round(ps, rounding_decimals)
-        other = sub_b if referenced == sub_a else sub_a
-        if ro == rs:
-            outcome = "no_change"
-        elif label == 0:
-            outcome = referenced if ro < rs else other
-        else:
-            outcome = referenced if ro > rs else other
-        tallies[outcome] += 1
-        by_label[CLASS_NAMES[label]][outcome] += 1
-
-    n = len(eligible)
-    return FavorReport(
-        attribute=attribute,
-        sub_a=sub_a,
-        sub_b=sub_b,
-        fraction_favor_a=tallies[sub_a] / n,
-        fraction_favor_b=tallies[sub_b] / n,
-        fraction_no_change=tallies["no_change"] / n,
-        n_swapped=n,
-        rounding_decimals=rounding_decimals,
-        by_label=by_label,
-    )
+    plan = plan_swap_favor(annotated, table, attribute, sub_a, sub_b, rounding_decimals)
+    return plan.run(adapter, cache)
 
 
 # ---------------------------------------------------------------------------

@@ -284,11 +284,12 @@ def _kept_end(text: str, start: int, end: int, run_end: int, abbreviations: froz
     ``text[end:run_end]`` are the apostrophes and periods after the token's
     last letter or digit. Walking back from ``run_end``, the first cut just
     after a period that leaves a known abbreviation wins; otherwise the whole
-    run goes.
+    run goes. The candidate is normalized as a token is: NFKC, then
+    lowercase.
     """
     k = text.rfind(".", end, run_end)
     while k >= 0:
-        if text[start : k + 1].lower() in abbreviations:
+        if unicodedata.normalize("NFKC", text[start : k + 1]).lower() in abbreviations:
             return k + 1
         k = text.rfind(".", end, k)
     return end

@@ -10,6 +10,12 @@ tokens would be artifacts of the auditor.
 
 All randomness flows from one recorded seed; per-comment streams are seeded
 by (seed, comment id) so parallel execution cannot change results.
+
+Each explanation is split into a plan and a finish: ``plan_local_explain``
+and ``plan_global_importance`` list every perturbed text without calling the
+model, and the plan's ``finish`` turns those texts' probabilities into the
+result. ``local_explain`` and ``global_importance`` run the two back to
+back; an audit scores the texts of every plan together first.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .corpus import Comment, LabeledCorpus, TokenSpan, tokenize
 from .errors import ExplainError
-from .modeliface import Adapter, PredictionCache, predict_batch
+from .modeliface import Adapter, PredictionCache, ScoringPlan, predict_batch
 
 EXACT_SHAPLEY_MAX_TOKENS = 12
 
@@ -104,23 +110,14 @@ def _mask_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:
     return np.exp(-(distance**2) / (kernel_width**2))
 
 
-def local_explain(
+def plan_local_explain(
     comment: Comment,
-    adapter: Adapter,
     n_samples: int | None = None,
     kernel_width: float = DEFAULT_KERNEL_WIDTH,
     l2_lambda: float = DEFAULT_L2_LAMBDA,
     rng_seed: int = 0,
-    cache: PredictionCache | None = None,
-) -> LocalExplanation:
-    """Fit a weighted ridge surrogate of the model around one comment.
-
-    Masks keep each unique token with probability 0.5 (the all-ones mask is
-    always included); when 2^k masks fit within ``n_samples`` the full mask
-    space is enumerated instead, which makes the fit exact for linear
-    models. Sample weights decay with cosine distance from the unperturbed
-    mask. The intercept is not penalized.
-    """
+) -> ScoringPlan[LocalExplanation]:
+    """The perturbed texts :func:`local_explain` scores, and the surrogate fit."""
     tokens, spans_by_token = _unique_tokens(comment.text)
     k = len(tokens)
     if k == 0:
@@ -142,38 +139,63 @@ def local_explain(
         masks = np.vstack([np.ones((1, k)), random_masks])
 
     texts = [_realize_mask(comment.text, tokens, spans_by_token, mask) for mask in masks]
-    y = np.asarray(predict_batch(texts, adapter, cache), dtype=np.float64)
-    w = _mask_weights(masks, kernel_width)
 
-    # Weighted ridge with unpenalized intercept column.
-    X = np.hstack([masks, np.ones((masks.shape[0], 1))])
-    gram = X.T @ (X * w[:, None])
-    ridge = l2_lambda * np.eye(k + 1)
-    ridge[k, k] = 0.0
-    try:
-        beta = np.linalg.solve(gram + ridge, X.T @ (w * y))
-    except np.linalg.LinAlgError as exc:
-        raise ExplainError(f"degenerate design matrix for comment {comment.id!r}") from exc
+    def finish(probabilities: list[float]) -> LocalExplanation:
+        y = np.asarray(probabilities, dtype=np.float64)
+        w = _mask_weights(masks, kernel_width)
 
-    fitted = X @ beta
-    ss_res = float(np.sum(w * (y - fitted) ** 2))
-    y_bar = float(np.sum(w * y) / np.sum(w))
-    ss_tot = float(np.sum(w * (y - y_bar) ** 2))
-    if ss_tot > 1e-30:
-        r2 = 1.0 - ss_res / ss_tot
-    else:
-        r2 = 1.0 if ss_res <= 1e-30 else 0.0
+        # Weighted ridge with unpenalized intercept column.
+        X = np.hstack([masks, np.ones((masks.shape[0], 1))])
+        gram = X.T @ (X * w[:, None])
+        ridge = l2_lambda * np.eye(k + 1)
+        ridge[k, k] = 0.0
+        try:
+            beta = np.linalg.solve(gram + ridge, X.T @ (w * y))
+        except np.linalg.LinAlgError as exc:
+            raise ExplainError(f"degenerate design matrix for comment {comment.id!r}") from exc
 
-    return LocalExplanation(
-        comment_id=comment.id,
-        token_weights=tuple((t, float(b)) for t, b in zip(tokens, beta[:k])),
-        intercept=float(beta[k]),
-        surrogate_fit_r2=r2,
-        n_samples=int(masks.shape[0]),
-        kernel_width=kernel_width,
-        l2_lambda=l2_lambda,
-        rng_seed=rng_seed,
-    )
+        fitted = X @ beta
+        ss_res = float(np.sum(w * (y - fitted) ** 2))
+        y_bar = float(np.sum(w * y) / np.sum(w))
+        ss_tot = float(np.sum(w * (y - y_bar) ** 2))
+        if ss_tot > 1e-30:
+            r2 = 1.0 - ss_res / ss_tot
+        else:
+            r2 = 1.0 if ss_res <= 1e-30 else 0.0
+
+        return LocalExplanation(
+            comment_id=comment.id,
+            token_weights=tuple((t, float(b)) for t, b in zip(tokens, beta[:k])),
+            intercept=float(beta[k]),
+            surrogate_fit_r2=r2,
+            n_samples=int(masks.shape[0]),
+            kernel_width=kernel_width,
+            l2_lambda=l2_lambda,
+            rng_seed=rng_seed,
+        )
+
+    return ScoringPlan(texts, finish)
+
+
+def local_explain(
+    comment: Comment,
+    adapter: Adapter,
+    n_samples: int | None = None,
+    kernel_width: float = DEFAULT_KERNEL_WIDTH,
+    l2_lambda: float = DEFAULT_L2_LAMBDA,
+    rng_seed: int = 0,
+    cache: PredictionCache | None = None,
+) -> LocalExplanation:
+    """Fit a weighted ridge surrogate of the model around one comment.
+
+    Masks keep each unique token with probability 0.5 (the all-ones mask is
+    always included); when 2^k masks fit within ``n_samples`` the full mask
+    space is enumerated instead, which makes the fit exact for linear
+    models. Sample weights decay with cosine distance from the unperturbed
+    mask. The intercept is not penalized.
+    """
+    plan = plan_local_explain(comment, n_samples, kernel_width, l2_lambda, rng_seed)
+    return plan.run(adapter, cache)
 
 
 @dataclass(frozen=True)
@@ -223,49 +245,36 @@ def _capped_tokens(text: str, max_tokens: int) -> tuple[list[str], dict[str, lis
     return tokens, spans_by_token
 
 
-def _occlusion_effects(
-    corpus: LabeledCorpus,
-    adapter: Adapter,
-    max_tokens_per_comment: int,
-    cache: PredictionCache,
-) -> dict[str, list[float]]:
-    jobs: list[tuple[str, str]] = []  # (token, realized text) per comment in order
+def _plan_occlusion(
+    corpus: LabeledCorpus, max_tokens_per_comment: int
+) -> ScoringPlan[dict[str, list[float]]]:
     full_texts: list[str] = []
-    per_comment: list[tuple[list[str], list[str]]] = []
+    deletion_texts: list[str] = []
+    token_lists: list[list[str]] = []
     for comment in corpus:
         tokens, spans_by_token = _capped_tokens(comment.text, max_tokens_per_comment)
-        realized = [_delete_spans(comment.text, spans_by_token[t]) for t in tokens]
-        per_comment.append((tokens, realized))
         full_texts.append(comment.text)
-        jobs.extend(zip(tokens, realized))
+        deletion_texts.extend(_delete_spans(comment.text, spans_by_token[t]) for t in tokens)
+        token_lists.append(tokens)
 
-    all_texts = full_texts + [text for _, text in jobs]
-    probs = predict_batch(all_texts, adapter, cache)
-    full_probs = probs[: len(full_texts)]
-    deletion_probs = probs[len(full_texts) :]
+    def finish(probs: list[float]) -> dict[str, list[float]]:
+        deletion_probs = iter(probs[len(full_texts) :])
+        effects: dict[str, list[float]] = {}
+        for tokens, p_full in zip(token_lists, probs):
+            for token in tokens:
+                effects.setdefault(token, []).append(p_full - next(deletion_probs))
+        return effects
 
-    effects: dict[str, list[float]] = {}
-    cursor = 0
-    for (tokens, realized), p_full in zip(per_comment, full_probs):
-        for token in tokens:
-            effect = p_full - deletion_probs[cursor]
-            cursor += 1
-            effects.setdefault(token, []).append(effect)
-    return effects
+    return ScoringPlan(full_texts + deletion_texts, finish)
 
 
-def _sampled_shapley_effects(
-    corpus: LabeledCorpus,
-    adapter: Adapter,
-    m_permutations: int,
-    max_tokens_per_comment: int,
-    rng_seed: int,
-    cache: PredictionCache,
-) -> dict[str, list[float]]:
+def _plan_sampled_shapley(
+    corpus: LabeledCorpus, m_permutations: int, max_tokens_per_comment: int, rng_seed: int
+) -> ScoringPlan[dict[str, list[float]]]:
     if m_permutations < 1:
         raise ExplainError(f"m_permutations must be positive, got {m_permutations}")
-    # Plan: draw every order up front (they never depend on model outputs)
-    # and realize each comment's distinct prefix coalitions once.
+    # Draw every order up front (they never depend on model outputs) and
+    # realize each comment's distinct prefix coalitions once.
     texts: list[str] = []
     plans: list[tuple[list[str], list[list[int]], dict[int, int]]] = []
     for comment in corpus:
@@ -283,24 +292,24 @@ def _sampled_shapley_effects(
                 texts.append(_realize_mask(comment.text, tokens, spans_by_token, mask))
         plans.append((tokens, orders, slot_of))
 
-    # Score: one call for every comment's coalitions.
-    values = predict_batch(texts, adapter, cache)
+    def finish(values: list[float]) -> dict[str, list[float]]:
+        # Replay the orders, accumulating marginals in draw order.
+        effects: dict[str, list[float]] = {}
+        for tokens, orders, slot_of in plans:
+            marginals = [0.0] * len(tokens)
+            for order in orders:
+                previous = values[slot_of[0]]
+                bits = 0
+                for j in order:
+                    bits |= 1 << j
+                    current = values[slot_of[bits]]
+                    marginals[j] += current - previous
+                    previous = current
+            for token, total in zip(tokens, marginals):
+                effects.setdefault(token, []).append(total / m_permutations)
+        return effects
 
-    # Reduce: replay the orders, accumulating marginals in draw order.
-    effects: dict[str, list[float]] = {}
-    for tokens, orders, slot_of in plans:
-        marginals = [0.0] * len(tokens)
-        for order in orders:
-            previous = values[slot_of[0]]
-            bits = 0
-            for j in order:
-                bits |= 1 << j
-                current = values[slot_of[bits]]
-                marginals[j] += current - previous
-                previous = current
-        for token, total in zip(tokens, marginals):
-            effects.setdefault(token, []).append(total / m_permutations)
-    return effects
+    return ScoringPlan(texts, finish)
 
 
 def _prefix_bitsets(orders: list[list[int]]):
@@ -311,6 +320,48 @@ def _prefix_bitsets(orders: list[list[int]]):
         for j in order:
             bits |= 1 << j
             yield bits
+
+
+def plan_global_importance(
+    corpus: LabeledCorpus,
+    method: str = "occlusion",
+    m_permutations: int = 200,
+    max_tokens_per_comment: int = 12,
+    rng_seed: int = 0,
+) -> ScoringPlan[GlobalImportance]:
+    """The perturbed texts :func:`global_importance` scores, and the aggregation."""
+    if method not in ("occlusion", "sampled_shapley"):
+        raise ExplainError(f"unknown importance method {method!r}")
+    if len(corpus) == 0:
+        raise ExplainError("corpus is empty")
+    if method == "occlusion":
+        effects_plan = _plan_occlusion(corpus, max_tokens_per_comment)
+    else:
+        effects_plan = _plan_sampled_shapley(
+            corpus, m_permutations, max_tokens_per_comment, rng_seed
+        )
+
+    def finish(probs: list[float]) -> GlobalImportance:
+        return _importance_from_effects(effects_plan.finish(probs), method, rng_seed)
+
+    return ScoringPlan(effects_plan.texts, finish)
+
+
+def _importance_from_effects(
+    effects: dict[str, list[float]], method: str, rng_seed: int
+) -> GlobalImportance:
+    """One row per token: mean and mean |effect| over its effects, and their count."""
+    rows = [
+        ImportanceRow(
+            token=token,
+            mean_effect=sum(values) / len(values),
+            mean_abs_effect=sum(abs(v) for v in values) / len(values),
+            support=len(values),
+        )
+        for token, values in effects.items()
+    ]
+    rows.sort(key=lambda r: (-r.mean_abs_effect, r.token))
+    return GlobalImportance(rows=tuple(rows), method=method, rng_seed=rng_seed)
 
 
 def global_importance(
@@ -336,29 +387,10 @@ def global_importance(
     batch_size)`` adapter calls. Shapley orders are drawn up front from the
     same per-comment RNG streams, so the values do not depend on batching.
     """
-    if method not in ("occlusion", "sampled_shapley"):
-        raise ExplainError(f"unknown importance method {method!r}")
-    if len(corpus) == 0:
-        raise ExplainError("corpus is empty")
-    if cache is None:
-        cache = PredictionCache()
-    if method == "occlusion":
-        effects = _occlusion_effects(corpus, adapter, max_tokens_per_comment, cache)
-    else:
-        effects = _sampled_shapley_effects(
-            corpus, adapter, m_permutations, max_tokens_per_comment, rng_seed, cache
-        )
-    rows = [
-        ImportanceRow(
-            token=token,
-            mean_effect=sum(values) / len(values),
-            mean_abs_effect=sum(abs(v) for v in values) / len(values),
-            support=len(values),
-        )
-        for token, values in effects.items()
-    ]
-    rows.sort(key=lambda r: (-r.mean_abs_effect, r.token))
-    return GlobalImportance(rows=tuple(rows), method=method, rng_seed=rng_seed)
+    plan = plan_global_importance(
+        corpus, method, m_permutations, max_tokens_per_comment, rng_seed
+    )
+    return plan.run(adapter, cache)
 
 
 def exact_shapley(

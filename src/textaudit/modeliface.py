@@ -25,7 +25,7 @@ import threading
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, Sequence
+from typing import Callable, Generic, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
 
 from .corpus import LabeledCorpus
@@ -71,8 +71,13 @@ class AdapterConfig:
             raise AdapterError(f"batch_size must be positive, got {self.batch_size}")
         if self.max_retries < 0:
             raise AdapterError(f"max_retries must be >= 0, got {self.max_retries}")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
-            raise AdapterError(f"timeout must be a positive number of seconds, got {self.timeout}")
+        timeout = self.timeout
+        if (
+            isinstance(timeout, bool)
+            or not isinstance(timeout, (int, float))
+            or not (math.isfinite(timeout) and timeout > 0)
+        ):
+            raise AdapterError(f"timeout must be a positive number of seconds, got {timeout!r}")
 
     @property
     def is_live(self) -> bool:
@@ -344,6 +349,26 @@ def predict_batch(
             if cache is not None:
                 cache.store(text, p)
     return [resolved[key] for key in keys]
+
+
+T = TypeVar("T")
+
+
+@dataclass(frozen=True)
+class ScoringPlan(Generic[T]):
+    """Every text a computation will score, and how their probabilities become its result.
+
+    Building a plan calls no model, so a caller can score the texts of many
+    plans in one :func:`predict_batch` call, whose batches then fill across
+    plans, and finish each plan from the cache afterwards.
+    """
+
+    texts: list[str]
+    finish: Callable[[list[float]], T]
+
+    def run(self, adapter: Adapter, cache: PredictionCache | None = None) -> T:
+        """Score the plan's texts (cached ones are not sent) and finish."""
+        return self.finish(predict_batch(self.texts, adapter, cache))
 
 
 def load_predictions(path: str | Path, corpus: LabeledCorpus) -> list[PredictionRecord]:

@@ -2,7 +2,11 @@
 
 A single JSON config document drives the whole audit; every section runs in
 isolation and records a computed / skipped(reason) / failed(error) status,
-so one broken axis never hides the others. Reports render to canonical JSON
+so one broken axis never hides the others. With a live adapter the run first
+plans every requested section that calls the model, then scores all their
+texts in one batched call, so batches fill across sections; each section
+then finishes from the cache. If that call fails, each section scores what
+is still missing on its own, exactly as without it. Reports render to canonical JSON
 (sorted keys, 6 significant digits) so identical config + seed + inputs
 yield byte-identical files, and to markdown for humans. The report carries
 a content hash for every input so the audit is self-contained evidence.
@@ -10,6 +14,7 @@ a content hash for every input so the audit is self-contained evidence.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -20,13 +25,14 @@ from pathlib import Path
 
 from . import __version__
 from .classbias import (
+    CounterfactualCorpus,
     counterfactual_bias,
     counterfactual_probability_stats,
     expand_templates,
     fairness_metrics,
     performance_report,
+    plan_swap_favor,
     subgroup_probability_stats,
-    swap_favor_analysis,
 )
 from .corpus import load_dataset
 from .databias import (
@@ -37,7 +43,7 @@ from .databias import (
 )
 from .embedbias import embedding_bias, embedding_bias_csv, load_embeddings
 from .errors import AdapterError, AuditError, ConfigError
-from .explain import global_importance, local_explain
+from .explain import plan_global_importance, plan_local_explain
 from .lexicon import (
     aligned_swap_pairs,
     default_gazetteer,
@@ -56,6 +62,7 @@ from .modeliface import (
     AdapterConfig,
     PredictionCache,
     PredictionRecord,
+    ScoringPlan,
     load_predictions,
     open_adapter,
     predict_batch,
@@ -72,6 +79,16 @@ SECTIONS = (
     "explanations",
     "emissions",
 )
+
+# The live computation each model-scored section finishes from.
+_LIVE_COMPUTATION = {
+    "performance": "records",
+    "subgroup_stats": "records",
+    "swap_favor": "swap_favor",
+    "counterfactual": "counterfactual",
+    "fairness_metrics": "records",
+    "explanations": "explanations",
+}
 
 DEFAULT_COUNTERFACTUAL_FILLS = {
     "religion": {"islam": ["Muslim"], "christianity": ["Christian"]},
@@ -451,6 +468,7 @@ class _AuditRun:
         self.config = config
         self.cache = PredictionCache()
         self._memo: dict[str, object] = {}
+        self._plans: dict[str, list] = {}
         needs_corpus = any(s != "emissions" for s in config.sections)
         if needs_corpus and config.dataset_path is None:
             raise ConfigError("config.dataset is required for the requested sections")
@@ -494,13 +512,7 @@ class _AuditRun:
                     self.config.adapter.location, self.corpus
                 )
             else:
-                probs = predict_batch(
-                    [c.text for c in self.corpus], self.adapter, self.cache
-                )
-                self._memo["records"] = [
-                    PredictionRecord(comment_id=c.id, p_hateful=p)
-                    for c, p in zip(self.corpus, probs)
-                ]
+                [self._memo["records"]] = self.finish("records")
         return self._memo["records"]
 
     def live_adapter(self):
@@ -522,6 +534,120 @@ class _AuditRun:
         if self.config.templates_path:
             return load_templates(self.config.templates_path)
         return default_templates()
+
+    # -- live computations: plan every text first, score, then finish -----------
+
+    def plans(self, name: str) -> list:
+        """The scoring plans of live computation ``name``, built once.
+
+        Planning calls no model. If planning raises, the exception ends the
+        list after the plans built before it, so :meth:`finish` raises it
+        where the computation used to.
+        """
+        if name not in self._plans:
+            planned: list = []
+            try:
+                for plan in getattr(self, f"_plan_{name}")():
+                    planned.append(plan)
+            except Exception as exc:
+                planned.append(exc)
+            self._plans[name] = planned
+        return self._plans[name]
+
+    def finish(self, name: str) -> list:
+        """Every plan's result, in order; texts not yet cached are scored first."""
+        results = []
+        for plan in self.plans(name):
+            if isinstance(plan, Exception):
+                raise plan
+            results.append(plan.run(self.adapter, self.cache))
+        return results
+
+    def score_live_texts(self) -> None:
+        """Plan every requested live computation, then score all their texts in one call.
+
+        One :func:`predict_batch` over every plan's texts, in ``SECTIONS``
+        order, fills every batch but the last, which per-section calls would
+        each leave partly empty. If it fails, the batches scored before the
+        failure stay cached and each section scores the rest itself, so it
+        fails or computes as it would have without this call.
+        """
+        if self.adapter is None or not self.config.adapter.is_live:
+            return
+        names = dict.fromkeys(
+            _LIVE_COMPUTATION[s] for s in SECTIONS
+            if s in self.config.sections and s in _LIVE_COMPUTATION
+        )
+        texts = [
+            text
+            for name in names
+            for plan in self.plans(name)
+            if isinstance(plan, ScoringPlan)
+            for text in plan.texts
+        ]
+        try:
+            predict_batch(texts, self.adapter, self.cache)
+        except Exception:  # reported by the sections, which ask again
+            pass
+
+    def _plan_records(self):
+        corpus = self.corpus
+        yield ScoringPlan(
+            [c.text for c in corpus],
+            lambda probs: [
+                PredictionRecord(comment_id=c.id, p_hateful=p) for c, p in zip(corpus, probs)
+            ],
+        )
+
+    def _plan_swap_favor(self):
+        spec = self.config.swap
+        table = aligned_swap_pairs(self.lexicon, spec.attribute, spec.sub_a, spec.sub_b)
+        yield plan_swap_favor(
+            self.annotated(),
+            table,
+            spec.attribute,
+            spec.sub_a,
+            spec.sub_b,
+            rounding_decimals=spec.rounding_decimals,
+        )
+
+    def _plan_counterfactual(self):
+        fills = self.config.counterfactual_fills
+        if not fills:
+            raise _Skip("no counterfactual fills configured")
+        for attribute in sorted(fills):
+            corpus = expand_templates(self.templates(), self.lexicon, attribute, fills[attribute])
+            yield ScoringPlan(
+                [row.text for row in corpus.rows],
+                functools.partial(
+                    _counterfactual_payload, attribute, corpus, sorted(fills[attribute])
+                ),
+            )
+
+    def _plan_explanations(self):
+        spec = self.config.explanation
+        if spec.mode in ("local", "both"):
+            ids = list(spec.local_comment_ids)
+            if not ids:
+                ids = [c.id for c in self.corpus][: spec.max_local_comments]
+            for comment_id in ids:
+                if comment_id not in self.corpus:
+                    raise AuditError(f"unknown comment id for local explanation: {comment_id!r}")
+                yield plan_local_explain(
+                    self.corpus.get(comment_id),
+                    n_samples=spec.n_samples,
+                    kernel_width=spec.kernel_width,
+                    l2_lambda=spec.l2_lambda,
+                    rng_seed=self.config.rng_seed,
+                )
+        if spec.mode in ("global", "both"):
+            yield plan_global_importance(
+                self.corpus,
+                method=spec.method,
+                m_permutations=spec.m_permutations,
+                max_tokens_per_comment=spec.max_tokens_per_comment,
+                rng_seed=self.config.rng_seed,
+            )
 
     # -- sections --------------------------------------------------------------
 
@@ -560,47 +686,13 @@ class _AuditRun:
         }
 
     def section_swap_favor(self) -> dict:
-        adapter = self.live_adapter()
-        spec = self.config.swap
-        table = aligned_swap_pairs(self.lexicon, spec.attribute, spec.sub_a, spec.sub_b)
-        report = swap_favor_analysis(
-            self.annotated(),
-            adapter,
-            table,
-            spec.attribute,
-            spec.sub_a,
-            spec.sub_b,
-            rounding_decimals=spec.rounding_decimals,
-            cache=self.cache,
-        )
+        self.live_adapter()
+        [report] = self.finish("swap_favor")
         return report.to_dict()
 
     def section_counterfactual(self) -> dict:
-        adapter = self.live_adapter()
-        fills = self.config.counterfactual_fills
-        if not fills:
-            raise _Skip("no counterfactual fills configured")
-        payload = []
-        for attribute in sorted(fills):
-            corpus = expand_templates(self.templates(), self.lexicon, attribute, fills[attribute])
-            probs = predict_batch([row.text for row in corpus.rows], adapter, self.cache)
-            stats = counterfactual_probability_stats(corpus, probs)
-            cb = [
-                counterfactual_bias(corpus, probs, reference).to_dict()
-                for reference in sorted(fills[attribute])
-            ]
-            payload.append(
-                {
-                    "attribute": attribute,
-                    "rows": [
-                        {**row.to_dict(), "p_hateful": p}
-                        for row, p in zip(corpus.rows, probs)
-                    ],
-                    "stats": [row.to_dict() for row in stats],
-                    "cb": cb,
-                }
-            )
-        return {"per_attribute": payload}
+        self.live_adapter()
+        return {"per_attribute": self.finish("counterfactual")}
 
     def section_fairness_metrics(self) -> dict:
         spec = self.config.fairness
@@ -615,40 +707,16 @@ class _AuditRun:
         return metrics.to_dict()
 
     def section_explanations(self) -> dict:
-        adapter = self.live_adapter()
-        spec = self.config.explanation
-        payload: dict = {"mode": spec.mode}
-        if spec.mode in ("local", "both"):
-            ids = list(spec.local_comment_ids)
-            if not ids:
-                ids = [c.id for c in self.corpus][: spec.max_local_comments]
-            locals_out = []
-            for comment_id in ids:
-                if comment_id not in self.corpus:
-                    raise AuditError(f"unknown comment id for local explanation: {comment_id!r}")
-                explanation = local_explain(
-                    self.corpus.get(comment_id),
-                    adapter,
-                    n_samples=spec.n_samples,
-                    kernel_width=spec.kernel_width,
-                    l2_lambda=spec.l2_lambda,
-                    rng_seed=self.config.rng_seed,
-                    cache=self.cache,
-                )
-                locals_out.append(explanation.to_dict())
-            payload["local"] = locals_out
-        if spec.mode in ("global", "both"):
-            importance = global_importance(
-                self.corpus,
-                adapter,
-                method=spec.method,
-                m_permutations=spec.m_permutations,
-                max_tokens_per_comment=spec.max_tokens_per_comment,
-                rng_seed=self.config.rng_seed,
-                cache=self.cache,
-            )
+        self.live_adapter()
+        mode = self.config.explanation.mode
+        results = self.finish("explanations")
+        payload: dict = {"mode": mode}
+        if mode in ("global", "both"):
+            importance = results.pop()
             self._memo["global_importance"] = importance
             payload["global"] = importance.to_dict()
+        if mode in ("local", "both"):
+            payload["local"] = [explanation.to_dict() for explanation in results]
         return payload
 
     def section_emissions(self) -> dict:
@@ -700,6 +768,7 @@ class _AuditRun:
             "explanations": self.section_explanations,
             "emissions": self.section_emissions,
         }
+        self.score_live_texts()
         sections: dict[str, dict] = {}
         for name in SECTIONS:
             if name not in self.config.sections:
@@ -735,6 +804,18 @@ class _AuditRun:
             )
         if "global_importance" in self._memo:
             _atomic_write(out / "global_importance.csv", self._memo["global_importance"].to_csv())
+
+
+def _counterfactual_payload(
+    attribute: str, corpus: CounterfactualCorpus, references: list[str], probs: list[float]
+) -> dict:
+    stats = counterfactual_probability_stats(corpus, probs)
+    return {
+        "attribute": attribute,
+        "rows": [{**row.to_dict(), "p_hateful": p} for row, p in zip(corpus.rows, probs)],
+        "stats": [row.to_dict() for row in stats],
+        "cb": [counterfactual_bias(corpus, probs, reference).to_dict() for reference in references],
+    }
 
 
 def run_audit(config: AuditConfig) -> AuditReport:

@@ -19,7 +19,7 @@ from textaudit.modeliface import AdapterConfig  # noqa: E402
 
 
 class CallableAdapter:
-    """In-process adapter wrapping a plain scoring function; counts calls."""
+    """In-process adapter wrapping a plain scoring function; counts calls, records texts."""
 
     def __init__(self, fn, batch_size=64, max_retries=0):
         self.config = AdapterConfig(
@@ -31,11 +31,16 @@ class CallableAdapter:
         self.fn = fn
         self.calls = 0
         self.texts_scored = 0
+        self.sent = []
 
     def score_batch(self, texts):
         self.calls += 1
         self.texts_scored += len(texts)
+        self.sent.extend(texts)
         return [self.fn(t) for t in texts]
+
+    def close(self):
+        pass
 
 
 @pytest.fixture

@@ -185,7 +185,7 @@ def _reference_trim_run(text, i, j, abbreviations):
     while i < j and text[i] in _RUN_EXTRA:
         i += 1
     while j > i and text[j - 1] in _RUN_EXTRA:
-        if text[j - 1] == "." and text[i:j].lower() in abbreviations:
+        if text[j - 1] == "." and unicodedata.normalize("NFKC", text[i:j]).lower() in abbreviations:
             break
         j -= 1
     if j <= i or not any(text[k].isalnum() for k in range(i, j)):
@@ -289,6 +289,8 @@ def test_tokenize_default_abbreviations_and_unicode_examples():
     ]
     # NFKC before lowercasing: mathematical bold capitals become "gay".
     assert tokenize("𝐆𝐀𝐘 people") == [("gay", 0, 12), ("people", 13, 19)]
+    # The abbreviation check normalizes the same way: a styled "𝐌𝐑." keeps its period.
+    assert tokenize("𝐌𝐑. Smith") == [("mr.", 0, 9), ("smith", 10, 15)]
 
 
 def test_token_pattern_letters_and_digits_are_exactly_isalnum():

@@ -1,5 +1,4 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -253,16 +252,6 @@ def reference_sampled_shapley_effects(
     return effects
 
 
-class RecordingAdapter(CallableAdapter):
-    def __init__(self, fn, batch_size):
-        super().__init__(fn, batch_size=batch_size)
-        self.sent = []
-
-    def score_batch(self, texts):
-        self.sent.extend(texts)
-        return super().score_batch(texts)
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     rng_seed=st.integers(0, 2**32 - 1),
@@ -273,23 +262,21 @@ class RecordingAdapter(CallableAdapter):
 def test_sampled_shapley_matches_reference_loop(
     fixture_corpus, rng_seed, m_permutations, max_tokens, batch_size
 ):
-    def run(adapter):
-        return global_importance(
-            fixture_corpus,
-            adapter,
-            method="sampled_shapley",
-            m_permutations=m_permutations,
-            max_tokens_per_comment=max_tokens,
-            rng_seed=rng_seed,
-        )
-
-    batched = RecordingAdapter(keyword_probability, batch_size)
-    result = run(batched)
-    reference_adapter = RecordingAdapter(keyword_probability, batch_size)
-    with mock.patch.object(
-        explain, "_sampled_shapley_effects", reference_sampled_shapley_effects
-    ):
-        expected = run(reference_adapter)
+    batched = CallableAdapter(keyword_probability, batch_size=batch_size)
+    result = global_importance(
+        fixture_corpus,
+        batched,
+        method="sampled_shapley",
+        m_permutations=m_permutations,
+        max_tokens_per_comment=max_tokens,
+        rng_seed=rng_seed,
+    )
+    reference_adapter = CallableAdapter(keyword_probability, batch_size=batch_size)
+    effects = reference_sampled_shapley_effects(
+        fixture_corpus, reference_adapter, m_permutations, max_tokens, rng_seed,
+        PredictionCache(),
+    )
+    expected = explain._importance_from_effects(effects, "sampled_shapley", rng_seed)
 
     assert result.to_dict() == expected.to_dict()
     assert len(set(batched.sent)) == len(batched.sent)
@@ -301,7 +288,7 @@ def test_sampled_shapley_one_batched_call_for_shared_coalitions():
     corpus = LabeledCorpus(
         [Comment(id="a", text="you filthy liar", label=1), Comment(id="b", text="filthy", label=1)]
     )
-    adapter = RecordingAdapter(keyword_probability, batch_size=64)
+    adapter = CallableAdapter(keyword_probability)
     cache = PredictionCache()
     cache.store("filthy", keyword_probability("filthy"))
     global_importance(corpus, adapter, method="sampled_shapley", m_permutations=20, cache=cache)

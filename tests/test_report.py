@@ -1,12 +1,18 @@
 import hashlib
 import json
+import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR
 
 from textaudit.errors import AuditError, ConfigError
+from textaudit.modeliface import PredictionCache
 from textaudit.report import (
+    SECTIONS,
     AuditConfig,
     canonical_json,
     estimate_emissions,
@@ -111,7 +117,7 @@ def test_config_adapter_integers_validated(field, value):
         AuditConfig.from_dict({"adapter": adapter})
 
 
-@pytest.mark.parametrize("timeout", [0, -1, float("inf")])
+@pytest.mark.parametrize("timeout", [0, -1, float("inf"), True, "5", None])
 def test_config_adapter_timeout_validated(timeout):
     adapter = {"kind": "subprocess", "location": "x", "timeout": timeout}
     with pytest.raises(ConfigError, match=r"config\.adapter: timeout must be a positive"):
@@ -286,6 +292,133 @@ def test_section_isolation_model_always_failing(full_report, module_chdir, tmp_p
     # batch may come before them.
     attempts = len(log.read_text().splitlines())
     assert 2 * len(LIVE_SECTIONS) <= attempts <= 2 * (len(LIVE_SECTIONS) + 1)
+
+
+def public_section_data(config, name, adapter, cache):
+    """A live section's data from the public section functions, called one by one."""
+    from textaudit.classbias import (
+        counterfactual_bias,
+        counterfactual_probability_stats,
+        expand_templates,
+        fairness_metrics,
+        performance_report,
+        subgroup_probability_stats,
+        swap_favor_analysis,
+    )
+    from textaudit.corpus import load_dataset
+    from textaudit.explain import global_importance, local_explain
+    from textaudit.lexicon import (
+        aligned_swap_pairs,
+        default_gazetteer,
+        default_lexicon,
+        load_templates,
+    )
+    from textaudit.mining import annotate_corpus
+    from textaudit.modeliface import PredictionRecord, predict_batch
+
+    corpus = load_dataset(config.dataset_path, config.dataset_format)
+    lexicon = default_lexicon()
+    annotated = annotate_corpus(corpus, lexicon, default_gazetteer())
+    if name in ("performance", "subgroup_stats", "fairness_metrics"):
+        records = [
+            PredictionRecord(c.id, p)
+            for c, p in zip(corpus, predict_batch([c.text for c in corpus], adapter, cache))
+        ]
+    if name == "performance":
+        return performance_report(corpus, records, config.threshold).to_dict()
+    if name == "subgroup_stats":
+        return {
+            "per_attribute": [
+                subgroup_probability_stats(annotated, records, a).to_dict()
+                for a in config.attributes
+            ]
+        }
+    if name == "fairness_metrics":
+        spec = config.fairness
+        return fairness_metrics(
+            annotated, records, spec.attribute, spec.reference, spec.protected,
+            threshold=config.threshold,
+        ).to_dict()
+    if name == "swap_favor":
+        spec = config.swap
+        table = aligned_swap_pairs(lexicon, spec.attribute, spec.sub_a, spec.sub_b)
+        return swap_favor_analysis(
+            annotated, adapter, table, spec.attribute, spec.sub_a, spec.sub_b,
+            rounding_decimals=spec.rounding_decimals, cache=cache,
+        ).to_dict()
+    if name == "counterfactual":
+        payload = []
+        fills = config.counterfactual_fills
+        for attribute in sorted(fills):
+            cf = expand_templates(
+                load_templates(config.templates_path), lexicon, attribute, fills[attribute]
+            )
+            probs = predict_batch([row.text for row in cf.rows], adapter, cache)
+            payload.append({
+                "attribute": attribute,
+                "rows": [{**row.to_dict(), "p_hateful": p} for row, p in zip(cf.rows, probs)],
+                "stats": [r.to_dict() for r in counterfactual_probability_stats(cf, probs)],
+                "cb": [
+                    counterfactual_bias(cf, probs, ref).to_dict()
+                    for ref in sorted(fills[attribute])
+                ],
+            })
+        return {"per_attribute": payload}
+    spec = config.explanation
+    ids = [c.id for c in corpus][: spec.max_local_comments]
+    return {
+        "mode": spec.mode,
+        "local": [
+            local_explain(
+                corpus.get(cid), adapter, n_samples=spec.n_samples,
+                kernel_width=spec.kernel_width, l2_lambda=spec.l2_lambda,
+                rng_seed=config.rng_seed, cache=cache,
+            ).to_dict()
+            for cid in ids
+        ],
+        "global": global_importance(
+            corpus, adapter, method=spec.method, m_permutations=spec.m_permutations,
+            max_tokens_per_comment=spec.max_tokens_per_comment,
+            rng_seed=config.rng_seed, cache=cache,
+        ).to_dict(),
+    }
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    batch_size=st.integers(1, 64),
+    sections=st.sets(st.sampled_from(LIVE_SECTIONS), min_size=1),
+    rng_seed=st.integers(0, 2**32 - 1),
+    method=st.sampled_from(["occlusion", "sampled_shapley"]),
+    m_permutations=st.integers(1, 5),
+)
+def test_one_upfront_call_scores_every_distinct_text_once(
+    module_chdir, batch_size, sections, rng_seed, method, m_permutations
+):
+    from conftest import CallableAdapter
+    from stub_model import keyword_probability
+
+    from textaudit import report
+
+    data = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
+    data["adapter"]["batch_size"] = batch_size
+    data["explanation"].update(method=method, m_permutations=m_permutations)
+    data.update(sections=sorted(sections), rng_seed=rng_seed)
+    config = AuditConfig.from_dict(data)
+
+    audited = CallableAdapter(keyword_probability, batch_size=batch_size)
+    with mock.patch.object(report, "open_adapter", lambda adapter_config: audited):
+        result = run_audit(config)
+
+    reference = CallableAdapter(keyword_probability, batch_size=batch_size)
+    cache = PredictionCache()
+    for name in SECTIONS:
+        if name in sections:
+            expected = public_section_data(config, name, reference, cache)
+            assert result.sections[name] == {"status": "computed", "data": expected}, name
+    assert len(set(reference.sent)) == len(reference.sent)
+    assert sorted(audited.sent) == sorted(reference.sent)
+    assert audited.calls == math.ceil(len(audited.sent) / batch_size)
 
 
 def test_input_hashes_match_files(full_report):
