@@ -1,16 +1,32 @@
 import hashlib
 import json
 import math
+import shlex
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES_DIR
+from conftest import FIXTURES_DIR, CallableAdapter
+from stub_model import keyword_probability
 
+from textaudit.classbias import (
+    counterfactual_bias,
+    counterfactual_probability_stats,
+    expand_templates,
+    fairness_metrics,
+    performance_report,
+    subgroup_probability_stats,
+    swap_favor_analysis,
+)
+from textaudit.corpus import load_dataset
 from textaudit.errors import AuditError, ConfigError
-from textaudit.modeliface import PredictionCache
+from textaudit.explain import global_importance, local_explain
+from textaudit.lexicon import aligned_swap_pairs, default_gazetteer, default_lexicon, load_templates
+from textaudit.mining import annotate_corpus
+from textaudit.modeliface import PredictionCache, PredictionRecord, predict_batch
 from textaudit.report import (
     SECTIONS,
     AuditConfig,
@@ -247,9 +263,6 @@ for text in texts:
 
 def failing_model_config(tmp_path, fail_on, max_retries):
     """The fixture config over FAILING_MODEL; returns it and the attempt log."""
-    import shlex
-    import sys
-
     log = tmp_path / "attempts.log"
     script = tmp_path / "failing_model.py"
     script.write_text(
@@ -296,26 +309,6 @@ def test_section_isolation_model_always_failing(full_report, module_chdir, tmp_p
 
 def public_section_data(config, name, adapter, cache):
     """A live section's data from the public section functions, called one by one."""
-    from textaudit.classbias import (
-        counterfactual_bias,
-        counterfactual_probability_stats,
-        expand_templates,
-        fairness_metrics,
-        performance_report,
-        subgroup_probability_stats,
-        swap_favor_analysis,
-    )
-    from textaudit.corpus import load_dataset
-    from textaudit.explain import global_importance, local_explain
-    from textaudit.lexicon import (
-        aligned_swap_pairs,
-        default_gazetteer,
-        default_lexicon,
-        load_templates,
-    )
-    from textaudit.mining import annotate_corpus
-    from textaudit.modeliface import PredictionRecord, predict_batch
-
     corpus = load_dataset(config.dataset_path, config.dataset_format)
     lexicon = default_lexicon()
     annotated = annotate_corpus(corpus, lexicon, default_gazetteer())
@@ -395,11 +388,6 @@ def public_section_data(config, name, adapter, cache):
 def test_one_upfront_call_scores_every_distinct_text_once(
     module_chdir, batch_size, sections, rng_seed, method, m_permutations
 ):
-    from conftest import CallableAdapter
-    from stub_model import keyword_probability
-
-    from textaudit import report
-
     data = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
     data["adapter"]["batch_size"] = batch_size
     data["explanation"].update(method=method, m_permutations=m_permutations)
@@ -407,7 +395,7 @@ def test_one_upfront_call_scores_every_distinct_text_once(
     config = AuditConfig.from_dict(data)
 
     audited = CallableAdapter(keyword_probability, batch_size=batch_size)
-    with mock.patch.object(report, "open_adapter", lambda adapter_config: audited):
+    with mock.patch("textaudit.report.open_adapter", lambda adapter_config: audited):
         result = run_audit(config)
 
     reference = CallableAdapter(keyword_probability, batch_size=batch_size)
