@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -168,3 +169,115 @@ def test_swap_subcommand(tmp_path):
     data = report["sections"]["swap_favor"]["data"]
     assert data["n_swapped"] == 13
     assert data["fraction_favor_a"] + data["fraction_favor_b"] + data["fraction_no_change"] == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# every flag overrides exactly one config field
+# ---------------------------------------------------------------------------
+
+# (argv after the fixture config, dotted AuditConfig attribute, expected value);
+# every value differs from the fixture config's, so a flag that is not applied fails
+FLAG_CASES = [
+    (["--out", "results"], "output_dir", "results"),
+    (["--dataset", "other.jsonl"], "dataset_path", "other.jsonl"),
+    (["--dataset-format", "jsonl"], "dataset_format", "jsonl"),
+    (["--lexicon", "lex.json"], "lexicon_path", "lex.json"),
+    (["--gazetteer", "gaz.json"], "gazetteer_path", "gaz.json"),
+    (["--neutral-words", "neutral.txt"], "neutral_words_path", "neutral.txt"),
+    (["--identity-terms", "identity.txt"], "identity_terms_path", "identity.txt"),
+    (["--templates", "tpl.json"], "templates_path", "tpl.json"),
+    (["--embeddings", "vectors.txt"], "embeddings_path", "vectors.txt"),
+    (["--adapter-kind", "http"], "adapter.kind", "http"),
+    (["--adapter-location", "python3 other.py"], "adapter.location", "python3 other.py"),
+    (["--batch-size", "7"], "adapter.batch_size", 7),
+    (["--timeout", "2.5"], "adapter.timeout", 2.5),
+    (["--max-retries", "0"], "adapter.max_retries", 0),
+    (["--threshold", "0.25"], "threshold", 0.25),
+    (["--attributes", "religion, gender"], "attributes", ("religion", "gender")),
+    (["--seed", "11"], "rng_seed", 11),
+    (["--swap-attribute", "religion"], "swap.attribute", "religion"),
+    (["--swap-a", "islam"], "swap.sub_a", "islam"),
+    (["--swap-b", "christianity"], "swap.sub_b", "christianity"),
+    (["--rounding-decimals", "2"], "swap.rounding_decimals", 2),
+    (["--fair-attribute", "religion"], "fairness.attribute", "religion"),
+    (["--reference", "islam"], "fairness.reference", "islam"),
+    (["--protected", "christianity"], "fairness.protected", "christianity"),
+    (["--method", "sampled_shapley"], "explanation.method", "sampled_shapley"),
+    (["--n-samples", "99"], "explanation.n_samples", 99),
+    (["--kernel-width", "0.5"], "explanation.kernel_width", 0.5),
+    (["--l2-lambda", "0.01"], "explanation.l2_lambda", 0.01),
+    (["--m-permutations", "9"], "explanation.m_permutations", 9),
+    (["--max-tokens-per-comment", "5"], "explanation.max_tokens_per_comment", 5),
+    (["--comment-id", "h01", "--comment-id", "n02"], "explanation.local_comment_ids", ("h01", "n02")),
+    (["--power-draw-kw", "2.5"], "emissions.power_draw_kw", 2.5),
+    (["--hours", "3"], "emissions.hours", 3.0),
+    (["--pue", "1.2"], "emissions.pue", 1.2),
+    (["--carbon-intensity", "0.3"], "emissions.carbon_intensity_kg_per_kwh", 0.3),
+]
+
+
+def config_from_argv(monkeypatch, argv):
+    """The AuditConfig that ``main(argv)`` would audit, without running the audit."""
+    from textaudit import cli
+    from textaudit.report import AuditReport
+
+    seen = []
+
+    def fake_run_audit(config):
+        seen.append(config)
+        return AuditReport(version="0", config={}, inputs=[], sections={})
+
+    monkeypatch.setattr(cli, "run_audit", fake_run_audit)
+    assert main(argv) == 0
+    [config] = seen
+    return config
+
+
+def attribute(config, dotted):
+    for name in dotted.split("."):
+        config = getattr(config, name)
+    return config
+
+
+@pytest.mark.parametrize(
+    "flag_args, dotted, expected", FLAG_CASES, ids=[case[0][0] for case in FLAG_CASES]
+)
+def test_flag_lands_on_its_config_field(monkeypatch, flag_args, dotted, expected):
+    base = ["audit", "--config", str(FIXTURES_DIR / "audit_config.json")]
+    before = config_from_argv(monkeypatch, base)
+    after = config_from_argv(monkeypatch, base + flag_args)
+    assert attribute(before, dotted) != expected
+    value = attribute(after, dotted)
+    assert value == expected and type(value) is type(expected)
+    # nothing else moved
+    for name in ("threshold", "rng_seed", "attributes", "sections", "output_dir", "dataset_path"):
+        if name != dotted:
+            assert getattr(after, name) == getattr(before, name)
+    for name in ("adapter", "swap", "fairness", "explanation", "emissions"):
+        if not dotted.startswith(name + "."):
+            assert getattr(after, name) == getattr(before, name)
+
+
+def test_config_flag_reads_the_file(monkeypatch):
+    config = config_from_argv(
+        monkeypatch, ["perf", "--config", str(FIXTURES_DIR / "audit_config.json")]
+    )
+    assert config.rng_seed == 7 and config.adapter.batch_size == 64
+    assert config.sections == ("performance",)
+
+
+def test_flag_cases_cover_every_flag(capsys):
+    with pytest.raises(SystemExit):
+        main(["audit", "--help"])
+    flags = set(re.findall(r"(--[a-z][a-z0-9-]*)", capsys.readouterr().out)) - {"--help"}
+    covered = {arg for case in FLAG_CASES for arg in case[0] if arg.startswith("--")}
+    assert flags == covered | {"--config"}
+    assert len(flags) == 36
+
+
+def test_attributes_flag_empty_keeps_config_list(monkeypatch):
+    base = ["audit", "--config", str(FIXTURES_DIR / "audit_config.json")]
+    assert config_from_argv(monkeypatch, base + ["--attributes", ""]).attributes == (
+        "gender",
+        "religion",
+    )

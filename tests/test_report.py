@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -145,6 +146,85 @@ def test_config_explanation_mode_validated():
         AuditConfig.from_dict({"explanation": {"mode": "banana"}})
     with pytest.raises(ConfigError, match="explanation.method"):
         AuditConfig.from_dict({"explanation": {"method": "banana"}})
+
+
+def fixture_json():
+    return json.loads((FIXTURES_DIR / "audit_config.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        fixture_json(),
+        {
+            "dataset": "comments.jsonl",
+            "adapter": {"kind": "http", "location": "http://localhost:1", "timeout": 2},
+            "explanation": {"local_comment_ids": ["h01", "n02"], "n_samples": None},
+            "attributes": ["religion"],
+            "sections": ["performance", "emissions"],
+            "counterfactual_fills": {},
+            "output_dir": "out",
+        },
+    ],
+    ids=["defaults", "fixture", "mixed"],
+)
+def test_config_round_trip(data):
+    config = AuditConfig.from_dict(data)
+    assert AuditConfig.from_dict(config.to_dict()) == dataclasses.replace(config, output_dir=None)
+    assert "output_dir" not in config.to_dict()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"oops": 1}, "config: unknown key(s) ['oops']"),
+        ({"zz": 1, "aa": 2}, "config: unknown key(s) ['aa', 'zz']"),
+        ({"dataset": {"path": "x.csv", "oops": 1}}, "config.dataset: unknown key(s) ['oops']"),
+        (
+            {"adapter": {"kind": "subprocess", "location": "x", "oops": 1}},
+            "config.adapter: unknown key(s) ['oops']",
+        ),
+        ({"swap": {"oops": 1}}, "config.swap: unknown key(s) ['oops']"),
+        ({"fairness": {"oops": 1}}, "config.fairness: unknown key(s) ['oops']"),
+        ({"explanation": {"oops": 1}}, "config.explanation: unknown key(s) ['oops']"),
+        ({"emissions": {"oops": 1}}, "config.emissions: unknown key(s) ['oops']"),
+        ({"dataset": 5}, "config.dataset must be a path or {path, format}"),
+        ({"dataset": {"format": "xml"}}, "unknown dataset format 'xml'"),
+        ({"adapter": 5}, "config.adapter must be an object"),
+        ({"swap": 5}, "config.swap must be an object"),
+        ({"fairness": []}, "config.fairness must be an object"),
+        ({"explanation": "both"}, "config.explanation must be an object"),
+        ({"emissions": 5}, "config.emissions must be an object"),
+        ({"counterfactual_fills": 5}, "config.counterfactual_fills must be an object"),
+        (
+            {"sections": ["vibes"]},
+            f"unknown section 'vibes' (expected one of {SECTIONS})",
+        ),
+        ({"threshold": 1.5}, "threshold must lie strictly between 0 and 1, got 1.5"),
+        ({"swap": {"rounding_decimals": -1}}, "swap.rounding_decimals must be >= 0, got -1"),
+        ({"explanation": {"m_permutations": 0}}, "explanation.m_permutations must be positive"),
+        (
+            {"explanation": {"mode": "banana"}},
+            "explanation.mode must be local, global or both, got 'banana'",
+        ),
+        (
+            {"adapter": {"kind": "telepathy", "location": "x"}},
+            "config.adapter: unknown adapter kind 'telepathy' "
+            "(expected one of ('predictions_file', 'subprocess', 'http'))",
+        ),
+    ],
+)
+def test_config_error_messages_pinned(data, message):
+    with pytest.raises(ConfigError) as caught:
+        AuditConfig.from_dict(data)
+    assert str(caught.value) == message
+
+
+def test_config_null_object_keys_mean_defaults():
+    keys = ("dataset", "adapter", "swap", "fairness", "explanation", "emissions",
+            "counterfactual_fills")
+    assert AuditConfig.from_dict(dict.fromkeys(keys)) == AuditConfig()
 
 
 def test_config_dataset_required_for_corpus_sections():
