@@ -17,6 +17,7 @@ from .errors import AuditError, CoverageError, LexiconError
 from .lexicon import IDENTITY_SLOT, AttributeLexicon, SwapTable, TemplateSet
 from .mining import AnnotatedCorpus
 from .modeliface import Adapter, PredictionCache, PredictionRecord, ScoringPlan
+from .record import Record
 
 CLASS_NAMES = {0: "not-hateful", 1: "hateful"}
 
@@ -30,19 +31,11 @@ def predictions_by_id(preds: list[PredictionRecord]) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(Record):
     precision: float
     recall: float
     f1: float
     support: int
-
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-        }
 
 
 @dataclass(frozen=True)
@@ -156,12 +149,9 @@ class SubgroupStatsRow:
 
 
 @dataclass(frozen=True)
-class SubgroupProbabilityStats:
+class SubgroupProbabilityStats(Record):
     attribute: str
     rows: tuple[SubgroupStatsRow, ...]
-
-    def to_dict(self) -> dict:
-        return {"attribute": self.attribute, "rows": [r.to_dict() for r in self.rows]}
 
 
 def subgroup_probability_stats(
@@ -236,7 +226,7 @@ def swap_text(text: str, table: SwapTable) -> str:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FavorReport:
+class FavorReport(Record):
     """Which identity the model favors when the pair is swapped in-place.
 
     For not-hateful comments the identity present in the lower-probability
@@ -254,19 +244,6 @@ class FavorReport:
     n_swapped: int
     rounding_decimals: int
     by_label: dict[str, dict[str, int]] = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "attribute": self.attribute,
-            "sub_a": self.sub_a,
-            "sub_b": self.sub_b,
-            "fraction_favor_a": self.fraction_favor_a,
-            "fraction_favor_b": self.fraction_favor_b,
-            "fraction_no_change": self.fraction_no_change,
-            "n_swapped": self.n_swapped,
-            "rounding_decimals": self.rounding_decimals,
-            "by_label": self.by_label,
-        }
 
 
 def plan_swap_favor(
@@ -349,23 +326,13 @@ def swap_favor_analysis(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class CounterfactualRow:
+class CounterfactualRow(Record):
     template_index: int
     group_index: int
     subgroup: str
     fill_term: str
     text: str
     label: int
-
-    def to_dict(self) -> dict:
-        return {
-            "template_index": self.template_index,
-            "group_index": self.group_index,
-            "subgroup": self.subgroup,
-            "fill_term": self.fill_term,
-            "text": self.text,
-            "label": self.label,
-        }
 
 
 @dataclass(frozen=True)
@@ -431,21 +398,13 @@ def expand_templates(
 
 
 @dataclass(frozen=True)
-class CBResult:
+class CBResult(Record):
     """Counterfactual bias for one reference subgroup; positive favors it."""
 
     reference: str
     cb_total: float
     cb_mean: float
     n_examples: int
-
-    def to_dict(self) -> dict:
-        return {
-            "reference": self.reference,
-            "cb_total": self.cb_total,
-            "cb_mean": self.cb_mean,
-            "n_examples": self.n_examples,
-        }
 
 
 def counterfactual_bias(
@@ -539,7 +498,7 @@ def gini_coefficient(values: list[float]) -> float:
 
 
 @dataclass(frozen=True)
-class FairnessMetrics:
+class FairnessMetrics(Record):
     """Seven signed differences (reference - protected) at a fixed threshold.
 
     A metric whose components are undefined for either group carries None in
@@ -552,16 +511,6 @@ class FairnessMetrics:
     threshold: float
     values: dict[str, float | None]
     not_computable: dict[str, str]
-
-    def to_dict(self) -> dict:
-        return {
-            "attribute": self.attribute,
-            "reference": self.reference,
-            "protected": self.protected,
-            "threshold": self.threshold,
-            "values": dict(self.values),
-            "not_computable": dict(self.not_computable),
-        }
 
 
 def _group_components(labels: list[int], probs: list[float], threshold: float) -> dict:

@@ -9,11 +9,11 @@ one axis at a time. Flags override the matching config fields. Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .errors import ConfigError
-from .report import SECTIONS, AuditConfig, run_audit
+from .modeliface import ADAPTER_KINDS
+from .report import SECTIONS, AuditConfig, read_json, run_audit, set_path
 
 COMMAND_SECTIONS = {
     "audit": list(SECTIONS),
@@ -29,119 +29,70 @@ COMMAND_SECTIONS = {
 }
 
 
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file (flags override its fields)")
-    parser.add_argument("--out", help="output directory for report.json/report.md/CSVs")
-    parser.add_argument("--dataset", help="labeled comments file")
-    parser.add_argument("--dataset-format", choices=["csv", "jsonl"])
-    parser.add_argument("--lexicon", help="attribute lexicon JSON (default: built-in)")
-    parser.add_argument("--gazetteer", help="gazetteer JSON (default: built-in)")
-    parser.add_argument("--neutral-words", help="neutral word list (default: built-in)")
-    parser.add_argument("--identity-terms", help="identity term list (default: built-in)")
-    parser.add_argument("--templates", help="counterfactual template JSON (default: built-in)")
-    parser.add_argument("--embeddings", help="embedding text file")
-    parser.add_argument("--adapter-kind", choices=["predictions_file", "subprocess", "http"])
-    parser.add_argument("--adapter-location", help="path, command line, or base URL")
-    parser.add_argument("--batch-size", type=int)
-    parser.add_argument("--timeout", type=float)
-    parser.add_argument("--max-retries", type=int)
-    parser.add_argument("--threshold", type=float)
-    parser.add_argument("--attributes", help="comma-separated protected attributes")
-    parser.add_argument("--seed", type=int, dest="rng_seed")
-    parser.add_argument("--swap-attribute")
-    parser.add_argument("--swap-a")
-    parser.add_argument("--swap-b")
-    parser.add_argument("--rounding-decimals", type=int)
-    parser.add_argument("--fair-attribute")
-    parser.add_argument("--reference")
-    parser.add_argument("--protected")
-    parser.add_argument("--method", choices=["occlusion", "sampled_shapley"])
-    parser.add_argument("--n-samples", type=int)
-    parser.add_argument("--kernel-width", type=float)
-    parser.add_argument("--l2-lambda", type=float)
-    parser.add_argument("--m-permutations", type=int)
-    parser.add_argument("--max-tokens-per-comment", type=int)
-    parser.add_argument(
-        "--comment-id", action="append", help="comment to explain locally (repeatable)"
-    )
-    parser.add_argument("--power-draw-kw", type=float)
-    parser.add_argument("--hours", type=float)
-    parser.add_argument("--pue", type=float)
-    parser.add_argument("--carbon-intensity", type=float)
+def _names(text: str) -> list[str] | None:
+    """A comma-separated list; an empty value leaves the config's list as it is."""
+    return [name.strip() for name in text.split(",") if name.strip()] if text else None
 
 
-def _set(data: dict, path: tuple[str, ...], value) -> None:
-    if value is None:
-        return
-    here = data
-    for key in path[:-1]:
-        node = here.get(key)
-        if not isinstance(node, dict):
-            node = {}
-            here[key] = node
-        here = node
-    here[path[-1]] = value
+# (flag, dotted config key it overrides, argparse options)
+_FLAGS = (
+    ("--out", "output_dir", {"help": "output directory for report.json/report.md/CSVs"}),
+    ("--dataset", "dataset.path", {"help": "labeled comments file"}),
+    ("--dataset-format", "dataset.format", {"choices": ["csv", "jsonl"]}),
+    ("--lexicon", "lexicon", {"help": "attribute lexicon JSON (default: built-in)"}),
+    ("--gazetteer", "gazetteer", {"help": "gazetteer JSON (default: built-in)"}),
+    ("--neutral-words", "neutral_words", {"help": "neutral word list (default: built-in)"}),
+    ("--identity-terms", "identity_terms", {"help": "identity term list (default: built-in)"}),
+    ("--templates", "templates", {"help": "counterfactual template JSON (default: built-in)"}),
+    ("--embeddings", "embeddings", {"help": "embedding text file"}),
+    ("--adapter-kind", "adapter.kind", {"choices": ADAPTER_KINDS}),
+    ("--adapter-location", "adapter.location", {"help": "path, command line, or base URL"}),
+    ("--batch-size", "adapter.batch_size", {"type": int}),
+    ("--timeout", "adapter.timeout", {"type": float}),
+    ("--max-retries", "adapter.max_retries", {"type": int}),
+    ("--threshold", "threshold", {"type": float}),
+    (
+        "--attributes",
+        "attributes",
+        {"type": _names, "help": "comma-separated protected attributes"},
+    ),
+    ("--seed", "rng_seed", {"type": int, "dest": "rng_seed"}),
+    ("--swap-attribute", "swap.attribute", {}),
+    ("--swap-a", "swap.sub_a", {}),
+    ("--swap-b", "swap.sub_b", {}),
+    ("--rounding-decimals", "swap.rounding_decimals", {"type": int}),
+    ("--fair-attribute", "fairness.attribute", {}),
+    ("--reference", "fairness.reference", {}),
+    ("--protected", "fairness.protected", {}),
+    ("--method", "explanation.method", {"choices": ["occlusion", "sampled_shapley"]}),
+    ("--n-samples", "explanation.n_samples", {"type": int}),
+    ("--kernel-width", "explanation.kernel_width", {"type": float}),
+    ("--l2-lambda", "explanation.l2_lambda", {"type": float}),
+    ("--m-permutations", "explanation.m_permutations", {"type": int}),
+    ("--max-tokens-per-comment", "explanation.max_tokens_per_comment", {"type": int}),
+    (
+        "--comment-id",
+        "explanation.local_comment_ids",
+        {"action": "append", "help": "comment to explain locally (repeatable)"},
+    ),
+    ("--power-draw-kw", "emissions.power_draw_kw", {"type": float}),
+    ("--hours", "emissions.hours", {"type": float}),
+    ("--pue", "emissions.pue", {"type": float}),
+    ("--carbon-intensity", "emissions.carbon_intensity_kg_per_kwh", {"type": float}),
+)
 
 
 def build_config(args: argparse.Namespace) -> AuditConfig:
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config}: invalid JSON: {exc.msg}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
-    else:
-        data = {}
-
-    _set(data, ("dataset", "path"), args.dataset)
-    _set(data, ("dataset", "format"), args.dataset_format)
-    for flag, key in (
-        ("lexicon", "lexicon"),
-        ("gazetteer", "gazetteer"),
-        ("neutral_words", "neutral_words"),
-        ("identity_terms", "identity_terms"),
-        ("templates", "templates"),
-        ("embeddings", "embeddings"),
-    ):
-        _set(data, (key,), getattr(args, flag))
-    _set(data, ("adapter", "kind"), args.adapter_kind)
-    _set(data, ("adapter", "location"), args.adapter_location)
-    _set(data, ("adapter", "batch_size"), args.batch_size)
-    _set(data, ("adapter", "timeout"), args.timeout)
-    _set(data, ("adapter", "max_retries"), args.max_retries)
-    _set(data, ("threshold",), args.threshold)
-    if args.attributes:
-        _set(data, ("attributes",), [a.strip() for a in args.attributes.split(",") if a.strip()])
-    _set(data, ("rng_seed",), args.rng_seed)
-    _set(data, ("swap", "attribute"), args.swap_attribute)
-    _set(data, ("swap", "sub_a"), args.swap_a)
-    _set(data, ("swap", "sub_b"), args.swap_b)
-    _set(data, ("swap", "rounding_decimals"), args.rounding_decimals)
-    _set(data, ("fairness", "attribute"), args.fair_attribute)
-    _set(data, ("fairness", "reference"), args.reference)
-    _set(data, ("fairness", "protected"), args.protected)
-    _set(data, ("explanation", "method"), args.method)
-    _set(data, ("explanation", "n_samples"), args.n_samples)
-    _set(data, ("explanation", "kernel_width"), args.kernel_width)
-    _set(data, ("explanation", "l2_lambda"), args.l2_lambda)
-    _set(data, ("explanation", "m_permutations"), args.m_permutations)
-    _set(data, ("explanation", "max_tokens_per_comment"), args.max_tokens_per_comment)
-    _set(data, ("explanation", "local_comment_ids"), args.comment_id)
-    _set(data, ("emissions", "power_draw_kw"), args.power_draw_kw)
-    _set(data, ("emissions", "hours"), args.hours)
-    _set(data, ("emissions", "pue"), args.pue)
-    _set(data, ("emissions", "carbon_intensity_kg_per_kwh"), args.carbon_intensity)
-
+    data = read_json(args.config) if args.config else {}
+    if isinstance(data.get("dataset"), str):  # so --dataset-format keeps the path
+        data["dataset"] = {"path": data["dataset"]}
+    for flag, key, options in _FLAGS:
+        value = getattr(args, options.get("dest", flag[2:].replace("-", "_")))
+        if value is not None:
+            set_path(data, key, value)
     data["sections"] = COMMAND_SECTIONS[args.command]
-    if args.command == "explain-local":
-        _set(data, ("explanation", "mode"), "local")
-    elif args.command == "explain-global":
-        _set(data, ("explanation", "mode"), "global")
-    _set(data, ("output_dir",), args.out)
+    if args.command.startswith("explain-"):
+        set_path(data, "explanation.mode", args.command.removeprefix("explain-"))
     return AuditConfig.from_dict(data)
 
 
@@ -165,7 +116,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     for command, help_text in descriptions.items():
         sub = subparsers.add_parser(command, help=help_text)
-        _add_common_options(sub)
+        sub.add_argument("--config", help="JSON config file (flags override its fields)")
+        for flag, _, options in _FLAGS:
+            sub.add_argument(flag, **options)
 
     args = parser.parse_args(argv)
     try:

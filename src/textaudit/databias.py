@@ -14,10 +14,11 @@ from .corpus import LabeledCorpus, tokenize
 from .errors import EmptyPartitionError
 from .lexicon import IdentityTermList
 from .mining import AnnotatedCorpus, TermIndex
+from .record import Record
 
 
 @dataclass(frozen=True)
-class FrequencyRow:
+class FrequencyRow(Record):
     """Prevalence of one key (term or attribute/subgroup) per label partition."""
 
     key: str
@@ -27,17 +28,6 @@ class FrequencyRow:
     hateful_n: int
     nothateful_n: int
     overall_n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "hateful_pct": self.hateful_pct,
-            "nothateful_pct": self.nothateful_pct,
-            "overall_pct": self.overall_pct,
-            "hateful_n": self.hateful_n,
-            "nothateful_n": self.nothateful_n,
-            "overall_n": self.overall_n,
-        }
 
 
 def _check_partitions(corpus: LabeledCorpus) -> tuple[int, int]:

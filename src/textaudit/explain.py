@@ -29,6 +29,7 @@ import numpy as np
 from .corpus import Comment, LabeledCorpus, TokenSpan, tokenize
 from .errors import ExplainError
 from .modeliface import Adapter, PredictionCache, ScoringPlan, predict_batch
+from .record import Record
 
 EXACT_SHAPLEY_MAX_TOKENS = 12
 
@@ -76,7 +77,7 @@ def _realize_mask(
 
 
 @dataclass(frozen=True)
-class LocalExplanation:
+class LocalExplanation(Record):
     """Linear surrogate weights for one prediction; positive pushes toward hateful."""
 
     comment_id: str
@@ -87,18 +88,6 @@ class LocalExplanation:
     kernel_width: float
     l2_lambda: float
     rng_seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "comment_id": self.comment_id,
-            "token_weights": [[t, w] for t, w in self.token_weights],
-            "intercept": self.intercept,
-            "surrogate_fit_r2": self.surrogate_fit_r2,
-            "n_samples": self.n_samples,
-            "kernel_width": self.kernel_width,
-            "l2_lambda": self.l2_lambda,
-            "rng_seed": self.rng_seed,
-        }
 
 
 def _mask_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:
@@ -199,35 +188,20 @@ def local_explain(
 
 
 @dataclass(frozen=True)
-class ImportanceRow:
+class ImportanceRow(Record):
     token: str
     mean_effect: float
     mean_abs_effect: float
     support: int
 
-    def to_dict(self) -> dict:
-        return {
-            "token": self.token,
-            "mean_effect": self.mean_effect,
-            "mean_abs_effect": self.mean_abs_effect,
-            "support": self.support,
-        }
-
 
 @dataclass(frozen=True)
-class GlobalImportance:
+class GlobalImportance(Record):
     """Corpus-level token effects, sorted by mean |effect| descending."""
 
     rows: tuple[ImportanceRow, ...]
     method: str
     rng_seed: int
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "rng_seed": self.rng_seed,
-            "rows": [r.to_dict() for r in self.rows],
-        }
 
     def to_csv(self) -> str:
         lines = ["token,mean_effect,mean_abs_effect,support"]

@@ -63,6 +63,8 @@ class AdapterConfig:
     def __post_init__(self):
         if self.kind not in ADAPTER_KINDS:
             raise AdapterError(f"unknown adapter kind {self.kind!r} (expected one of {ADAPTER_KINDS})")
+        if not isinstance(self.location, str):
+            raise AdapterError(f"location must be a string, got {self.location!r}")
         for name in ("batch_size", "max_retries"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):

@@ -19,9 +19,11 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+import types
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from . import __version__
 from .classbias import (
@@ -67,6 +69,7 @@ from .modeliface import (
     open_adapter,
     predict_batch,
 )
+from .record import Record, plain
 
 SECTIONS = (
     "performance",
@@ -101,21 +104,12 @@ DEFAULT_COUNTERFACTUAL_FILLS = {
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class EmissionsEstimate:
+class EmissionsEstimate(Record):
     power_draw_kw: float
     hours: float
     pue: float
     carbon_intensity_kg_per_kwh: float
     co2eq_kg: float
-
-    def to_dict(self) -> dict:
-        return {
-            "power_draw_kw": self.power_draw_kw,
-            "hours": self.hours,
-            "pue": self.pue,
-            "carbon_intensity_kg_per_kwh": self.carbon_intensity_kg_per_kwh,
-            "co2eq_kg": self.co2eq_kg,
-        }
 
 
 def estimate_emissions(
@@ -143,8 +137,8 @@ def estimate_emissions(
 # Configuration
 # ---------------------------------------------------------------------------
 
-def _check_keys(obj: dict, allowed: set[str], context: str) -> None:
-    unknown = set(obj) - allowed
+def _check_keys(obj: dict, allowed, context: str) -> None:
+    unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
 
@@ -199,23 +193,6 @@ class EmissionsSpec:
     carbon_intensity_kg_per_kwh: float = 0.0
 
 
-def _spec_from_dict(cls, obj, context):
-    if obj is None:
-        return cls()
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be an object")
-    allowed = {f.name for f in fields(cls)}
-    _check_keys(obj, allowed, context)
-    values = dict(obj)
-    for key in ("local_comment_ids",):
-        if key in values and isinstance(values[key], list):
-            values[key] = tuple(values[key])
-    try:
-        return cls(**values)
-    except TypeError as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class AuditConfig:
     """One self-describing document configuring the whole audit."""
@@ -233,7 +210,7 @@ class AuditConfig:
     attributes: tuple[str, ...] = ("gender", "religion")
     swap: SwapSpec = field(default_factory=SwapSpec)
     fairness: FairnessSpec = field(default_factory=FairnessSpec)
-    counterfactual_fills: dict = field(
+    counterfactual_fills: dict[str, dict[str, list[str]]] = field(
         default_factory=lambda: json.loads(json.dumps(DEFAULT_COUNTERFACTUAL_FILLS))
     )
     explanation: ExplanationSpec = field(default_factory=ExplanationSpec)
@@ -242,152 +219,130 @@ class AuditConfig:
     sections: tuple[str, ...] = SECTIONS
     output_dir: str | None = None
 
+    def __post_init__(self):
+        if self.dataset_format not in ("csv", "jsonl"):
+            raise ConfigError(f"unknown dataset format {self.dataset_format!r}")
+        for name in self.sections:
+            if name not in SECTIONS:
+                raise ConfigError(f"unknown section {name!r} (expected one of {SECTIONS})")
+        if not 0.0 < self.threshold < 1.0:
+            raise ConfigError(f"threshold must lie strictly between 0 and 1, got {self.threshold}")
+
     @classmethod
     def from_dict(cls, obj: dict) -> "AuditConfig":
         if not isinstance(obj, dict):
             raise ConfigError("config must be a JSON object")
-        allowed = {
-            "dataset", "lexicon", "gazetteer", "neutral_words", "identity_terms",
-            "templates", "embeddings", "adapter", "threshold", "attributes", "swap",
-            "fairness", "counterfactual_fills", "explanation", "emissions",
-            "rng_seed", "sections", "output_dir",
-        }
-        _check_keys(obj, allowed, "config")
-
-        dataset_path = None
-        dataset_format = "csv"
-        dataset = obj.get("dataset")
-        if dataset is not None:
-            if isinstance(dataset, str):
-                dataset_path = dataset
-            elif isinstance(dataset, dict):
-                _check_keys(dataset, {"path", "format"}, "config.dataset")
-                dataset_path = dataset.get("path")
-                dataset_format = dataset.get("format", "csv")
-            else:
-                raise ConfigError("config.dataset must be a path or {path, format}")
-        if dataset_format not in ("csv", "jsonl"):
-            raise ConfigError(f"unknown dataset format {dataset_format!r}")
-
-        adapter = None
-        adapter_obj = obj.get("adapter")
-        if adapter_obj is not None:
-            if not isinstance(adapter_obj, dict):
-                raise ConfigError("config.adapter must be an object")
-            _check_keys(
-                adapter_obj,
-                {"kind", "location", "batch_size", "timeout", "max_retries"},
-                "config.adapter",
-            )
-            try:
-                adapter = AdapterConfig(**adapter_obj)
-            except (AuditError, TypeError) as exc:
-                raise ConfigError(f"config.adapter: {exc}") from exc
-
-        sections = tuple(obj.get("sections", SECTIONS))
-        for name in sections:
-            if name not in SECTIONS:
-                raise ConfigError(f"unknown section {name!r} (expected one of {SECTIONS})")
-
-        threshold = float(obj.get("threshold", 0.5))
-        if not 0.0 < threshold < 1.0:
-            raise ConfigError(f"threshold must lie strictly between 0 and 1, got {threshold}")
-
-        fills = obj.get("counterfactual_fills")
-        if fills is None:
-            fills = json.loads(json.dumps(DEFAULT_COUNTERFACTUAL_FILLS))
-        elif not isinstance(fills, dict):
-            raise ConfigError("config.counterfactual_fills must be an object")
-
-        return cls(
-            dataset_path=dataset_path,
-            dataset_format=dataset_format,
-            lexicon_path=obj.get("lexicon"),
-            gazetteer_path=obj.get("gazetteer"),
-            neutral_words_path=obj.get("neutral_words"),
-            identity_terms_path=obj.get("identity_terms"),
-            templates_path=obj.get("templates"),
-            embeddings_path=obj.get("embeddings"),
-            adapter=adapter,
-            threshold=threshold,
-            attributes=tuple(obj.get("attributes", ("gender", "religion"))),
-            swap=_spec_from_dict(SwapSpec, obj.get("swap"), "config.swap"),
-            fairness=_spec_from_dict(FairnessSpec, obj.get("fairness"), "config.fairness"),
-            counterfactual_fills=fills,
-            explanation=_spec_from_dict(
-                ExplanationSpec, obj.get("explanation"), "config.explanation"
-            ),
-            emissions=_spec_from_dict(EmissionsSpec, obj.get("emissions"), "config.emissions"),
-            rng_seed=int(obj.get("rng_seed", 0)),
-            sections=sections,
-            output_dir=obj.get("output_dir"),
-        )
+        rest = dict(obj)
+        dataset = rest.pop("dataset", None)
+        if isinstance(dataset, str):
+            dataset = {"path": dataset}
+        elif dataset is None:
+            dataset = {}
+        elif not isinstance(dataset, dict):
+            raise ConfigError("config.dataset must be a path or {path, format}")
+        _check_keys(dataset, ("path", "format"), "config.dataset")
+        return _load(cls, rest, "config", {f"dataset.{k}": v for k, v in dataset.items()})
 
     def to_dict(self) -> dict:
         """Config echo embedded in the report; omits the output location."""
-        return {
-            "dataset": {"path": self.dataset_path, "format": self.dataset_format},
-            "lexicon": self.lexicon_path,
-            "gazetteer": self.gazetteer_path,
-            "neutral_words": self.neutral_words_path,
-            "identity_terms": self.identity_terms_path,
-            "templates": self.templates_path,
-            "embeddings": self.embeddings_path,
-            "adapter": (
-                None
-                if self.adapter is None
-                else {
-                    "kind": self.adapter.kind,
-                    "location": self.adapter.location,
-                    "batch_size": self.adapter.batch_size,
-                    "timeout": self.adapter.timeout,
-                    "max_retries": self.adapter.max_retries,
-                }
-            ),
-            "threshold": self.threshold,
-            "attributes": list(self.attributes),
-            "swap": {
-                "attribute": self.swap.attribute,
-                "sub_a": self.swap.sub_a,
-                "sub_b": self.swap.sub_b,
-                "rounding_decimals": self.swap.rounding_decimals,
-            },
-            "fairness": {
-                "attribute": self.fairness.attribute,
-                "reference": self.fairness.reference,
-                "protected": self.fairness.protected,
-            },
-            "counterfactual_fills": self.counterfactual_fills,
-            "explanation": {
-                "mode": self.explanation.mode,
-                "n_samples": self.explanation.n_samples,
-                "kernel_width": self.explanation.kernel_width,
-                "l2_lambda": self.explanation.l2_lambda,
-                "method": self.explanation.method,
-                "m_permutations": self.explanation.m_permutations,
-                "max_tokens_per_comment": self.explanation.max_tokens_per_comment,
-                "local_comment_ids": list(self.explanation.local_comment_ids),
-                "max_local_comments": self.explanation.max_local_comments,
-            },
-            "emissions": {
-                "power_draw_kw": self.emissions.power_draw_kw,
-                "hours": self.emissions.hours,
-                "pue": self.emissions.pue,
-                "carbon_intensity_kg_per_kwh": self.emissions.carbon_intensity_kg_per_kwh,
-            },
-            "rng_seed": self.rng_seed,
-            "sections": list(self.sections),
-        }
+        echo: dict = {}
+        for f in fields(self):
+            set_path(echo, _JSON_KEYS.get(f.name, f.name), plain(getattr(self, f.name)))
+        del echo["output_dir"]
+        return echo
 
 
-def load_config(path: str | Path) -> AuditConfig:
+# JSON keys of the AuditConfig fields not named by their field. A dotted key
+# sits inside another: "dataset" is a path, or {path, format}.
+_JSON_KEYS = {
+    "dataset_path": "dataset.path",
+    "dataset_format": "dataset.format",
+    "lexicon_path": "lexicon",
+    "gazetteer_path": "gazetteer",
+    "neutral_words_path": "neutral_words",
+    "identity_terms_path": "identity_terms",
+    "templates_path": "templates",
+    "embeddings_path": "embeddings",
+}
+
+_KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list", tuple: "a list"}
+
+
+def _load(cls, obj: dict, context: str, nested: dict | None = None):
+    """Dataclass ``cls`` from JSON object ``obj``, every value checked against its field's type.
+
+    ``nested`` holds the values of fields whose dotted key sits inside
+    another key, which the caller has read. Null for an object-valued key
+    means its default.
+    """
+    keys = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    _check_keys(obj, [key for key in keys if "." not in key], context)
+    hints = get_type_hints(cls)
+    values = {}
+    for key, value in [*obj.items(), *(nested or {}).items()]:
+        f = keys[key]
+        if value is None and f.default_factory is not MISSING:
+            continue
+        # AdapterConfig checks its own values, because code builds it too
+        if cls is not AdapterConfig:
+            value = _typed(value, hints[f.name], f"{context}.{key}")
+        values[f.name] = value
+    try:
+        return cls(**values)
+    except (AdapterError, TypeError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def _typed(value, hint, where: str):
+    """``value`` if it has type ``hint``, with JSON arrays as tuples where ``hint`` says so.
+
+    Integers are accepted, and kept, where a float is wanted; booleans are
+    never numbers; null is a value only for ``X | None``.
+    """
+    if isinstance(hint, types.UnionType):
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    kind, args = get_origin(hint) or hint, get_args(hint)
+    if kind is dict or is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be an object")
+        if kind is dict:
+            return {k: _typed(v, args[1], f"{where}.{k}") for k, v in value.items()}
+        return _load(kind, value, where)
+    if kind in (list, tuple):
+        if isinstance(value, list):
+            return kind(_typed(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
+    elif isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
+
+
+def set_path(data: dict, dotted: str, value) -> None:
+    """``data[a][b] = value`` for key ``"a.b"``, making inner objects (over any non-object)."""
+    *outer, last = dotted.split(".")
+    for key in outer:
+        if not isinstance(data.get(key), dict):
+            data[key] = {}
+        data = data[key]
+    data[last] = value
+
+
+def read_json(path: str | Path) -> dict:
+    """The JSON object in config file ``path``."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: invalid JSON: {exc.msg}") from exc
-    return AuditConfig.from_dict(obj)
+    if not isinstance(obj, dict):
+        raise ConfigError("config must be a JSON object")
+    return obj
+
+
+def load_config(path: str | Path) -> AuditConfig:
+    return AuditConfig.from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +557,7 @@ class _AuditRun:
     def _plan_swap_favor(self):
         spec = self.config.swap
         table = aligned_swap_pairs(self.lexicon, spec.attribute, spec.sub_a, spec.sub_b)
-        yield plan_swap_favor(
-            self.annotated(),
-            table,
-            spec.attribute,
-            spec.sub_a,
-            spec.sub_b,
-            rounding_decimals=spec.rounding_decimals,
-        )
+        yield plan_swap_favor(self.annotated(), table, **vars(spec))
 
     def _plan_counterfactual(self):
         fills = self.config.counterfactual_fills
@@ -695,13 +643,10 @@ class _AuditRun:
         return {"per_attribute": self.finish("counterfactual")}
 
     def section_fairness_metrics(self) -> dict:
-        spec = self.config.fairness
         metrics = fairness_metrics(
             self.annotated(),
             self.records(),
-            spec.attribute,
-            spec.reference,
-            spec.protected,
+            **vars(self.config.fairness),
             threshold=self.config.threshold,
         )
         return metrics.to_dict()
@@ -720,10 +665,7 @@ class _AuditRun:
         return payload
 
     def section_emissions(self) -> dict:
-        spec = self.config.emissions
-        return estimate_emissions(
-            spec.power_draw_kw, spec.hours, spec.pue, spec.carbon_intensity_kg_per_kwh
-        ).to_dict()
+        return estimate_emissions(**vars(self.config.emissions)).to_dict()
 
     # -- assembly ---------------------------------------------------------------
 
@@ -757,24 +699,14 @@ class _AuditRun:
         return entries
 
     def run(self) -> AuditReport:
-        handlers = {
-            "performance": self.section_performance,
-            "data_bias": self.section_data_bias,
-            "embedding_bias": self.section_embedding_bias,
-            "subgroup_stats": self.section_subgroup_stats,
-            "swap_favor": self.section_swap_favor,
-            "counterfactual": self.section_counterfactual,
-            "fairness_metrics": self.section_fairness_metrics,
-            "explanations": self.section_explanations,
-            "emissions": self.section_emissions,
-        }
         self.score_live_texts()
         sections: dict[str, dict] = {}
         for name in SECTIONS:
             if name not in self.config.sections:
                 continue
             try:
-                sections[name] = {"status": "computed", "data": handlers[name]()}
+                data = getattr(self, f"section_{name}")()
+                sections[name] = {"status": "computed", "data": data}
             except _Skip as skip:
                 sections[name] = {"status": "skipped", "reason": str(skip)}
             except Exception as exc:  # section isolation: never abort the run

@@ -281,3 +281,42 @@ def test_attributes_flag_empty_keeps_config_list(monkeypatch):
         "gender",
         "religion",
     )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"threshold": "abc"},
+        {"threshold": None},
+        {"rng_seed": 1.7},
+        {"explanation": {"n_samples": "a"}},
+        {"swap": {"rounding_decimals": "4"}},
+        {"attributes": "gender"},
+        {"explanation": {"local_comment_ids": "h11"}},
+    ],
+)
+def test_badly_typed_config_exit_one(tmp_path, capsys, overrides):
+    config = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
+    config.update(overrides)
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(config))
+    assert main(["audit", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config.") and "must be" in err
+
+
+def test_non_utf8_config_exit_one(tmp_path, capsys):
+    path = tmp_path / "audit.json"
+    path.write_bytes(b'{"threshold": "\xff"}')
+    assert main(["audit", "--config", str(path)]) == 1
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_dataset_format_flag_keeps_a_path_only_dataset(monkeypatch, tmp_path):
+    config = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
+    config["dataset"] = "comments.jsonl"
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(config))
+    argv = ["audit", "--config", str(path), "--dataset-format", "jsonl"]
+    parsed = config_from_argv(monkeypatch, argv)
+    assert (parsed.dataset_path, parsed.dataset_format) == ("comments.jsonl", "jsonl")

@@ -134,6 +134,9 @@ def test_adapter_config_validation():
     for bad in (1.5, False, None):
         with pytest.raises(AdapterError, match="max_retries must be an integer"):
             AdapterConfig(kind="http", location="x", max_retries=bad)
+    for bad in (None, 5, ["python3", "model.py"]):
+        with pytest.raises(AdapterError, match="location must be a string"):
+            AdapterConfig(kind="subprocess", location=bad)
     assert AdapterConfig(kind="http", location="x").is_live
     assert not AdapterConfig(kind="predictions_file", location="x").is_live
 

@@ -227,6 +227,59 @@ def test_config_null_object_keys_mean_defaults():
     assert AuditConfig.from_dict(dict.fromkeys(keys)) == AuditConfig()
 
 
+# values of the wrong type, each once a traceback, a silent conversion or a late failure
+BAD_TYPED_CONFIGS = [
+    ({"threshold": "abc"}, "config.threshold must be a number, got 'abc'"),
+    ({"threshold": None}, "config.threshold must be a number, got None"),
+    ({"threshold": True}, "config.threshold must be a number, got True"),
+    ({"rng_seed": 1.7}, "config.rng_seed must be an integer, got 1.7"),
+    ({"rng_seed": None}, "config.rng_seed must be an integer, got None"),
+    ({"explanation": {"n_samples": "a"}}, "config.explanation.n_samples must be an integer, got 'a'"),
+    (
+        {"swap": {"rounding_decimals": "4"}},
+        "config.swap.rounding_decimals must be an integer, got '4'",
+    ),
+    ({"attributes": "gender"}, "config.attributes must be a list, got 'gender'"),
+    ({"attributes": ["gender", 1]}, "config.attributes[1] must be a string, got 1"),
+    ({"sections": None}, "config.sections must be a list, got None"),
+    (
+        {"explanation": {"local_comment_ids": "h11"}},
+        "config.explanation.local_comment_ids must be a list, got 'h11'",
+    ),
+    ({"swap": {"attribute": None}}, "config.swap.attribute must be a string, got None"),
+    ({"emissions": {"hours": "4"}}, "config.emissions.hours must be a number, got '4'"),
+    ({"lexicon": 5}, "config.lexicon must be a string, got 5"),
+    ({"dataset": {"path": 5}}, "config.dataset.path must be a string, got 5"),
+    (
+        {"counterfactual_fills": {"gender": {"male": "man"}}},
+        "config.counterfactual_fills.gender.male must be a list, got 'man'",
+    ),
+    ({"adapter": {"kind": "subprocess", "location": None}}, "config.adapter: location must be a string, got None"),
+]
+
+
+@pytest.mark.parametrize("data, message", BAD_TYPED_CONFIGS)
+def test_config_value_types_checked(data, message):
+    with pytest.raises(ConfigError) as caught:
+        AuditConfig.from_dict(data)
+    assert str(caught.value) == message
+
+
+def test_config_integers_kept_for_float_fields():
+    config = AuditConfig.from_dict(fixture_json())
+    assert type(config.emissions.hours) is int and config.emissions.hours == 4
+    assert type(config.adapter.timeout) is int and config.adapter.timeout == 60
+    assert config.to_dict()["emissions"]["hours"] == 4
+    assert AuditConfig.from_dict({"threshold": 0.5}).threshold == 0.5
+
+
+def test_config_optional_fields_take_null():
+    config = AuditConfig.from_dict(
+        {"lexicon": None, "explanation": {"n_samples": None}, "output_dir": None}
+    )
+    assert config.lexicon_path is None and config.explanation.n_samples is None
+
+
 def test_config_dataset_required_for_corpus_sections():
     config = AuditConfig.from_dict({"sections": ["performance"]})
     with pytest.raises(ConfigError, match="dataset"):
