@@ -282,7 +282,7 @@ def _load(cls, obj: dict, context: str, nested: dict | None = None):
     for key, value in [*obj.items(), *(nested or {}).items()]:
         f = keys[key]
         if value is None and f.default_factory is not MISSING:
-            continue
+            continue  # an object-valued key: null means its default
         # AdapterConfig checks its own values, because code builds it too
         if cls is not AdapterConfig:
             value = _typed(value, hints[f.name], f"{context}.{key}")
