@@ -148,6 +148,23 @@ class SubgroupStatsRow:
         }
 
 
+def _stats_rows(cells: dict[tuple[int, str], list[float]]) -> list[SubgroupStatsRow]:
+    """One row per subgroup and label, subgroups sorted; an empty cell's mean is None."""
+    rows = []
+    for subgroup in sorted({subgroup for _, subgroup in cells}):
+        for label in (0, 1):
+            values = cells.get((label, subgroup), [])
+            rows.append(
+                SubgroupStatsRow(
+                    label=label,
+                    subgroup=subgroup,
+                    mean_p=(sum(values) / len(values)) if values else None,
+                    n=len(values),
+                )
+            )
+    return rows
+
+
 @dataclass(frozen=True)
 class SubgroupProbabilityStats(Record):
     attribute: str
@@ -164,27 +181,13 @@ def subgroup_probability_stats(
     """
     p_by_id = predictions_by_id(preds)
     cells: dict[tuple[int, str], list[float]] = {}
-    subgroups: set[str] = set()
     for comment in annotated.corpus:
         referenced = annotated.subgroups_referenced(comment.id, attribute)
         for subgroup in referenced:
             if comment.id not in p_by_id:
                 raise CoverageError(f"prediction missing for annotated comment {comment.id!r}")
-            subgroups.add(subgroup)
             cells.setdefault((comment.label, subgroup), []).append(p_by_id[comment.id])
-    rows = []
-    for subgroup in sorted(subgroups):
-        for label in (0, 1):
-            values = cells.get((label, subgroup), [])
-            rows.append(
-                SubgroupStatsRow(
-                    label=label,
-                    subgroup=subgroup,
-                    mean_p=(sum(values) / len(values)) if values else None,
-                    n=len(values),
-                )
-            )
-    return SubgroupProbabilityStats(attribute=attribute, rows=tuple(rows))
+    return SubgroupProbabilityStats(attribute=attribute, rows=tuple(_stats_rows(cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +381,6 @@ def expand_templates(
     rows: list[CounterfactualRow] = []
     group_index = 0
     for template_index, (pattern, label) in enumerate(templates.templates):
-        if pattern.count(IDENTITY_SLOT) != 1:
-            raise LexiconError(f"template must contain {IDENTITY_SLOT} exactly once: {pattern!r}")
         for slot in range(n_fills):
             for subgroup in subgroups:
                 term = identity_terms_per_subgroup[subgroup][slot]
@@ -454,19 +455,7 @@ def counterfactual_probability_stats(
     cells: dict[tuple[int, str], list[float]] = {}
     for row, p in zip(corpus.rows, probabilities):
         cells.setdefault((row.label, row.subgroup), []).append(p)
-    rows = []
-    for subgroup in sorted({row.subgroup for row in corpus.rows}):
-        for label in (0, 1):
-            values = cells.get((label, subgroup), [])
-            rows.append(
-                SubgroupStatsRow(
-                    label=label,
-                    subgroup=subgroup,
-                    mean_p=(sum(values) / len(values)) if values else None,
-                    n=len(values),
-                )
-            )
-    return rows
+    return _stats_rows(cells)
 
 
 # ---------------------------------------------------------------------------

@@ -15,17 +15,21 @@ from .errors import ConfigError
 from .modeliface import ADAPTER_KINDS
 from .report import SECTIONS, AuditConfig, read_json, run_audit, set_path
 
-COMMAND_SECTIONS = {
-    "audit": list(SECTIONS),
-    "perf": ["performance"],
-    "data-bias": ["data_bias"],
-    "embed-bias": ["embedding_bias"],
-    "class-bias": ["subgroup_stats", "fairness_metrics"],
-    "swap": ["swap_favor"],
-    "counterfactual": ["counterfactual"],
-    "explain-local": ["explanations"],
-    "explain-global": ["explanations"],
-    "emissions": ["emissions"],
+# Each subcommand's sections and help text.
+COMMANDS = {
+    "audit": (list(SECTIONS), "run every assessment and write the full report"),
+    "perf": (["performance"], "technical performance report"),
+    "data-bias": (["data_bias"], "identity-term and subgroup-reference frequency tables"),
+    "embed-bias": (["embedding_bias"], "embedding-bias AMAE/ARMSE"),
+    "class-bias": (
+        ["subgroup_stats", "fairness_metrics"],
+        "subgroup probability statistics and fairness metrics",
+    ),
+    "swap": (["swap_favor"], "swapped-identity favor analysis"),
+    "counterfactual": (["counterfactual"], "counterfactual templates and CB score"),
+    "explain-local": (["explanations"], "local surrogate explanations"),
+    "explain-global": (["explanations"], "global token importance"),
+    "emissions": (["emissions"], "training emissions estimate"),
 }
 
 
@@ -90,7 +94,7 @@ def build_config(args: argparse.Namespace) -> AuditConfig:
         value = getattr(args, options.get("dest", flag[2:].replace("-", "_")))
         if value is not None:
             set_path(data, key, value)
-    data["sections"] = COMMAND_SECTIONS[args.command]
+    data["sections"] = COMMANDS[args.command][0]
     if args.command.startswith("explain-"):
         set_path(data, "explanation.mode", args.command.removeprefix("explain-"))
     return AuditConfig.from_dict(data)
@@ -102,19 +106,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Black-box fairness and explainability audit for binary text classifiers.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    descriptions = {
-        "audit": "run every assessment and write the full report",
-        "perf": "technical performance report",
-        "data-bias": "identity-term and subgroup-reference frequency tables",
-        "embed-bias": "embedding-bias AMAE/ARMSE",
-        "class-bias": "subgroup probability statistics and fairness metrics",
-        "swap": "swapped-identity favor analysis",
-        "counterfactual": "counterfactual templates and CB score",
-        "explain-local": "local surrogate explanations",
-        "explain-global": "global token importance",
-        "emissions": "training emissions estimate",
-    }
-    for command, help_text in descriptions.items():
+    for command, (_, help_text) in COMMANDS.items():
         sub = subparsers.add_parser(command, help=help_text)
         sub.add_argument("--config", help="JSON config file (flags override its fields)")
         for flag, _, options in _FLAGS:

@@ -94,9 +94,6 @@ class LabeledCorpus:
     def __contains__(self, comment_id: str) -> bool:
         return comment_id in self._by_id
 
-    def partition(self, label: int) -> list[Comment]:
-        return [c for c in self.comments if c.label == label]
-
 
 def _parse_label(raw, line: int) -> int:
     if isinstance(raw, bool):

@@ -85,18 +85,6 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 
-def cosine_similarity(u, v) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise EmbeddingError(f"vector length mismatch: {u.shape} vs {v.shape}")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        raise EmbeddingError("cosine similarity undefined for zero-norm vector")
-    return float(np.dot(u, v) / (nu * nv))
-
-
 @dataclass(frozen=True)
 class SimilarityProfile:
     """Averaged neutral-word/subgroup-term cosine similarities for one subgroup."""
@@ -209,14 +197,8 @@ def embedding_bias(
             f"got {len(profiles)}"
         )
 
-    common = set.intersection(*(set(p.covered_neutral_terms) for p in profiles.values()))
-    order = [w for w in filtered.words if w in common]
-    if not order:
-        raise EmbeddingError("no neutral word is covered for every subgroup")
-    arrays: dict[str, np.ndarray] = {}
-    for subgroup, profile in profiles.items():
-        index = {w: i for i, w in enumerate(profile.covered_neutral_terms)}
-        arrays[subgroup] = np.asarray([profile.x[index[w]] for w in order])
+    # Every profile covers the same neutral words (those in the table), in order.
+    arrays = {subgroup: np.asarray(profile.x) for subgroup, profile in profiles.items()}
 
     names = sorted(profiles)
     pairwise: dict[tuple[str, str], tuple[float, float]] = {}

@@ -19,9 +19,24 @@ from .errors import LexiconError
 
 IDENTITY_SLOT = "[Identity]"
 
+# The built-in file of each word resource, keyed by the resource's name: its
+# config key, and the suffix of its ``load_<name>`` and ``default_<name>``.
+BUILTIN_FILES = {
+    "lexicon": "default_lexicon.json",
+    "gazetteer": "default_gazetteer.json",
+    "identity_terms": "default_identity_terms.txt",
+    "neutral_words": "default_neutral_words.txt",
+    "templates": "default_templates.json",
+}
+
+
+def builtin_file(name: str):
+    """The packaged built-in file of word resource ``name``."""
+    return resources.files("textaudit").joinpath(f"data/{BUILTIN_FILES[name]}")
+
 
 def _read_resource(name: str) -> str:
-    return resources.files("textaudit").joinpath(f"data/{name}").read_text(encoding="utf-8")
+    return builtin_file(name).read_text(encoding="utf-8")
 
 
 def _read_path(path: str | Path) -> str:
@@ -92,13 +107,6 @@ class AttributeLexicon:
             if term.endswith(".")
         )
 
-    def serialize(self) -> str:
-        payload = {
-            attribute: {subgroup: list(terms) for subgroup, terms in subgroups.items()}
-            for attribute, subgroups in self.attributes.items()
-        }
-        return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-
 
 def _lexicon_from_obj(obj) -> AttributeLexicon:
     if not isinstance(obj, dict):
@@ -125,7 +133,7 @@ def load_lexicon(path: str | Path) -> AttributeLexicon:
 
 
 def default_lexicon() -> AttributeLexicon:
-    return _lexicon_from_obj(json.loads(_read_resource("default_lexicon.json")))
+    return _lexicon_from_obj(json.loads(_read_resource("lexicon")))
 
 
 @dataclass(frozen=True)
@@ -149,9 +157,6 @@ class SwapTable:
 
     def partner(self, term: str) -> str | None:
         return self._partner.get(term)
-
-    def terms(self) -> frozenset[str]:
-        return frozenset(self._partner)
 
     def abbreviations(self) -> frozenset[str]:
         return self._abbreviations
@@ -227,7 +232,7 @@ def load_neutral_words(path: str | Path) -> NeutralWordList:
 
 
 def default_neutral_words() -> NeutralWordList:
-    return NeutralWordList(words=tuple(_parse_word_list(_read_resource("default_neutral_words.txt"))))
+    return NeutralWordList(words=tuple(_parse_word_list(_read_resource("neutral_words"))))
 
 
 def load_identity_terms(path: str | Path) -> IdentityTermList:
@@ -239,19 +244,17 @@ def load_identity_terms(path: str | Path) -> IdentityTermList:
 
 
 def default_identity_terms() -> IdentityTermList:
-    return IdentityTermList(terms=tuple(_parse_word_list(_read_resource("default_identity_terms.txt"))))
+    return IdentityTermList(terms=tuple(_parse_word_list(_read_resource("identity_terms"))))
 
 
 @dataclass(frozen=True)
 class Gazetteer:
     """Deterministic term -> (attribute, subgroup) map standing in for NER.
 
-    Covers nationality/religion/political group mentions; every entry is
-    tagged NORP.
+    Covers nationality/religion/political group (NORP) mentions.
     """
 
     entries: dict[str, tuple[str, str]]
-    tag: str = "NORP"
 
     def __post_init__(self):
         for term, target in self.entries.items():
@@ -281,7 +284,7 @@ def load_gazetteer(path: str | Path) -> Gazetteer:
 
 
 def default_gazetteer() -> Gazetteer:
-    return _gazetteer_from_obj(json.loads(_read_resource("default_gazetteer.json")))
+    return _gazetteer_from_obj(json.loads(_read_resource("gazetteer")))
 
 
 @dataclass(frozen=True)
@@ -322,4 +325,4 @@ def load_templates(path: str | Path) -> TemplateSet:
 
 
 def default_templates() -> TemplateSet:
-    return _templates_from_obj(json.loads(_read_resource("default_templates.json")))
+    return _templates_from_obj(json.loads(_read_resource("templates")))

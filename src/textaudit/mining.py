@@ -153,20 +153,6 @@ def _gazetteer_index(gaz: Gazetteer) -> TermIndex:
     return TermIndex(gaz.entries.items(), frozenset(t for t in gaz.entries if t.endswith(".")))
 
 
-def _mine(comment: Comment, index: TermIndex, method: str) -> list[SubgroupRef]:
-    return _refs(_group(index.matches(tokenize(comment.text, index.abbreviations))), method)
-
-
-def mine_lookup(comment: Comment, lexicon: AttributeLexicon) -> list[SubgroupRef]:
-    """Look-up extraction: one ref per (attribute, subgroup) with >= 1 term match."""
-    return _mine(comment, _lookup_index(lexicon), METHOD_LOOKUP)
-
-
-def mine_gazetteer(comment: Comment, gaz: Gazetteer) -> list[SubgroupRef]:
-    """Gazetteer extraction: whole-token matches against NORP-style entries."""
-    return _mine(comment, _gazetteer_index(gaz), METHOD_GAZETTEER)
-
-
 def annotate_corpus(
     corpus: LabeledCorpus, lexicon: AttributeLexicon, gaz: Gazetteer
 ) -> AnnotatedCorpus:

@@ -1,15 +1,16 @@
 """Black-box access to the classifier under audit.
 
-The auditor never loads the model itself; it talks to it through one of
-three adapters: an offline predictions file (per-comment probabilities), a
-subprocess speaking a line protocol (one JSON-encoded text in, one decimal
-probability out), or an HTTP endpoint (POST /predict over one kept-alive
-standard-library connection per adapter). Every adapter has one lifecycle:
-it is opened by :func:`open_adapter`, scores batches, and is closed with
-``close()`` or by leaving a ``with`` block. A normalized-text cache keeps
-swap/counterfactual/explanation workloads affordable. Probabilities outside
-[0, 1] are rejected, never clamped: they signal a broken adapter and
-clamping would corrupt every downstream metric.
+The auditor never loads the model itself. It reads an offline predictions
+file (per-comment probabilities, :func:`load_predictions`), or it talks to
+the model through one of two adapters: a subprocess speaking a line protocol
+(one JSON-encoded text in, one decimal probability out), or an HTTP endpoint
+(POST /predict over one kept-alive standard-library connection per adapter).
+Every adapter has one lifecycle: it is opened by :func:`open_adapter`,
+scores batches, and is closed with ``close()`` or by leaving a ``with``
+block. A normalized-text cache keeps swap/counterfactual/explanation
+workloads affordable. Probabilities outside [0, 1] are rejected, never
+clamped: they signal a broken adapter and clamping would corrupt every
+downstream metric.
 """
 
 from __future__ import annotations
@@ -269,25 +270,16 @@ class HttpAdapter(_AdapterLifecycle):
         return [float(p) for p in probabilities]
 
 
-class PredictionsFileAdapter(_AdapterLifecycle):
-    """Placeholder for the offline kind; cannot score novel texts."""
-
-    def __init__(self, config: AdapterConfig):
-        self.config = config
-
-    def score_batch(self, texts: Sequence[str]) -> list[float]:
-        raise AdapterError(
-            "a predictions file cannot score novel texts; "
-            "swap/counterfactual/explanation assessments need a subprocess or http adapter"
-        )
-
-
 def open_adapter(config: AdapterConfig):
+    """An open adapter for a live kind; a predictions file is read, never opened."""
     if config.kind == "subprocess":
         return SubprocessAdapter(config)
     if config.kind == "http":
         return HttpAdapter(config)
-    return PredictionsFileAdapter(config)
+    raise AdapterError(
+        "a predictions file cannot score novel texts; "
+        "swap/counterfactual/explanation assessments need a subprocess or http adapter"
+    )
 
 
 def _score_with_retry(adapter: Adapter, texts: Sequence[str]) -> list[float]:

@@ -21,11 +21,10 @@ import math
 import os
 import types
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from importlib import resources
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import Callable, get_args, get_origin, get_type_hints
 
-from . import __version__
+from . import __version__, lexicon
 from .classbias import (
     CounterfactualCorpus,
     counterfactual_bias,
@@ -46,19 +45,7 @@ from .databias import (
 from .embedbias import embedding_bias, embedding_bias_csv, load_embeddings
 from .errors import AdapterError, AuditError, ConfigError
 from .explain import plan_global_importance, plan_local_explain
-from .lexicon import (
-    aligned_swap_pairs,
-    default_gazetteer,
-    default_identity_terms,
-    default_lexicon,
-    default_neutral_words,
-    default_templates,
-    load_gazetteer,
-    load_identity_terms,
-    load_lexicon,
-    load_neutral_words,
-    load_templates,
-)
+from .lexicon import aligned_swap_pairs
 from .mining import annotate_corpus, annotations_to_jsonl
 from .modeliface import (
     AdapterConfig,
@@ -183,6 +170,12 @@ class ExplanationSpec:
             )
         if self.m_permutations < 1:
             raise ConfigError("explanation.m_permutations must be positive")
+        # the kernel divides by kernel_width; a negative cap would slice from the end
+        if not self.kernel_width > 0:
+            raise ConfigError(f"explanation.kernel_width must be > 0, got {self.kernel_width}")
+        for name in ("l2_lambda", "max_tokens_per_comment", "max_local_comments"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"explanation.{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -296,8 +289,9 @@ def _load(cls, obj: dict, context: str, nested: dict | None = None):
 def _typed(value, hint, where: str):
     """``value`` if it has type ``hint``, with JSON arrays as tuples where ``hint`` says so.
 
-    Integers are accepted, and kept, where a float is wanted; booleans are
-    never numbers; null is a value only for ``X | None``.
+    Integers are accepted, and kept, where a float is wanted; NaN and
+    infinities are not numbers here, nor are booleans; null is a value only
+    for ``X | None``.
     """
     if isinstance(hint, types.UnionType):
         if value is None:
@@ -314,6 +308,8 @@ def _typed(value, hint, where: str):
         if isinstance(value, list):
             return kind(_typed(v, args[0], f"{where}[{i}]") for i, v in enumerate(value))
     elif isinstance(value, (int, float) if kind is float else kind) and not isinstance(value, bool):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{where} must be a finite number, got {value!r}")
         return value
     raise ConfigError(f"{where} must be {_KINDS[kind]}, got {value!r}")
 
@@ -377,16 +373,11 @@ def _atomic_write(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _sha256_file(path: Path) -> str | None:
+def _sha256_file(path) -> str | None:
     try:
         return hashlib.sha256(path.read_bytes()).hexdigest()
     except OSError:
         return None
-
-
-def _sha256_builtin(name: str) -> str:
-    data = resources.files("textaudit").joinpath(f"data/{name}").read_bytes()
-    return hashlib.sha256(data).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +415,8 @@ class _AuditRun:
         self.cache = PredictionCache()
         self._memo: dict[str, object] = {}
         self._plans: dict[str, list] = {}
+        # side file name -> its renderer, registered by the code that computed its data
+        self.files: dict[str, Callable[[], str]] = {}
         needs_corpus = any(s != "emissions" for s in config.sections)
         if needs_corpus and config.dataset_path is None:
             raise ConfigError("config.dataset is required for the requested sections")
@@ -436,33 +429,41 @@ class _AuditRun:
         except AuditError as exc:
             raise ConfigError(f"dataset: {exc}") from exc
         try:
-            self.lexicon = (
-                load_lexicon(config.lexicon_path) if config.lexicon_path else default_lexicon()
-            )
-            self.gazetteer = (
-                load_gazetteer(config.gazetteer_path)
-                if config.gazetteer_path
-                else default_gazetteer()
-            )
+            self.lexicon = self.resource("lexicon")
+            self.gazetteer = self.resource("gazetteer")
         except AuditError as exc:
             raise ConfigError(str(exc)) from exc
+        live = config.adapter is not None and config.adapter.is_live
         try:
-            self.adapter = open_adapter(config.adapter) if config.adapter else None
+            self.adapter = open_adapter(config.adapter) if live else None
         except AdapterError as exc:
             raise ConfigError(f"adapter: {exc}") from exc
 
     # -- shared lazy resources ------------------------------------------------
 
+    def resource(self, name: str):
+        """Word resource ``name``, read from ``config.<name>_path`` or the built-in file.
+
+        The loader is looked up in :mod:`textaudit.lexicon` on every call, so
+        a loader replaced there, as a tracer or a test may do, is the one called.
+        """
+        path = getattr(self.config, f"{name}_path")
+        if path:
+            return getattr(lexicon, f"load_{name}")(path)
+        return getattr(lexicon, f"default_{name}")()
+
     def annotated(self):
         if "annotated" not in self._memo:
-            self._memo["annotated"] = annotate_corpus(self.corpus, self.lexicon, self.gazetteer)
+            annotated = annotate_corpus(self.corpus, self.lexicon, self.gazetteer)
+            self._memo["annotated"] = annotated
+            self.files["annotations.jsonl"] = functools.partial(annotations_to_jsonl, annotated)
         return self._memo["annotated"]
 
     def records(self) -> list[PredictionRecord]:
         if "records" not in self._memo:
-            if self.adapter is None:
+            if self.config.adapter is None:
                 raise _Skip("no adapter or predictions file configured")
-            if not self.config.adapter.is_live:
+            if self.adapter is None:
                 self._memo["records"] = load_predictions(
                     self.config.adapter.location, self.corpus
                 )
@@ -471,24 +472,9 @@ class _AuditRun:
         return self._memo["records"]
 
     def live_adapter(self):
-        if self.adapter is None or not self.config.adapter.is_live:
+        if self.adapter is None:
             raise _Skip("live adapter required (subprocess or http)")
         return self.adapter
-
-    def identity_terms(self):
-        if self.config.identity_terms_path:
-            return load_identity_terms(self.config.identity_terms_path)
-        return default_identity_terms()
-
-    def neutral_words(self):
-        if self.config.neutral_words_path:
-            return load_neutral_words(self.config.neutral_words_path)
-        return default_neutral_words()
-
-    def templates(self):
-        if self.config.templates_path:
-            return load_templates(self.config.templates_path)
-        return default_templates()
 
     # -- live computations: plan every text first, score, then finish -----------
 
@@ -527,7 +513,7 @@ class _AuditRun:
         failure stay cached and each section scores the rest itself, so it
         fails or computes as it would have without this call.
         """
-        if self.adapter is None or not self.config.adapter.is_live:
+        if self.adapter is None:
             return
         names = dict.fromkeys(
             _LIVE_COMPUTATION[s] for s in SECTIONS
@@ -563,8 +549,9 @@ class _AuditRun:
         fills = self.config.counterfactual_fills
         if not fills:
             raise _Skip("no counterfactual fills configured")
+        templates = self.resource("templates")
         for attribute in sorted(fills):
-            corpus = expand_templates(self.templates(), self.lexicon, attribute, fills[attribute])
+            corpus = expand_templates(templates, self.lexicon, attribute, fills[attribute])
             yield ScoringPlan(
                 [row.text for row in corpus.rows],
                 functools.partial(
@@ -604,9 +591,14 @@ class _AuditRun:
         return report.to_dict()
 
     def section_data_bias(self) -> dict:
-        identity_rows = identity_term_frequencies(self.corpus, self.identity_terms())
+        identity_rows = identity_term_frequencies(self.corpus, self.resource("identity_terms"))
         subgroup_rows = subgroup_reference_frequencies(self.annotated())
-        self._memo["data_bias_rows"] = (identity_rows, subgroup_rows)
+        self.files["data_bias_identity_terms.csv"] = functools.partial(
+            frequency_table_csv, identity_rows
+        )
+        self.files["data_bias_subgroup_references.csv"] = functools.partial(
+            frequency_table_csv, subgroup_rows
+        )
         return {
             "identity_terms": frequency_table_json(identity_rows),
             "subgroup_references": frequency_table_json(subgroup_rows),
@@ -616,12 +608,12 @@ class _AuditRun:
         if not self.config.embeddings_path:
             raise _Skip("no embedding file")
         table = load_embeddings(self.config.embeddings_path)
-        neutrals = self.neutral_words()
+        neutrals = self.resource("neutral_words")
         results = [
             embedding_bias(neutrals, self.lexicon, attribute, table)
             for attribute in self.config.attributes
         ]
-        self._memo["embedding_results"] = results
+        self.files["embedding_bias.csv"] = functools.partial(embedding_bias_csv, results)
         return {"results": [r.to_dict() for r in results]}
 
     def section_subgroup_stats(self) -> dict:
@@ -658,7 +650,7 @@ class _AuditRun:
         payload: dict = {"mode": mode}
         if mode in ("global", "both"):
             importance = results.pop()
-            self._memo["global_importance"] = importance
+            self.files["global_importance.csv"] = importance.to_csv
             payload["global"] = importance.to_dict()
         if mode in ("local", "both"):
             payload["local"] = [explanation.to_dict() for explanation in results]
@@ -670,32 +662,24 @@ class _AuditRun:
     # -- assembly ---------------------------------------------------------------
 
     def input_manifest(self) -> list[dict]:
-        entries = []
-
-        def add(name: str, path: str | None, builtin: str | None):
-            if path is not None:
-                entries.append(
-                    {"name": name, "path": path, "sha256": _sha256_file(Path(path))}
-                )
-            elif builtin is not None:
-                entries.append(
-                    {
-                        "name": name,
-                        "path": f"builtin:{builtin}",
-                        "sha256": _sha256_builtin(builtin),
-                    }
-                )
-
+        """Path and content hash of every input file; a word resource not given is built in."""
         config = self.config
-        add("dataset", config.dataset_path, None)
-        add("lexicon", config.lexicon_path, "default_lexicon.json")
-        add("gazetteer", config.gazetteer_path, "default_gazetteer.json")
-        add("identity_terms", config.identity_terms_path, "default_identity_terms.txt")
-        add("neutral_words", config.neutral_words_path, "default_neutral_words.txt")
-        add("templates", config.templates_path, "default_templates.json")
-        add("embeddings", config.embeddings_path, None)
+        paths = {
+            name: getattr(config, f"{name}_path")
+            for name in ("dataset", *lexicon.BUILTIN_FILES, "embeddings")
+        }
         if config.adapter is not None and config.adapter.kind == "predictions_file":
-            add("predictions", config.adapter.location, None)
+            paths["predictions"] = config.adapter.location
+        entries = []
+        for name, path in paths.items():
+            if path is not None:
+                entries.append({"name": name, "path": path, "sha256": _sha256_file(Path(path))})
+            elif name in lexicon.BUILTIN_FILES:
+                entries.append({
+                    "name": name,
+                    "path": f"builtin:{lexicon.BUILTIN_FILES[name]}",
+                    "sha256": _sha256_file(lexicon.builtin_file(name)),
+                })
         return entries
 
     def run(self) -> AuditReport:
@@ -722,20 +706,8 @@ class _AuditRun:
         out = Path(out_dir)
         _atomic_write(out / "report.json", render_report(report, "json"))
         _atomic_write(out / "report.md", render_report(report, "markdown"))
-        if self.corpus is not None and "annotated" in self._memo:
-            _atomic_write(out / "annotations.jsonl", annotations_to_jsonl(self.annotated()))
-        if "data_bias_rows" in self._memo:
-            identity_rows, subgroup_rows = self._memo["data_bias_rows"]
-            _atomic_write(out / "data_bias_identity_terms.csv", frequency_table_csv(identity_rows))
-            _atomic_write(
-                out / "data_bias_subgroup_references.csv", frequency_table_csv(subgroup_rows)
-            )
-        if "embedding_results" in self._memo:
-            _atomic_write(
-                out / "embedding_bias.csv", embedding_bias_csv(self._memo["embedding_results"])
-            )
-        if "global_importance" in self._memo:
-            _atomic_write(out / "global_importance.csv", self._memo["global_importance"].to_csv())
+        for name, render in self.files.items():
+            _atomic_write(out / name, render())
 
 
 def _counterfactual_payload(
@@ -957,28 +929,17 @@ def _md_emissions(data: dict) -> list[str]:
     ]
 
 
-_SECTION_TITLES = {
-    "performance": "Technical Performance",
-    "data_bias": "Data Bias",
-    "embedding_bias": "Embedding Bias",
-    "subgroup_stats": "Subgroup Probability Statistics",
-    "swap_favor": "Swapped-Identity Favor Analysis",
-    "counterfactual": "Counterfactual Assessment",
-    "fairness_metrics": "Classification Fairness Metrics",
-    "explanations": "Explanations",
-    "emissions": "Training Emissions Estimate",
-}
-
-_SECTION_RENDERERS = {
-    "performance": _md_performance,
-    "data_bias": _md_data_bias,
-    "embedding_bias": _md_embedding_bias,
-    "subgroup_stats": _md_subgroup_stats,
-    "swap_favor": _md_swap_favor,
-    "counterfactual": _md_counterfactual,
-    "fairness_metrics": _md_fairness,
-    "explanations": _md_explanations,
-    "emissions": _md_emissions,
+# Each section's markdown heading and the renderer of its data.
+_MARKDOWN = {
+    "performance": ("Technical Performance", _md_performance),
+    "data_bias": ("Data Bias", _md_data_bias),
+    "embedding_bias": ("Embedding Bias", _md_embedding_bias),
+    "subgroup_stats": ("Subgroup Probability Statistics", _md_subgroup_stats),
+    "swap_favor": ("Swapped-Identity Favor Analysis", _md_swap_favor),
+    "counterfactual": ("Counterfactual Assessment", _md_counterfactual),
+    "fairness_metrics": ("Classification Fairness Metrics", _md_fairness),
+    "explanations": ("Explanations", _md_explanations),
+    "emissions": ("Training Emissions Estimate", _md_emissions),
 }
 
 
@@ -1005,13 +966,14 @@ def render_report(report: AuditReport, format: str = "json") -> str:
         if name not in report.sections:
             continue
         section = report.sections[name]
-        lines.append(f"## {_SECTION_TITLES[name]}")
+        title, render = _MARKDOWN[name]
+        lines.append(f"## {title}")
         lines.append("")
         if section["status"] == "skipped":
             lines.append(f"_Skipped: {section['reason']}_")
         elif section["status"] == "failed":
             lines.append(f"_Failed: {section['error']}_")
         else:
-            lines += _SECTION_RENDERERS[name](section["data"])
+            lines += render(section["data"])
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"

@@ -305,6 +305,26 @@ def test_badly_typed_config_exit_one(tmp_path, capsys, overrides):
     assert err.startswith("config error: config.") and "must be" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["emissions", "--power-draw-kw", "1", "--hours", "nan"],
+            "config.emissions.hours must be a finite number, got nan",
+        ),
+        (
+            ["explain-local", "--config", str(FIXTURES_DIR / "audit_config.json"),
+             "--kernel-width", "0"],
+            "explanation.kernel_width must be > 0, got 0.0",
+        ),
+    ],
+)
+def test_out_of_range_number_exit_one(tmp_path, capsys, argv, message):
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_non_utf8_config_exit_one(tmp_path, capsys):
     path = tmp_path / "audit.json"
     path.write_bytes(b'{"threshold": "\xff"}')

@@ -5,7 +5,6 @@ import pytest
 
 from textaudit.embedbias import (
     EmbeddingTable,
-    cosine_similarity,
     embedding_bias,
     embedding_bias_csv,
     load_embeddings,
@@ -59,21 +58,18 @@ def test_load_embeddings_bad_number(tmp_path):
         load_embeddings(path)
 
 
-def test_cosine_identity():
-    assert cosine_similarity((1, 2, 3), (1, 2, 3)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_cosine_orthogonal():
-    assert cosine_similarity((1, 0), (0, 1)) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_cosine_closed_form():
-    assert cosine_similarity((1, 1), (1, 0)) == pytest.approx(1 / math.sqrt(2), abs=1e-9)
+    table = table_of(n=[1, 1], t=[1, 0])
+    profile = subgroup_similarity_profile(NeutralWordList(words=("n",)), ["t"], table, "s")
+    assert profile.x == pytest.approx((1 / math.sqrt(2),), abs=1e-9)
 
 
 def test_cosine_zero_norm_rejected():
-    with pytest.raises(EmbeddingError, match="zero-norm"):
-        cosine_similarity((0, 0), (1, 0))
+    neutrals = NeutralWordList(words=("n",))
+    with pytest.raises(EmbeddingError, match=r"zero-norm embedding for term\(s\): \['z'\]"):
+        subgroup_similarity_profile(neutrals, ["z", "t"], table_of(n=[1, 0], t=[1, 0], z=[0, 0]))
+    with pytest.raises(EmbeddingError, match=r"zero-norm embedding for neutral word\(s\): \['n'\]"):
+        subgroup_similarity_profile(neutrals, ["t"], table_of(n=[0, 0], t=[1, 0]))
 
 
 def test_profile_identical_vector():

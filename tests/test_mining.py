@@ -33,14 +33,20 @@ from textaudit.mining import (
     SubgroupRef,
     annotate_corpus,
     annotations_to_jsonl,
-    mine_gazetteer,
-    mine_lookup,
     term_occurrences,
 )
 from textaudit.report import AuditConfig, run_audit
 
 LEX = default_lexicon()
 GAZ = default_gazetteer()
+NO_LEX = AttributeLexicon(attributes={})
+NO_GAZ = Gazetteer(entries={})
+
+
+def mine(text, lexicon, gaz):
+    """The references ``annotate_corpus`` finds in a one-comment corpus."""
+    corpus = LabeledCorpus([Comment(id="1", text=text, label=0)])
+    return list(annotate_corpus(corpus, lexicon, gaz).refs("1"))
 
 ROW1 = (
     "A visit to the DC Holocaust Museum revealed Hitler won by 43% of the popular vote "
@@ -57,8 +63,7 @@ ROW3 = (
 
 
 def test_lookup_male_pronouns():
-    comment = Comment(id="1", text="He also used his power", label=0)
-    refs = mine_lookup(comment, LEX)
+    refs = mine("He also used his power", LEX, NO_GAZ)
     assert len(refs) == 1
     ref = refs[0]
     assert (ref.attribute, ref.subgroup, ref.method) == ("gender", "male", "lookup")
@@ -66,40 +71,34 @@ def test_lookup_male_pronouns():
 
 
 def test_lookup_female():
-    comment = Comment(id="1", text="she is super active", label=0)
-    refs = mine_lookup(comment, LEX)
+    refs = mine("she is super active", LEX, NO_GAZ)
     assert [(r.attribute, r.subgroup) for r in refs] == [("gender", "female")]
     assert [term for term, _ in refs[0].matched_terms] == ["she"]
 
 
 def test_lookup_no_match():
-    comment = Comment(id="1", text="the sky is blue", label=0)
-    assert mine_lookup(comment, LEX) == []
+    assert mine("the sky is blue", LEX, NO_GAZ) == []
 
 
 def test_lookup_whole_token_only():
-    comment = Comment(id="1", text="gayety and hugs", label=0)
-    refs = mine_lookup(comment, LEX)
+    refs = mine("gayety and hugs", LEX, NO_GAZ)
     # 'gayety' must not match 'gay'; 'hu' (ethnicity) must not match 'hugs'
     assert refs == []
 
 
 def test_gazetteer_muslims():
-    comment = Comment(id="1", text="Hitler also got the Muslims on his side", label=0)
-    refs = mine_gazetteer(comment, GAZ)
+    refs = mine("Hitler also got the Muslims on his side", NO_LEX, GAZ)
     assert [(r.attribute, r.subgroup, r.method) for r in refs] == [("religion", "islam", "gazetteer")]
     assert [term for term, _ in refs[0].matched_terms] == ["muslims"]
 
 
 def test_gazetteer_catholic():
-    comment = Comment(id="1", text="Seton Catholic where their own students", label=0)
-    refs = mine_gazetteer(comment, GAZ)
+    refs = mine("Seton Catholic where their own students", NO_LEX, GAZ)
     assert [(r.attribute, r.subgroup) for r in refs] == [("religion", "christianity")]
 
 
 def test_gazetteer_no_entries():
-    comment = Comment(id="1", text="hello world", label=0)
-    assert mine_gazetteer(comment, GAZ) == []
+    assert mine("hello world", NO_LEX, GAZ) == []
 
 
 def test_annotate_table_trio():
@@ -151,15 +150,12 @@ def test_gazetteer_only_subgroup_survives():
 
 
 def test_lookup_subset_of_annotate():
-    comment = Comment(id="row1", text=ROW1, label=1)
-    corpus = LabeledCorpus([comment])
-    annotated = annotate_corpus(corpus, LEX, GAZ)
     flat = {
         (r.attribute, r.subgroup, span.start, span.end)
-        for r in annotated.refs("row1")
+        for r in mine(ROW1, LEX, GAZ)
         for _, span in r.matched_terms
     }
-    for ref in mine_lookup(comment, LEX):
+    for ref in mine(ROW1, LEX, NO_GAZ):
         for _, span in ref.matched_terms:
             assert (ref.attribute, ref.subgroup, span.start, span.end) in flat
 
@@ -186,8 +182,7 @@ def test_multi_token_term_matching():
     lex = _lexicon_from_obj(
         {"origin": {"domestic": ["home town"], "foreign": ["far away"]}}
     )
-    comment = Comment(id="1", text="back in my home town tonight", label=0)
-    refs = mine_lookup(comment, lex)
+    refs = mine("back in my home town tonight", lex, NO_GAZ)
     assert [(r.attribute, r.subgroup) for r in refs] == [("origin", "domestic")]
     term, span = refs[0].matched_terms[0]
     assert term == "home town"
@@ -333,9 +328,11 @@ def test_indexed_mining_matches_brute_force(inputs):
     expected = reference_annotate_corpus(corpus, lexicon, gaz)
     assert annotated.annotations == expected.annotations
     assert annotations_to_jsonl(annotated) == annotations_to_jsonl(expected)
+    lookup_only = annotate_corpus(corpus, lexicon, NO_GAZ)
+    gazetteer_only = annotate_corpus(corpus, NO_LEX, gaz)
     for comment in corpus:
-        assert mine_lookup(comment, lexicon) == reference_lookup(comment, lexicon)
-        assert mine_gazetteer(comment, gaz) == reference_gazetteer(comment, gaz)
+        assert list(lookup_only.refs(comment.id)) == reference_lookup(comment, lexicon)
+        assert list(gazetteer_only.refs(comment.id)) == reference_gazetteer(comment, gaz)
     assert identity_term_frequencies(corpus, identity) == reference_identity_term_frequencies(
         corpus, identity
     )

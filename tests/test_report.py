@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES_DIR, CallableAdapter
 from stub_model import keyword_probability
 
+from textaudit import lexicon
 from textaudit.classbias import (
     counterfactual_bias,
     counterfactual_probability_stats,
@@ -213,6 +214,17 @@ def test_config_round_trip(data):
             "config.adapter: unknown adapter kind 'telepathy' "
             "(expected one of ('predictions_file', 'subprocess', 'http'))",
         ),
+        ({"explanation": {"kernel_width": 0}}, "explanation.kernel_width must be > 0, got 0"),
+        ({"explanation": {"kernel_width": -0.5}}, "explanation.kernel_width must be > 0, got -0.5"),
+        ({"explanation": {"l2_lambda": -1e-3}}, "explanation.l2_lambda must be >= 0, got -0.001"),
+        (
+            {"explanation": {"max_local_comments": -1}},
+            "explanation.max_local_comments must be >= 0, got -1",
+        ),
+        (
+            {"explanation": {"max_tokens_per_comment": -2}},
+            "explanation.max_tokens_per_comment must be >= 0, got -2",
+        ),
     ],
 )
 def test_config_error_messages_pinned(data, message):
@@ -255,6 +267,16 @@ BAD_TYPED_CONFIGS = [
         "config.counterfactual_fills.gender.male must be a list, got 'man'",
     ),
     ({"adapter": {"kind": "subprocess", "location": None}}, "config.adapter: location must be a string, got None"),
+    # JSON NaN and Infinity, which json.loads accepts
+    (json.loads('{"threshold": NaN}'), "config.threshold must be a finite number, got nan"),
+    (
+        json.loads('{"emissions": {"hours": Infinity}}'),
+        "config.emissions.hours must be a finite number, got inf",
+    ),
+    (
+        json.loads('{"explanation": {"kernel_width": -Infinity}}'),
+        "config.explanation.kernel_width must be a finite number, got -inf",
+    ),
 ]
 
 
@@ -263,6 +285,13 @@ def test_config_value_types_checked(data, message):
     with pytest.raises(ConfigError) as caught:
         AuditConfig.from_dict(data)
     assert str(caught.value) == message
+
+
+def test_config_explanation_zero_values_accepted():
+    spec = AuditConfig.from_dict(
+        {"explanation": {"l2_lambda": 0, "max_tokens_per_comment": 0, "max_local_comments": 0}}
+    ).explanation
+    assert (spec.l2_lambda, spec.max_tokens_per_comment, spec.max_local_comments) == (0, 0, 0)
 
 
 def test_config_integers_kept_for_float_fields():
@@ -324,20 +353,20 @@ def test_missing_embeddings_skipped(module_chdir):
     assert section["reason"] == "no embedding file"
 
 
-def test_predictions_file_adapter_skips_live_sections(module_chdir, tmp_path):
-    from textaudit.corpus import load_dataset
-    from stub_model import keyword_probability
-
+def predictions_file_config(tmp_path, **overrides):
     corpus = load_dataset(FIXTURES_DIR / "comments.csv", "csv")
     preds_path = tmp_path / "preds.csv"
     lines = ["id,p_hateful"] + [
         f"{c.id},{keyword_probability(c.text):.6f}" for c in corpus
     ]
     preds_path.write_text("\n".join(lines) + "\n")
-    config = fixture_config(
-        adapter={"kind": "predictions_file", "location": str(preds_path)}
+    return fixture_config(
+        adapter={"kind": "predictions_file", "location": str(preds_path)}, **overrides
     )
-    report = run_audit(config)
+
+
+def test_predictions_file_adapter_skips_live_sections(module_chdir, tmp_path):
+    report = run_audit(predictions_file_config(tmp_path))
     assert report.sections["performance"]["status"] == "computed"
     assert report.sections["fairness_metrics"]["status"] == "computed"
     for live_only in ("swap_favor", "counterfactual", "explanations"):
@@ -350,6 +379,18 @@ def test_predictions_file_adapter_skips_live_sections(module_chdir, tmp_path):
         report.sections["performance"]["data"]["accuracy"]
         == live.sections["performance"]["data"]["accuracy"]
     )
+
+
+def test_predictions_file_is_read_not_opened(module_chdir, tmp_path):
+    out = tmp_path / "out"
+    opened = mock.Mock(side_effect=AssertionError("a predictions file was opened as an adapter"))
+    with mock.patch("textaudit.report.open_adapter", opened):
+        report = run_audit(predictions_file_config(tmp_path, output_dir=str(out)))
+    opened.assert_not_called()
+    assert report.sections["performance"]["status"] == "computed"
+    assert report.inputs[-1]["name"] == "predictions"
+    assert not (out / "global_importance.csv").exists()
+    assert (out / "report.json").exists()
 
 
 def test_no_adapter_skips_prediction_sections(module_chdir):
@@ -542,6 +583,28 @@ def test_one_upfront_call_scores_every_distinct_text_once(
     assert audited.calls == math.ceil(len(audited.sent) / batch_size)
 
 
+def test_word_resources_loaded_through_lexicon_module(module_chdir, monkeypatch):
+    calls = []
+    for name in lexicon.BUILTIN_FILES:
+        for loader in (f"load_{name}", f"default_{name}"):
+            original = getattr(lexicon, loader)
+            monkeypatch.setattr(
+                lexicon, loader, lambda *args, _f=original, _n=loader: calls.append(_n) or _f(*args)
+            )
+    config = fixture_config(sections=["data_bias", "embedding_bias", "counterfactual"])
+    adapter = CallableAdapter(keyword_probability)
+    with mock.patch("textaudit.report.open_adapter", lambda adapter_config: adapter):
+        report = run_audit(config)
+    assert all(section["status"] == "computed" for section in report.sections.values())
+    assert sorted(calls) == [
+        "default_gazetteer",
+        "default_identity_terms",
+        "default_lexicon",
+        "default_neutral_words",
+        "load_templates",
+    ]
+
+
 def test_input_hashes_match_files(full_report):
     by_name = {entry["name"]: entry for entry in full_report.inputs}
     dataset = by_name["dataset"]
@@ -555,17 +618,15 @@ def test_outputs_written_atomically(module_chdir, tmp_path):
     out = tmp_path / "out"
     config = fixture_config(output_dir=str(out))
     run_audit(config)
-    for name in (
-        "report.json",
-        "report.md",
+    assert sorted(path.name for path in out.iterdir()) == [
         "annotations.jsonl",
         "data_bias_identity_terms.csv",
         "data_bias_subgroup_references.csv",
         "embedding_bias.csv",
         "global_importance.csv",
-    ):
-        assert (out / name).exists(), name
-    assert not list(out.glob("*.tmp"))
+        "report.json",
+        "report.md",
+    ]
     parsed = json.loads((out / "report.json").read_text())
     assert parsed["tool"] == "textaudit"
 
