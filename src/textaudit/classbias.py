@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .corpus import LabeledCorpus, tokenize
+from .corpus import LabeledCorpus, splice, tokenize
 from .errors import AuditError, CoverageError, LexiconError
 from .lexicon import IDENTITY_SLOT, AttributeLexicon, SwapTable, TemplateSet
 from .mining import AnnotatedCorpus
@@ -209,19 +209,12 @@ def swap_text(text: str, table: SwapTable) -> str:
     capitals and all-caps tokens keep their casing pattern; everything else
     is emitted lowercase.
     """
-    data = text.encode("utf-8")
-    pieces: list[bytes] = []
-    cursor = 0
+    replacements = []
     for span in tokenize(text, table.abbreviations()):
         partner = table.partner(span.token)
-        if partner is None or partner == span.token:
-            continue
-        original = data[span.start : span.end].decode("utf-8")
-        pieces.append(data[cursor : span.start])
-        pieces.append(_mirror_casing(original, partner).encode("utf-8"))
-        cursor = span.end
-    pieces.append(data[cursor:])
-    return b"".join(pieces).decode("utf-8")
+        if partner is not None and partner != span.token:
+            replacements.append((span, _mirror_casing(text[span.start : span.end], partner)))
+    return splice(text, replacements)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,10 @@ Tokenization is deliberately simple and deterministic. One compiled
 pattern finds every token: a letter or digit, then further letters and
 digits with apostrophes and periods between them; trailing periods stay only
 on known abbreviations such as "mr.". Tokens are NFKC-normalized, then
-lowercased, and carry byte spans back into the original UTF-8 text. The
-byte offsets are computed only at span boundaries, counting forward from the
-previous span. Hashtags, @-mentions and URLs get no special treatment: their
-letters and digits become ordinary tokens. There is no stemming, sentence
-splitting or emoji normalization.
+lowercased, and carry their span as character offsets into the original
+text, so ``splice`` can rewrite the text around them. Hashtags, @-mentions
+and URLs get no special treatment: their letters and digits become ordinary
+tokens. There is no stemming, sentence splitting or emoji normalization.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ _TOKEN = re.compile(r"([^\W_](?:['.]*[^\W_])*)(['.]*)")
 
 
 class TokenSpan(NamedTuple):
-    """A lowercased token plus its byte span in the original UTF-8 text."""
+    """A token and its character span: the token is NFKC, then lowercase, of ``text[start:end]``."""
 
     token: str
     start: int
@@ -55,8 +54,8 @@ class Comment:
             raise DatasetError(f"comment {self.id!r}: label must be 0 or 1, got {self.label!r}")
         if not self.text.strip():
             raise DatasetError(f"comment {self.id!r}: text is empty after whitespace trim")
-        # JSON escapes can carry lone surrogates, which have no UTF-8 bytes
-        # and so no byte spans.
+        # JSON escapes can carry lone surrogates, which have no UTF-8 bytes:
+        # such text can neither be written to the outputs nor sent to a model.
         try:
             self.text.encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -209,7 +208,7 @@ def _check_duplicate(comment_id: str, seen: dict[str, int], line: int) -> None:
 
 
 def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[TokenSpan]:
-    """Segment text into lowercased word tokens with byte spans.
+    """Segment text into lowercased word tokens with character spans.
 
     A token is one match of ``_TOKEN``: a letter or digit, then any further
     letters and digits with apostrophes and periods between them. Leading
@@ -219,25 +218,17 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Tok
     then lowercased, so letters that only NFKC maps to ASCII ("𝐆") lose
     their case too.
 
-    Spans are byte offsets into the UTF-8 encoding of ``text``; lowercasing
-    ``text[start:end]`` reproduces the token for plain ASCII input. Offsets
-    are computed only at span boundaries, by encoding the text between one
-    span and the next and the token itself; all text, ASCII or not, takes
-    this one path.
+    Spans are offsets into ``text`` itself: the token is ``text[start:end]``,
+    NFKC-normalized, then lowercased.
     """
     if abbreviations is None:
         abbreviations = DEFAULT_ABBREVIATIONS
     spans: list[TokenSpan] = []
-    char_pos = byte_pos = 0
     for match in _TOKEN.finditer(text):
         start, end = match.span(1)
         if "." in match[2]:
             end = _kept_end(text, start, end, match.end(), abbreviations)
-        piece = text[start:end]
-        first = byte_pos + len(text[char_pos:start].encode("utf-8"))
-        byte_pos = first + len(piece.encode("utf-8"))
-        char_pos = end
-        spans.append(TokenSpan(unicodedata.normalize("NFKC", piece).lower(), first, byte_pos))
+        spans.append(TokenSpan(unicodedata.normalize("NFKC", text[start:end]).lower(), start, end))
     return spans
 
 
@@ -253,26 +244,32 @@ def narrow_abbreviations(
     and its end moves back. Returns ``spans`` itself when nothing changes.
     """
     narrowed = None
-    encoded = None
     for k, span in enumerate(spans):
         if not span.token.endswith("."):
             continue
-        if encoded is None:
-            encoded = text.encode("utf-8")
-        run = encoded[span.start : span.end].decode("utf-8")
-        # A span starts at a letter or digit, so the pattern matches from 0.
-        end = _kept_end(run, 0, _TOKEN.match(run).end(1), len(run), abbreviations)
-        if end == len(run):
+        # A span starts where its token's match did, so the pattern matches there.
+        first_end = _TOKEN.match(text, span.start).end(1)
+        end = _kept_end(text, span.start, first_end, span.end, abbreviations)
+        if end == span.end:
             continue
-        kept = run[:end]
         if narrowed is None:
             narrowed = list(spans)
         narrowed[k] = TokenSpan(
-            unicodedata.normalize("NFKC", kept).lower(),
-            span.start,
-            span.start + len(kept.encode("utf-8")),
+            unicodedata.normalize("NFKC", text[span.start : end]).lower(), span.start, end
         )
     return spans if narrowed is None else narrowed
+
+
+def splice(text: str, replacements: Iterable[tuple[TokenSpan, str]]) -> str:
+    """``text`` with each span, given in text order, replaced by its string."""
+    pieces: list[str] = []
+    cursor = 0
+    for span, replacement in replacements:
+        pieces.append(text[cursor : span.start])
+        pieces.append(replacement)
+        cursor = span.end
+    pieces.append(text[cursor:])
+    return "".join(pieces)
 
 
 def _kept_end(text: str, start: int, end: int, run_end: int, abbreviations: frozenset[str]) -> int:

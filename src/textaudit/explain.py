@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import Comment, LabeledCorpus, TokenSpan, tokenize
+from .corpus import Comment, LabeledCorpus, TokenSpan, splice, tokenize
 from .errors import ExplainError
 from .modeliface import Adapter, PredictionCache, ScoringPlan, predict_batch
 from .record import Record
@@ -54,14 +54,8 @@ def _unique_tokens(text: str) -> tuple[list[str], dict[str, list[TokenSpan]]]:
 
 
 def _delete_spans(text: str, spans: list[TokenSpan]) -> str:
-    data = text.encode("utf-8")
-    pieces: list[bytes] = []
-    cursor = 0
-    for span in sorted(spans, key=lambda s: s.start):
-        pieces.append(data[cursor : span.start])
-        cursor = span.end
-    pieces.append(data[cursor:])
-    return " ".join(b"".join(pieces).decode("utf-8").split())
+    doomed = sorted(spans, key=lambda s: s.start)
+    return " ".join(splice(text, [(span, "") for span in doomed]).split())
 
 
 def _realize_mask(

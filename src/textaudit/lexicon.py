@@ -48,6 +48,13 @@ def _read_path(path: str | Path) -> str:
         raise LexiconError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
+def _read_json(path: str | Path):
+    try:
+        return json.loads(_read_path(path))
+    except json.JSONDecodeError as exc:
+        raise LexiconError(f"{path}: invalid JSON: {exc.msg}") from exc
+
+
 def _clean_term(raw: str) -> str:
     """A term as the file loaders store it: lowercase, words joined by one space.
 
@@ -125,11 +132,7 @@ def _lexicon_from_obj(obj) -> AttributeLexicon:
 
 
 def load_lexicon(path: str | Path) -> AttributeLexicon:
-    try:
-        obj = json.loads(_read_path(path))
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"{path}: invalid JSON: {exc.msg}") from exc
-    return _lexicon_from_obj(obj)
+    return _lexicon_from_obj(_read_json(path))
 
 
 def default_lexicon() -> AttributeLexicon:
@@ -218,33 +221,34 @@ class IdentityTermList:
                 raise LexiconError(f"invalid identity term {term!r}")
 
 
-def _parse_word_list(text: str) -> list[str]:
-    words: list[str] = []
-    for line in text.splitlines():
-        word = _clean_term(line.split("#", 1)[0])
-        if word:
-            words.append(word)
-    return words
+def _word_list(text: str) -> tuple[str, ...]:
+    words = (_clean_term(line.split("#", 1)[0]) for line in text.splitlines())
+    return tuple(word for word in words if word)
+
+
+def _neutral_words(text: str) -> NeutralWordList:
+    # Duplicates stay: the embedding profile averages over every listed word.
+    return NeutralWordList(words=_word_list(text))
+
+
+def _identity_terms(text: str) -> IdentityTermList:
+    return IdentityTermList(terms=tuple(dict.fromkeys(_word_list(text))))
 
 
 def load_neutral_words(path: str | Path) -> NeutralWordList:
-    return NeutralWordList(words=tuple(_parse_word_list(_read_path(path))))
+    return _neutral_words(_read_path(path))
 
 
 def default_neutral_words() -> NeutralWordList:
-    return NeutralWordList(words=tuple(_parse_word_list(_read_resource("neutral_words"))))
+    return _neutral_words(_read_resource("neutral_words"))
 
 
 def load_identity_terms(path: str | Path) -> IdentityTermList:
-    seen: list[str] = []
-    for word in _parse_word_list(_read_path(path)):
-        if word not in seen:
-            seen.append(word)
-    return IdentityTermList(terms=tuple(seen))
+    return _identity_terms(_read_path(path))
 
 
 def default_identity_terms() -> IdentityTermList:
-    return IdentityTermList(terms=tuple(_parse_word_list(_read_resource("identity_terms"))))
+    return _identity_terms(_read_resource("identity_terms"))
 
 
 @dataclass(frozen=True)
@@ -276,11 +280,7 @@ def _gazetteer_from_obj(obj) -> Gazetteer:
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
-    try:
-        obj = json.loads(_read_path(path))
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"{path}: invalid JSON: {exc.msg}") from exc
-    return _gazetteer_from_obj(obj)
+    return _gazetteer_from_obj(_read_json(path))
 
 
 def default_gazetteer() -> Gazetteer:
@@ -317,11 +317,7 @@ def _templates_from_obj(obj) -> TemplateSet:
 
 
 def load_templates(path: str | Path) -> TemplateSet:
-    try:
-        obj = json.loads(_read_path(path))
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"{path}: invalid JSON: {exc.msg}") from exc
-    return _templates_from_obj(obj)
+    return _templates_from_obj(_read_json(path))
 
 
 def default_templates() -> TemplateSet:

@@ -376,6 +376,8 @@ def load_predictions(path: str | Path, corpus: LabeledCorpus) -> list[Prediction
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DatasetError(f"cannot read predictions {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"predictions {path} is not valid UTF-8: {exc}") from exc
     reader = csv.DictReader(text.splitlines(keepends=True))
     if reader.fieldnames is None:
         raise DatasetError(f"predictions file {path} is empty")

@@ -662,7 +662,10 @@ class _AuditRun:
     # -- assembly ---------------------------------------------------------------
 
     def input_manifest(self) -> list[dict]:
-        """Path and content hash of every input file; a word resource not given is built in."""
+        """Path and content hash of every input file; a word resource with no path is built in.
+
+        An empty path counts as none, as in :meth:`resource` and the embedding section.
+        """
         config = self.config
         paths = {
             name: getattr(config, f"{name}_path")
@@ -672,7 +675,7 @@ class _AuditRun:
             paths["predictions"] = config.adapter.location
         entries = []
         for name, path in paths.items():
-            if path is not None:
+            if path:
                 entries.append({"name": name, "path": path, "sha256": _sha256_file(Path(path))})
             elif name in lexicon.BUILTIN_FILES:
                 entries.append({

@@ -210,6 +210,12 @@ def test_swap_casing_rules():
     assert swap_text("Mr. Smith met MA'AM", table) == "Mrs. Smith met SIR"
 
 
+def test_swap_after_non_ascii_text():
+    # "é" and "𝐀" stand before the swapped terms; spans are character offsets.
+    table = gender_swap_table()
+    assert swap_text("Café 𝐀 says He is a guy", table) == "Café 𝐀 says She is a gal"
+
+
 def test_swap_identity_table_is_noop():
     import warnings
 

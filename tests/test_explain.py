@@ -154,6 +154,20 @@ def test_occlusion_finds_keyword():
         assert row.mean_abs_effect == pytest.approx(0.0, abs=1e-9), token
 
 
+def test_occlusion_deletes_tokens_after_non_ascii_text():
+    adapter = constant_adapter()
+    corpus = LabeledCorpus([Comment(id="c", text="Café 𝐀 the filthy  liar", label=1)])
+    global_importance(corpus, adapter, method="occlusion")
+    assert adapter.sent == [
+        "Café 𝐀 the filthy  liar",
+        "𝐀 the filthy liar",
+        "Café the filthy liar",
+        "Café 𝐀 filthy liar",
+        "Café 𝐀 the liar",
+        "Café 𝐀 the filthy",
+    ]
+
+
 def test_occlusion_constant_model_all_zero():
     importance = global_importance(ten_comment_corpus(), constant_adapter(), method="occlusion")
     for row in importance.rows:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from textaudit import lexicon
 from textaudit.errors import LexiconError
 from textaudit.lexicon import (
     SwapTable,
@@ -135,6 +136,14 @@ def test_word_list_comments_and_dedup(tmp_path):
     path.write_text("# heading\nalpha\nbeta # trailing note\n\nalpha\n")
     assert load_identity_terms(path).terms == ("alpha", "beta")
     assert load_neutral_words(path).words == ("alpha", "beta", "alpha")
+
+
+def test_built_in_word_lists_parsed_as_files(tmp_path, monkeypatch):
+    path = tmp_path / "words.txt"
+    path.write_text("# heading\nalpha\nbeta # trailing note\n\nalpha\n")
+    monkeypatch.setattr(lexicon, "builtin_file", lambda name: path)
+    assert default_identity_terms() == load_identity_terms(path)
+    assert default_neutral_words() == load_neutral_words(path)
 
 
 def test_default_neutral_words():

@@ -172,10 +172,10 @@ def test_annotation_determinism():
 def test_matched_spans_equal_terms():
     corpus = LabeledCorpus([Comment(id="1", text="The Muslims and the catholic women", label=0)])
     annotated = annotate_corpus(corpus, LEX, GAZ)
-    data = "The Muslims and the catholic women".encode("utf-8")
+    text = "The Muslims and the catholic women"
     for ref in annotated.refs("1"):
         for term, span in ref.matched_terms:
-            assert data[span.start : span.end].decode().lower() == term
+            assert text[span.start : span.end].lower() == term
 
 
 def test_multi_token_term_matching():
@@ -186,7 +186,7 @@ def test_multi_token_term_matching():
     assert [(r.attribute, r.subgroup) for r in refs] == [("origin", "domestic")]
     term, span = refs[0].matched_terms[0]
     assert term == "home town"
-    assert "back in my home town tonight".encode()[span.start : span.end].decode() == "home town"
+    assert "back in my home town tonight"[span.start : span.end] == "home town"
 
 
 def test_annotations_jsonl_export(fixture_annotated):
@@ -371,12 +371,11 @@ def test_gazetteer_keeps_its_own_tokens_next_to_lexicon_abbreviation():
     assert refs == reference_annotate_corpus(corpus, lexicon, gaz).refs("1")
     by_method = {r.method: r for r in refs}
     assert [(r.subgroup, r.method) for r in refs] == [("x", METHOD_LOOKUP), ("y", METHOD_GAZETTEER)]
-    data = text.encode("utf-8")
-    assert [data[s.start : s.end] for _, s in by_method[METHOD_LOOKUP].matched_terms] == [b"Mr.", b"MR."]
-    assert [data[s.start : s.end] for _, s in by_method[METHOD_GAZETTEER].matched_terms] == [
-        b"Mr",
-        b"mr",
-        b"MR",
+    assert [text[s.start : s.end] for _, s in by_method[METHOD_LOOKUP].matched_terms] == ["Mr.", "MR."]
+    assert [text[s.start : s.end] for _, s in by_method[METHOD_GAZETTEER].matched_terms] == [
+        "Mr",
+        "mr",
+        "MR",
     ]
 
 

@@ -425,6 +425,13 @@ def test_load_predictions_out_of_range(tmp_path):
         load_predictions(path, _corpus())
 
 
+def test_load_predictions_not_utf8(tmp_path):
+    path = tmp_path / "preds.csv"
+    path.write_bytes(b"id,p_hateful\na,0.25\nb,0.5\xff\n")
+    with pytest.raises(DatasetError, match=r"^predictions .*preds\.csv is not valid UTF-8: .*0xff"):
+        load_predictions(path, _corpus())
+
+
 def test_determinism_with_deterministic_adapter(keyword_adapter):
     texts = ["alpha", "beta", "gamma"]
     assert predict_batch(texts, keyword_adapter) == predict_batch(texts, keyword_adapter)

@@ -614,6 +614,17 @@ def test_input_hashes_match_files(full_report):
     assert by_name["lexicon"]["sha256"]
 
 
+def test_input_manifest_empty_path_is_built_in(module_chdir):
+    report = run_audit(fixture_config(gazetteer="", embeddings="", sections=["data_bias"]))
+    by_name = {entry["name"]: entry for entry in report.inputs}
+    assert by_name["gazetteer"] == {
+        "name": "gazetteer",
+        "path": "builtin:default_gazetteer.json",
+        "sha256": hashlib.sha256(lexicon.builtin_file("gazetteer").read_bytes()).hexdigest(),
+    }
+    assert "embeddings" not in by_name
+
+
 def test_outputs_written_atomically(module_chdir, tmp_path):
     out = tmp_path / "out"
     config = fixture_config(output_dir=str(out))
