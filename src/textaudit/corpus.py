@@ -169,11 +169,11 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
         reader = csv.DictReader(raw.splitlines(keepends=True))
         if reader.fieldnames is None:
             raise DatasetError("CSV file is empty (header row required)")
-        fields = [f.strip() for f in reader.fieldnames]
+        reader.fieldnames = [f.strip() for f in reader.fieldnames]
         for required in ("text", "label"):
-            if required not in fields:
+            if required not in reader.fieldnames:
                 raise DatasetError(f"CSV header is missing the {required!r} column")
-        has_ids = "id" in fields
+        has_ids = "id" in reader.fieldnames
         for ordinal, row in enumerate(reader, start=1):
             line = reader.line_num
             if None in row:

@@ -312,7 +312,9 @@ def _templates_from_obj(obj) -> TemplateSet:
     for item in obj:
         if not isinstance(item, dict) or "pattern" not in item or "label" not in item:
             raise LexiconError(f"template entry must have pattern and label: {item!r}")
-        templates.append((str(item["pattern"]), int(item["label"])))
+        if type(item["label"]) is not int:  # not a bool, a float or a string
+            raise LexiconError(f"template label must be the JSON integer 0 or 1: {item!r}")
+        templates.append((str(item["pattern"]), item["label"]))
     return TemplateSet(templates=tuple(templates))
 
 

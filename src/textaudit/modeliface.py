@@ -22,7 +22,6 @@ import math
 import shlex
 import ssl
 import subprocess
-import threading
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -91,13 +90,11 @@ class AdapterConfig:
 class PredictionCache:
     """Text -> probability cache keyed by NFC-normalized text.
 
-    Reads are lock-free; writes are serialized. Hit/miss counters cover
-    lookups made through :func:`predict_batch`.
+    Hit/miss counters cover lookups made through :func:`predict_batch`.
     """
 
     def __init__(self):
         self._store: dict[str, float] = {}
-        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -114,8 +111,7 @@ class PredictionCache:
         return value
 
     def store(self, text: str, probability: float) -> None:
-        with self._lock:
-            self._store[self.key(text)] = probability
+        self._store[self.key(text)] = probability
 
     def __len__(self) -> int:
         return len(self._store)
@@ -365,6 +361,20 @@ class ScoringPlan(Generic[T]):
         return self.finish(predict_batch(self.texts, adapter, cache))
 
 
+def gather(plans: Sequence[ScoringPlan], finish: Callable[[list], T]) -> ScoringPlan[T]:
+    """One plan over the texts of all ``plans``; ``finish`` gets their results, in order."""
+    plans = list(plans)
+
+    def finish_all(probs: list[float]) -> T:
+        results, start = [], 0
+        for plan in plans:
+            results.append(plan.finish(probs[start : start + len(plan.texts)]))
+            start += len(plan.texts)
+        return finish(results)
+
+    return ScoringPlan([text for plan in plans for text in plan.texts], finish_all)
+
+
 def load_predictions(path: str | Path, corpus: LabeledCorpus) -> list[PredictionRecord]:
     """Read a "id,p_hateful" CSV covering the whole corpus.
 
@@ -381,9 +391,9 @@ def load_predictions(path: str | Path, corpus: LabeledCorpus) -> list[Prediction
     reader = csv.DictReader(text.splitlines(keepends=True))
     if reader.fieldnames is None:
         raise DatasetError(f"predictions file {path} is empty")
-    fields = [f.strip() for f in reader.fieldnames]
+    reader.fieldnames = [f.strip() for f in reader.fieldnames]
     for required in ("id", "p_hateful"):
-        if required not in fields:
+        if required not in reader.fieldnames:
             raise DatasetError(f"predictions header is missing the {required!r} column")
     by_id: dict[str, float] = {}
     for row in reader:

@@ -2,14 +2,17 @@
 
 A single JSON config document drives the whole audit; every section runs in
 isolation and records a computed / skipped(reason) / failed(error) status,
-so one broken axis never hides the others. With a live adapter the run first
-plans every requested section that calls the model, then scores all their
-texts in one batched call, so batches fill across sections; each section
-then finishes from the cache. If that call fails, each section scores what
-is still missing on its own, exactly as without it. Reports render to canonical JSON
-(sorted keys, 6 significant digits) so identical config + seed + inputs
-yield byte-identical files, and to markdown for humans. The report carries
-a content hash for every input so the audit is self-contained evidence.
+so one broken axis never hides the others. Each section returns either its
+data or one :class:`~textaudit.modeliface.ScoringPlan` whose finish returns
+that data; a section that needs the model returns a plan, and planning
+calls no model. The run scores the texts of every returned plan in one
+batched call, so batches fill across sections, and then finishes each plan
+from the cache. If that call fails, each plan scores what is still missing
+on its own, exactly as without it; a section whose planning raised sends
+none of its texts. Reports render to canonical JSON (sorted keys, 6
+significant digits) so identical config + seed + inputs yield byte-identical
+files, and to markdown for humans. The report carries a content hash for
+every input so the audit is self-contained evidence.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .classbias import (
 from .corpus import load_dataset
 from .databias import (
     frequency_table_csv,
-    frequency_table_json,
     identity_term_frequencies,
     subgroup_reference_frequencies,
 )
@@ -52,6 +54,7 @@ from .modeliface import (
     PredictionCache,
     PredictionRecord,
     ScoringPlan,
+    gather,
     load_predictions,
     open_adapter,
     predict_batch,
@@ -69,16 +72,6 @@ SECTIONS = (
     "explanations",
     "emissions",
 )
-
-# The live computation each model-scored section finishes from.
-_LIVE_COMPUTATION = {
-    "performance": "records",
-    "subgroup_stats": "records",
-    "swap_favor": "swap_favor",
-    "counterfactual": "counterfactual",
-    "fairness_metrics": "records",
-    "explanations": "explanations",
-}
 
 DEFAULT_COUNTERFACTUAL_FILLS = {
     "religion": {"islam": ["Muslim"], "christianity": ["Christian"]},
@@ -409,16 +402,22 @@ class _Skip(Exception):
     """Raised inside a section to record a skipped(reason) status."""
 
 
+def _attempt(step, *args):
+    """``step(*args)``, or the exception it raised (section isolation: never abort the run)."""
+    try:
+        return step(*args)
+    except Exception as exc:
+        return exc
+
+
 class _AuditRun:
     def __init__(self, config: AuditConfig):
         self.config = config
         self.cache = PredictionCache()
-        self._memo: dict[str, object] = {}
-        self._plans: dict[str, list] = {}
         # side file name -> its renderer, registered by the code that computed its data
         self.files: dict[str, Callable[[], str]] = {}
         needs_corpus = any(s != "emissions" for s in config.sections)
-        if needs_corpus and config.dataset_path is None:
+        if needs_corpus and not config.dataset_path:
             raise ConfigError("config.dataset is required for the requested sections")
         try:
             self.corpus = (
@@ -452,157 +451,50 @@ class _AuditRun:
             return getattr(lexicon, f"load_{name}")(path)
         return getattr(lexicon, f"default_{name}")()
 
+    @functools.cached_property
     def annotated(self):
-        if "annotated" not in self._memo:
-            annotated = annotate_corpus(self.corpus, self.lexicon, self.gazetteer)
-            self._memo["annotated"] = annotated
-            self.files["annotations.jsonl"] = functools.partial(annotations_to_jsonl, annotated)
-        return self._memo["annotated"]
+        annotated = annotate_corpus(self.corpus, self.lexicon, self.gazetteer)
+        self.files["annotations.jsonl"] = functools.partial(annotations_to_jsonl, annotated)
+        return annotated
 
-    def records(self) -> list[PredictionRecord]:
-        if "records" not in self._memo:
-            if self.config.adapter is None:
-                raise _Skip("no adapter or predictions file configured")
-            if self.adapter is None:
-                self._memo["records"] = load_predictions(
-                    self.config.adapter.location, self.corpus
-                )
-            else:
-                [self._memo["records"]] = self.finish("records")
-        return self._memo["records"]
+    @functools.cached_property
+    def file_records(self) -> list[PredictionRecord]:
+        return load_predictions(self.config.adapter.location, self.corpus)
 
-    def live_adapter(self):
+    def from_records(self, compute: Callable[[list[PredictionRecord]], object]):
+        """``compute`` over one probability per comment: from the predictions file, or planned."""
+        if self.config.adapter is None:
+            raise _Skip("no adapter or predictions file configured")
+        if self.adapter is None:
+            return compute(self.file_records)
+        corpus = self.corpus
+        return ScoringPlan(
+            [c.text for c in corpus],
+            lambda probs: compute(
+                [PredictionRecord(comment_id=c.id, p_hateful=p) for c, p in zip(corpus, probs)]
+            ),
+        )
+
+    def require_live(self) -> None:
         if self.adapter is None:
             raise _Skip("live adapter required (subprocess or http)")
-        return self.adapter
 
-    # -- live computations: plan every text first, score, then finish -----------
+    # -- sections: each returns its data, or one plan whose finish returns it ---
 
-    def plans(self, name: str) -> list:
-        """The scoring plans of live computation ``name``, built once.
-
-        Planning calls no model. If planning raises, the exception ends the
-        list after the plans built before it, so :meth:`finish` raises it
-        where the computation used to.
-        """
-        if name not in self._plans:
-            planned: list = []
-            try:
-                for plan in getattr(self, f"_plan_{name}")():
-                    planned.append(plan)
-            except Exception as exc:
-                planned.append(exc)
-            self._plans[name] = planned
-        return self._plans[name]
-
-    def finish(self, name: str) -> list:
-        """Every plan's result, in order; texts not yet cached are scored first."""
-        results = []
-        for plan in self.plans(name):
-            if isinstance(plan, Exception):
-                raise plan
-            results.append(plan.run(self.adapter, self.cache))
-        return results
-
-    def score_live_texts(self) -> None:
-        """Plan every requested live computation, then score all their texts in one call.
-
-        One :func:`predict_batch` over every plan's texts, in ``SECTIONS``
-        order, fills every batch but the last, which per-section calls would
-        each leave partly empty. If it fails, the batches scored before the
-        failure stay cached and each section scores the rest itself, so it
-        fails or computes as it would have without this call.
-        """
-        if self.adapter is None:
-            return
-        names = dict.fromkeys(
-            _LIVE_COMPUTATION[s] for s in SECTIONS
-            if s in self.config.sections and s in _LIVE_COMPUTATION
+    def section_performance(self):
+        return self.from_records(
+            lambda records: performance_report(self.corpus, records, self.config.threshold)
         )
-        texts = [
-            text
-            for name in names
-            for plan in self.plans(name)
-            if isinstance(plan, ScoringPlan)
-            for text in plan.texts
-        ]
-        try:
-            predict_batch(texts, self.adapter, self.cache)
-        except Exception:  # reported by the sections, which ask again
-            pass
-
-    def _plan_records(self):
-        corpus = self.corpus
-        yield ScoringPlan(
-            [c.text for c in corpus],
-            lambda probs: [
-                PredictionRecord(comment_id=c.id, p_hateful=p) for c, p in zip(corpus, probs)
-            ],
-        )
-
-    def _plan_swap_favor(self):
-        spec = self.config.swap
-        table = aligned_swap_pairs(self.lexicon, spec.attribute, spec.sub_a, spec.sub_b)
-        yield plan_swap_favor(self.annotated(), table, **vars(spec))
-
-    def _plan_counterfactual(self):
-        fills = self.config.counterfactual_fills
-        if not fills:
-            raise _Skip("no counterfactual fills configured")
-        templates = self.resource("templates")
-        for attribute in sorted(fills):
-            corpus = expand_templates(templates, self.lexicon, attribute, fills[attribute])
-            yield ScoringPlan(
-                [row.text for row in corpus.rows],
-                functools.partial(
-                    _counterfactual_payload, attribute, corpus, sorted(fills[attribute])
-                ),
-            )
-
-    def _plan_explanations(self):
-        spec = self.config.explanation
-        if spec.mode in ("local", "both"):
-            ids = list(spec.local_comment_ids)
-            if not ids:
-                ids = [c.id for c in self.corpus][: spec.max_local_comments]
-            for comment_id in ids:
-                if comment_id not in self.corpus:
-                    raise AuditError(f"unknown comment id for local explanation: {comment_id!r}")
-                yield plan_local_explain(
-                    self.corpus.get(comment_id),
-                    n_samples=spec.n_samples,
-                    kernel_width=spec.kernel_width,
-                    l2_lambda=spec.l2_lambda,
-                    rng_seed=self.config.rng_seed,
-                )
-        if spec.mode in ("global", "both"):
-            yield plan_global_importance(
-                self.corpus,
-                method=spec.method,
-                m_permutations=spec.m_permutations,
-                max_tokens_per_comment=spec.max_tokens_per_comment,
-                rng_seed=self.config.rng_seed,
-            )
-
-    # -- sections --------------------------------------------------------------
-
-    def section_performance(self) -> dict:
-        report = performance_report(self.corpus, self.records(), self.config.threshold)
-        return report.to_dict()
 
     def section_data_bias(self) -> dict:
-        identity_rows = identity_term_frequencies(self.corpus, self.resource("identity_terms"))
-        subgroup_rows = subgroup_reference_frequencies(self.annotated())
-        self.files["data_bias_identity_terms.csv"] = functools.partial(
-            frequency_table_csv, identity_rows
-        )
-        self.files["data_bias_subgroup_references.csv"] = functools.partial(
-            frequency_table_csv, subgroup_rows
-        )
-        return {
-            "identity_terms": frequency_table_json(identity_rows),
-            "subgroup_references": frequency_table_json(subgroup_rows),
+        terms = self.resource("identity_terms")
+        data = {
+            "identity_terms": identity_term_frequencies(self.corpus, terms),
+            "subgroup_references": subgroup_reference_frequencies(self.annotated),
         }
+        for key, rows in data.items():
+            self.files[f"data_bias_{key}.csv"] = functools.partial(frequency_table_csv, rows)
+        return data
 
     def section_embedding_bias(self) -> dict:
         if not self.config.embeddings_path:
@@ -614,50 +506,85 @@ class _AuditRun:
             for attribute in self.config.attributes
         ]
         self.files["embedding_bias.csv"] = functools.partial(embedding_bias_csv, results)
-        return {"results": [r.to_dict() for r in results]}
+        return {"results": results}
 
-    def section_subgroup_stats(self) -> dict:
-        records = self.records()
-        return {
+    def section_subgroup_stats(self):
+        return self.from_records(lambda records: {
             "per_attribute": [
-                subgroup_probability_stats(self.annotated(), records, attribute).to_dict()
+                subgroup_probability_stats(self.annotated, records, attribute)
                 for attribute in self.config.attributes
             ]
-        }
+        })
 
-    def section_swap_favor(self) -> dict:
-        self.live_adapter()
-        [report] = self.finish("swap_favor")
-        return report.to_dict()
+    def section_swap_favor(self) -> ScoringPlan:
+        self.require_live()
+        spec = self.config.swap
+        table = aligned_swap_pairs(self.lexicon, spec.attribute, spec.sub_a, spec.sub_b)
+        return plan_swap_favor(self.annotated, table, **vars(spec))
 
-    def section_counterfactual(self) -> dict:
-        self.live_adapter()
-        return {"per_attribute": self.finish("counterfactual")}
+    def section_counterfactual(self) -> ScoringPlan:
+        self.require_live()
+        fills = self.config.counterfactual_fills
+        if not fills:
+            raise _Skip("no counterfactual fills configured")
+        templates = self.resource("templates")
+        plans = []
+        for attribute in sorted(fills):
+            corpus = expand_templates(templates, self.lexicon, attribute, fills[attribute])
+            plans.append(ScoringPlan(
+                [row.text for row in corpus.rows],
+                functools.partial(
+                    _counterfactual_payload, attribute, corpus, sorted(fills[attribute])
+                ),
+            ))
+        return gather(plans, lambda payloads: {"per_attribute": payloads})
 
-    def section_fairness_metrics(self) -> dict:
-        metrics = fairness_metrics(
-            self.annotated(),
-            self.records(),
+    def section_fairness_metrics(self):
+        return self.from_records(lambda records: fairness_metrics(
+            self.annotated,
+            records,
             **vars(self.config.fairness),
             threshold=self.config.threshold,
-        )
-        return metrics.to_dict()
+        ))
 
-    def section_explanations(self) -> dict:
-        self.live_adapter()
-        mode = self.config.explanation.mode
-        results = self.finish("explanations")
-        payload: dict = {"mode": mode}
-        if mode in ("global", "both"):
-            importance = results.pop()
-            self.files["global_importance.csv"] = importance.to_csv
-            payload["global"] = importance.to_dict()
-        if mode in ("local", "both"):
-            payload["local"] = [explanation.to_dict() for explanation in results]
-        return payload
+    def section_explanations(self) -> ScoringPlan:
+        self.require_live()
+        spec = self.config.explanation
+        plans = []
+        if spec.mode in ("local", "both"):
+            ids = spec.local_comment_ids or [c.id for c in self.corpus][: spec.max_local_comments]
+            for comment_id in ids:
+                if comment_id not in self.corpus:
+                    raise AuditError(f"unknown comment id for local explanation: {comment_id!r}")
+                plans.append(plan_local_explain(
+                    self.corpus.get(comment_id),
+                    n_samples=spec.n_samples,
+                    kernel_width=spec.kernel_width,
+                    l2_lambda=spec.l2_lambda,
+                    rng_seed=self.config.rng_seed,
+                ))
+        if spec.mode in ("global", "both"):
+            plans.append(plan_global_importance(
+                self.corpus,
+                method=spec.method,
+                m_permutations=spec.m_permutations,
+                max_tokens_per_comment=spec.max_tokens_per_comment,
+                rng_seed=self.config.rng_seed,
+            ))
 
-    def section_emissions(self) -> dict:
-        return estimate_emissions(**vars(self.config.emissions)).to_dict()
+        def finish(results: list) -> dict:
+            payload: dict = {"mode": spec.mode}
+            if spec.mode in ("global", "both"):
+                payload["global"] = importance = results.pop()
+                self.files["global_importance.csv"] = importance.to_csv
+            if spec.mode in ("local", "both"):
+                payload["local"] = results
+            return payload
+
+        return gather(plans, finish)
+
+    def section_emissions(self) -> EmissionsEstimate:
+        return estimate_emissions(**vars(self.config.emissions))
 
     # -- assembly ---------------------------------------------------------------
 
@@ -686,18 +613,35 @@ class _AuditRun:
         return entries
 
     def run(self) -> AuditReport:
-        self.score_live_texts()
-        sections: dict[str, dict] = {}
-        for name in SECTIONS:
-            if name not in self.config.sections:
-                continue
+        """Call every requested section, score every plan's texts in one call, then finish.
+
+        One :func:`predict_batch` over every plan's texts, in ``SECTIONS``
+        order, fills every batch but the last. If it fails, what it scored
+        stays cached and each plan scores the rest itself.
+        """
+        results = {
+            name: _attempt(getattr(self, f"section_{name}"))
+            for name in SECTIONS
+            if name in self.config.sections
+        }
+        plans = [result for result in results.values() if isinstance(result, ScoringPlan)]
+        if plans:
             try:
-                data = getattr(self, f"section_{name}")()
-                sections[name] = {"status": "computed", "data": data}
-            except _Skip as skip:
-                sections[name] = {"status": "skipped", "reason": str(skip)}
-            except Exception as exc:  # section isolation: never abort the run
-                sections[name] = {"status": "failed", "error": f"{type(exc).__name__}: {exc}"}
+                predict_batch(
+                    [text for plan in plans for text in plan.texts], self.adapter, self.cache
+                )
+            except Exception:  # reported by the plans, which ask again
+                pass
+        sections: dict[str, dict] = {}
+        for name, result in results.items():
+            if isinstance(result, ScoringPlan):
+                result = _attempt(result.run, self.adapter, self.cache)
+            if isinstance(result, _Skip):
+                sections[name] = {"status": "skipped", "reason": str(result)}
+            elif isinstance(result, Exception):
+                sections[name] = {"status": "failed", "error": f"{type(result).__name__}: {result}"}
+            else:
+                sections[name] = {"status": "computed", "data": plain(result)}
         return AuditReport(
             version=__version__,
             config=self.config.to_dict(),
@@ -716,23 +660,25 @@ class _AuditRun:
 def _counterfactual_payload(
     attribute: str, corpus: CounterfactualCorpus, references: list[str], probs: list[float]
 ) -> dict:
-    stats = counterfactual_probability_stats(corpus, probs)
     return {
         "attribute": attribute,
-        "rows": [{**row.to_dict(), "p_hateful": p} for row, p in zip(corpus.rows, probs)],
-        "stats": [row.to_dict() for row in stats],
-        "cb": [counterfactual_bias(corpus, probs, reference).to_dict() for reference in references],
+        "rows": [{**vars(row), "p_hateful": p} for row, p in zip(corpus.rows, probs)],
+        "stats": counterfactual_probability_stats(corpus, probs),
+        "cb": [counterfactual_bias(corpus, probs, reference) for reference in references],
     }
 
 
 def run_audit(config: AuditConfig) -> AuditReport:
     """Execute every requested section and (if configured) write the outputs.
 
-    Only configuration problems raise; anything that goes wrong inside a
-    section is captured as that section's failed(error) status. The run's
-    adapter is opened once and closed after the last section, whatever
-    happened in it. Output files are written atomically into
-    ``config.output_dir``.
+    Each section returns its data or one scoring plan. Every plan's texts
+    are scored in one shared call, then each plan is finished, so each
+    distinct text goes to the model once. Only configuration problems
+    raise; anything that goes wrong inside a section, in its planning, its
+    scoring or its finish, is captured as that section's failed(error)
+    status. The run's adapter is opened once and closed after the last
+    section, whatever happened in it. Output files are written atomically
+    into ``config.output_dir``.
     """
     run = _AuditRun(config)
     try:

@@ -513,12 +513,17 @@ def test_criterion_08_end_to_end_determinism(tmp_path):
             timeout=300,
         )
         assert result.returncode == 0, result.stderr
-    bytes_a = (out_a / "report.json").read_bytes()
-    bytes_b = (out_b / "report.json").read_bytes()
-    assert bytes_a == bytes_b
+    names = sorted(path.name for path in out_a.iterdir())
+    assert names == sorted(path.name for path in out_b.iterdir())
+    assert "report.json" in names
+    for name in names:
+        assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
     golden = (GOLDEN_DIR / "report.json").read_bytes()
-    assert bytes_a == golden, "report.json drifted from the committed golden"
-    print("\nACCEPTANCE 8 PASS - two audit runs byte-identical and equal to the golden report")
+    assert (out_a / "report.json").read_bytes() == golden, "report.json drifted from the golden"
+    print(
+        f"\nACCEPTANCE 8 PASS - two audit runs wrote {len(names)} byte-identical files"
+        " and report.json equals the golden report"
+    )
 
 
 # ---------------------------------------------------------------------------

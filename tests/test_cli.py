@@ -53,6 +53,17 @@ def test_config_error_exit_one(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_empty_dataset_path_is_not_given(tmp_path, capsys):
+    config = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
+    config["dataset"] = {"path": ""}
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(config))
+    assert main(["audit", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: config.dataset is required for the requested sections\n"
+    )
+
+
 def test_unknown_config_key_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"dataset": "x.csv", "oops": 1}))

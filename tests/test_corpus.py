@@ -26,6 +26,16 @@ def test_load_csv_basic(tmp_path):
     assert corpus.get("2").label == 1
 
 
+def test_load_csv_header_with_spaces(tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("id, text, label\n1,good day,0\n2,awful people,1\n")
+    corpus = load_dataset(path, "csv")
+    assert [(c.id, c.text, c.label) for c in corpus] == [
+        ("1", "good day", 0),
+        ("2", "awful people", 1),
+    ]
+
+
 def test_load_jsonl_label_strings(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text(

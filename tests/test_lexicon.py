@@ -166,3 +166,12 @@ def test_templates_default_and_validation(tmp_path):
     path.write_text(json.dumps([{"pattern": "[Identity] and [Identity]", "label": 1}]))
     with pytest.raises(LexiconError, match="exactly once"):
         load_templates(path)
+
+
+@pytest.mark.parametrize("label", [1.9, 0.2, True, "x", 1.0])
+def test_template_label_must_be_json_integer(tmp_path, label):
+    path = tmp_path / "templates.json"
+    path.write_text(json.dumps([{"pattern": "[Identity] people", "label": label}]))
+    message = r"template label must be the JSON integer 0 or 1: .*'\[Identity\] people'"
+    with pytest.raises(LexiconError, match=message):
+        load_templates(path)

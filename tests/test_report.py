@@ -481,6 +481,21 @@ def test_section_isolation_model_always_failing(full_report, module_chdir, tmp_p
     assert 2 * len(LIVE_SECTIONS) <= attempts <= 2 * (len(LIVE_SECTIONS) + 1)
 
 
+def test_section_whose_planning_fails_sends_none_of_its_texts(module_chdir):
+    config = fixture_config(
+        sections=["explanations"],
+        explanation={"mode": "local", "local_comment_ids": ["h01", "no-such-id"]},
+    )
+    adapter = CallableAdapter(keyword_probability)
+    with mock.patch("textaudit.report.open_adapter", lambda adapter_config: adapter):
+        report = run_audit(config)
+    assert report.sections["explanations"] == {
+        "status": "failed",
+        "error": "AuditError: unknown comment id for local explanation: 'no-such-id'",
+    }
+    assert adapter.sent == []
+
+
 def public_section_data(config, name, adapter, cache):
     """A live section's data from the public section functions, called one by one."""
     corpus = load_dataset(config.dataset_path, config.dataset_format)
