@@ -157,7 +157,7 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
     if format not in ("csv", "jsonl"):
         raise DatasetError(f"unknown dataset format {format!r}")
     try:
-        raw = path.read_text(encoding="utf-8")
+        raw = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -12,19 +12,23 @@ from __future__ import annotations
 
 import math
 import warnings
+from array import array
 from dataclasses import dataclass
+from operator import mul
 from pathlib import Path
-
-import numpy as np
 
 from .errors import EmbeddingError
 from .lexicon import AttributeLexicon, NeutralWordList
 
 
 class EmbeddingTable:
-    """Term -> d-dimensional vector store loaded from a text embedding file."""
+    """Term -> d-dimensional vector store loaded from a text embedding file.
 
-    def __init__(self, dimension: int, vectors: dict[str, np.ndarray]):
+    Each vector is an ``array("d")``: 8 bytes per component, as a file of
+    GloVe size needs.
+    """
+
+    def __init__(self, dimension: int, vectors: dict[str, array]):
         self.dimension = dimension
         self.vectors = vectors
 
@@ -34,7 +38,7 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def get(self, term: str) -> np.ndarray:
+    def get(self, term: str) -> array:
         return self.vectors[term]
 
 
@@ -46,13 +50,13 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise EmbeddingError(f"cannot read embeddings {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise EmbeddingError(f"embeddings {path} are not valid UTF-8: {exc}") from exc
 
-    vectors: dict[str, np.ndarray] = {}
+    vectors: dict[str, array] = {}
     dimension: int | None = None
     duplicates = 0
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -77,7 +81,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
         if term in vectors:
             duplicates += 1
             continue
-        vectors[term] = np.asarray(values, dtype=np.float64)
+        vectors[term] = array("d", values)
     if dimension is None:
         raise EmbeddingError(f"embedding file {path} is empty")
     if duplicates:
@@ -115,19 +119,22 @@ def subgroup_similarity_profile(
     covered = [w for w in neutrals.words if w in table]
     if not covered:
         raise EmbeddingError("no neutral word has an embedding")
-    term_matrix = np.stack([table.get(t) for t in usable_terms])
-    term_norms = np.linalg.norm(term_matrix, axis=1)
-    if np.any(term_norms == 0.0):
+    term_norms = [math.hypot(*table.get(t)) for t in usable_terms]
+    if 0.0 in term_norms:
         bad = [t for t, n in zip(usable_terms, term_norms) if n == 0.0]
         raise EmbeddingError(f"zero-norm embedding for term(s): {bad}")
-    neutral_matrix = np.stack([table.get(w) for w in covered])
-    neutral_norms = np.linalg.norm(neutral_matrix, axis=1)
-    if np.any(neutral_norms == 0.0):
+    neutral_norms = [math.hypot(*table.get(w)) for w in covered]
+    if 0.0 in neutral_norms:
         bad = [w for w, n in zip(covered, neutral_norms) if n == 0.0]
         raise EmbeddingError(f"zero-norm embedding for neutral word(s): {bad}")
-    sims = (neutral_matrix / neutral_norms[:, None]) @ (term_matrix / term_norms[:, None]).T
-    x = sims.mean(axis=1)
-    return SimilarityProfile(subgroup=subgroup, x=tuple(float(v) for v in x), covered_neutral_terms=tuple(covered))
+    # The mean of cos(n, t) over terms t is n/|n| . mean(t/|t|): one dot
+    # product per neutral word instead of one per (word, term) pair.
+    units = [[v / n for v in table.get(t)] for t, n in zip(usable_terms, term_norms)]
+    centroid = [sum(column) / len(units) for column in zip(*units)]
+    x = tuple(
+        sum(map(mul, table.get(w), centroid)) / n for w, n in zip(covered, neutral_norms)
+    )
+    return SimilarityProfile(subgroup=subgroup, x=x, covered_neutral_terms=tuple(covered))
 
 
 @dataclass(frozen=True)
@@ -198,25 +205,23 @@ def embedding_bias(
         )
 
     # Every profile covers the same neutral words (those in the table), in order.
-    arrays = {subgroup: np.asarray(profile.x) for subgroup, profile in profiles.items()}
-
     names = sorted(profiles)
     pairwise: dict[tuple[str, str], tuple[float, float]] = {}
     maes: list[float] = []
     rmses: list[float] = []
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            diff = arrays[a] - arrays[b]
-            mae = float(np.mean(np.abs(diff)))
-            rmse = float(np.sqrt(np.mean(diff**2)))
+            diff = [xa - xb for xa, xb in zip(profiles[a].x, profiles[b].x)]
+            mae = sum(map(abs, diff)) / len(diff)
+            rmse = math.sqrt(sum(d * d for d in diff) / len(diff))
             pairwise[(a, b)] = (mae, rmse)
             maes.append(mae)
             rmses.append(rmse)
     return EmbeddingBiasResult(
         attribute=attribute,
         pairwise=pairwise,
-        amae=float(np.mean(maes)),
-        armse=float(np.mean(rmses)),
+        amae=sum(maes) / len(maes),
+        armse=sum(rmses) / len(rmses),
         skipped_terms=tuple(skipped),
     )
 

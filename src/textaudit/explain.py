@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .corpus import Comment, LabeledCorpus, TokenSpan, splice, tokenize
 from .errors import ExplainError
@@ -37,9 +36,9 @@ DEFAULT_KERNEL_WIDTH = 0.75
 DEFAULT_L2_LAMBDA = 1e-3
 
 
-def _comment_rng(rng_seed: int, comment_id: str) -> np.random.Generator:
+def _comment_rng(rng_seed: int, comment_id: str) -> random.Random:
     digest = hashlib.sha256(f"{rng_seed}:{comment_id}".encode("utf-8")).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 def _unique_tokens(text: str) -> tuple[list[str], dict[str, list[TokenSpan]]]:
@@ -84,13 +83,60 @@ class LocalExplanation(Record):
     rng_seed: int
 
 
-def _mask_weights(masks: np.ndarray, kernel_width: float) -> np.ndarray:
+def _mask_weights(masks: list[list[int]], kernel_width: float) -> list[float]:
     # Cosine distance between each binary mask and the all-ones mask is
     # 1 - sqrt(kept fraction); the empty mask gets the maximum distance 1.
-    k = masks.shape[1]
-    kept = masks.sum(axis=1)
-    distance = np.where(kept > 0, 1.0 - np.sqrt(kept / k), 1.0)
-    return np.exp(-(distance**2) / (kernel_width**2))
+    weights = []
+    for mask in masks:
+        kept = sum(mask)
+        distance = 1.0 - math.sqrt(kept / len(mask)) if kept else 1.0
+        weights.append(math.exp(-(distance**2) / (kernel_width**2)))
+    return weights
+
+
+def _ridge_coefficients(
+    masks: list[list[int]], weights: list[float], y: list[float], l2_lambda: float
+) -> list[float]:
+    """Weighted ridge fit of y on each mask plus an intercept, which comes last.
+
+    The intercept is not penalized. Raises ``ZeroDivisionError`` when the
+    normal equations are exactly singular.
+    """
+    size = len(masks[0]) + 1
+    gram = [[0.0] * size for _ in range(size)]
+    rhs = [0.0] * size
+    for mask, w, target in zip(masks, weights, y):
+        active = [j for j, keep in enumerate(mask) if keep]
+        active.append(size - 1)
+        for a in active:
+            rhs[a] += w * target
+            row = gram[a]
+            for b in active:
+                row[b] += w
+    for j in range(size - 1):
+        gram[j][j] += l2_lambda
+    return _solve(gram, rhs)
+
+
+def _solve(a: list[list[float]], b: list[float]) -> list[float]:
+    """x with a x = b, by Gaussian elimination with partial pivoting."""
+    n = len(b)
+    rows = [row + [value] for row, value in zip(a, b)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
+        if rows[pivot][col] == 0.0:
+            raise ZeroDivisionError("singular matrix")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        top = rows[col]
+        for row in rows[col + 1 :]:
+            factor = row[col] / top[col]
+            for c in range(col, n + 1):
+                row[c] -= factor * top[c]
+    x = [0.0] * n
+    for r in reversed(range(n)):
+        row = rows[r]
+        x[r] = (row[n] - sum(row[c] * x[c] for c in range(r + 1, n))) / row[r]
+    return x
 
 
 def plan_local_explain(
@@ -113,34 +159,28 @@ def plan_local_explain(
         )
 
     if k <= 20 and 2**k <= n_samples:
-        masks = np.array(
-            [[(i >> j) & 1 for j in range(k)] for i in range(2**k)], dtype=np.float64
-        )
+        masks = [[(i >> j) & 1 for j in range(k)] for i in range(2**k)]
     else:
         rng = _comment_rng(rng_seed, comment.id)
-        random_masks = rng.integers(0, 2, size=(n_samples - 1, k)).astype(np.float64)
-        masks = np.vstack([np.ones((1, k)), random_masks])
+        masks = [[1] * k]
+        masks += [[rng.getrandbits(1) for _ in range(k)] for _ in range(n_samples - 1)]
 
     texts = [_realize_mask(comment.text, tokens, spans_by_token, mask) for mask in masks]
 
-    def finish(probabilities: list[float]) -> LocalExplanation:
-        y = np.asarray(probabilities, dtype=np.float64)
+    def finish(y: list[float]) -> LocalExplanation:
         w = _mask_weights(masks, kernel_width)
-
-        # Weighted ridge with unpenalized intercept column.
-        X = np.hstack([masks, np.ones((masks.shape[0], 1))])
-        gram = X.T @ (X * w[:, None])
-        ridge = l2_lambda * np.eye(k + 1)
-        ridge[k, k] = 0.0
         try:
-            beta = np.linalg.solve(gram + ridge, X.T @ (w * y))
-        except np.linalg.LinAlgError as exc:
+            beta = _ridge_coefficients(masks, w, y, l2_lambda)
+        except ZeroDivisionError as exc:
             raise ExplainError(f"degenerate design matrix for comment {comment.id!r}") from exc
 
-        fitted = X @ beta
-        ss_res = float(np.sum(w * (y - fitted) ** 2))
-        y_bar = float(np.sum(w * y) / np.sum(w))
-        ss_tot = float(np.sum(w * (y - y_bar) ** 2))
+        intercept = beta[k]
+        fitted = [
+            intercept + sum(b for b, keep in zip(beta, mask) if keep) for mask in masks
+        ]
+        ss_res = sum(wi * (yi - fi) ** 2 for wi, yi, fi in zip(w, y, fitted))
+        y_bar = sum(wi * yi for wi, yi in zip(w, y)) / sum(w)
+        ss_tot = sum(wi * (yi - y_bar) ** 2 for wi, yi in zip(w, y))
         if ss_tot > 1e-30:
             r2 = 1.0 - ss_res / ss_tot
         else:
@@ -148,10 +188,10 @@ def plan_local_explain(
 
         return LocalExplanation(
             comment_id=comment.id,
-            token_weights=tuple((t, float(b)) for t, b in zip(tokens, beta[:k])),
-            intercept=float(beta[k]),
+            token_weights=tuple(zip(tokens, beta[:k])),
+            intercept=intercept,
             surrogate_fit_r2=r2,
-            n_samples=int(masks.shape[0]),
+            n_samples=len(masks),
             kernel_width=kernel_width,
             l2_lambda=l2_lambda,
             rng_seed=rng_seed,
@@ -251,7 +291,7 @@ def _plan_sampled_shapley(
         if k == 0:
             continue
         rng = _comment_rng(rng_seed, comment.id)
-        orders = [rng.permutation(k).tolist() for _ in range(m_permutations)]
+        orders = [rng.sample(range(k), k) for _ in range(m_permutations)]
         slot_of: dict[int, int] = {}  # coalition bitset -> index into texts
         for bits in _prefix_bitsets(orders):
             if bits not in slot_of:

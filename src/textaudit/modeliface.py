@@ -383,7 +383,7 @@ def load_predictions(path: str | Path, corpus: LabeledCorpus) -> list[Prediction
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise DatasetError(f"cannot read predictions {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

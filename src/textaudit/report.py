@@ -861,7 +861,11 @@ def _md_explanations(data: dict) -> list[str]:
         lines.append("### Local explanations")
         lines.append("")
         for item in data["local"]:
-            weights = sorted(item["token_weights"], key=lambda tw: -abs(tw[1]))[:5]
+            # Rank by the magnitude the report shows, so weights that differ
+            # only in floating-point noise keep token order.
+            weights = sorted(
+                item["token_weights"], key=lambda tw: -abs(_canonical(tw[1]))
+            )[:5]
             rendered = ", ".join(f"{t}: {w:+.3f}" for t, w in weights)
             lines.append(
                 f"- `{item['comment_id']}` (R2 {item['surrogate_fit_r2']:.3f}): {rendered}"

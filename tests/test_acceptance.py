@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+from array import array
 
 import numpy as np
 import pytest
@@ -198,7 +199,9 @@ def test_criterion_02_embedding_bias_properties():
             while np.linalg.norm(vec) < 1e-6:
                 vec = rng.normal(size=d)
             vectors[name] = vec
-        table = EmbeddingTable(dimension=d, vectors=dict(vectors))
+        table = EmbeddingTable(
+            dimension=d, vectors={k: array("d", v) for k, v in vectors.items()}
+        )
 
         assignments = [term_names[i::n_subgroups] for i in range(n_subgroups)]
         lexicon = _lexicon_from_obj(
@@ -218,7 +221,7 @@ def test_criterion_02_embedding_bias_properties():
 
         scale = float(rng.uniform(0.1, 50.0))
         scaled_table = EmbeddingTable(
-            dimension=d, vectors={k: scale * v for k, v in vectors.items()}
+            dimension=d, vectors={k: array("d", scale * v) for k, v in vectors.items()}
         )
         rescaled = embedding_bias(neutrals, lexicon, "attr", scaled_table)
         assert rescaled.amae == pytest.approx(result.amae, abs=1e-9)

@@ -95,6 +95,26 @@ def test_cli_import_loads_no_third_party_http_client():
     assert result.stdout.strip() == "[]"
 
 
+def test_fixture_audit_imports_no_numpy(tmp_path):
+    # The audit's math is pure Python; numpy would cost every audit about
+    # 0.1 s of start-up.
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    config = FIXTURES_DIR / "audit_config.json"
+    probe = (
+        "import sys\n"
+        "from textaudit.cli import main\n"
+        f"code = main(['audit', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
+
+
 def test_failed_section_exit_two(tmp_path, capsys):
     corrupt = tmp_path / "corrupt.txt"
     corrupt.write_text("a 1 2\nb 1\n")

@@ -36,6 +36,27 @@ def test_load_csv_header_with_spaces(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "name, body",
+    [
+        ("data.csv", "id,text,label\nc1,good day,0\nc2,awful people,1\n"),
+        (
+            "data.jsonl",
+            '{"id": "c1", "text": "good day", "label": 0}\n'
+            '{"id": "c2", "text": "awful people", "label": 1}\n',
+        ),
+    ],
+)
+def test_load_dataset_ignores_utf8_byte_order_mark(tmp_path, name, body):
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    corpus = load_dataset(path, name.rsplit(".", 1)[1])
+    assert [(c.id, c.text, c.label) for c in corpus] == [
+        ("c1", "good day", 0),
+        ("c2", "awful people", 1),
+    ]
+
+
 def test_load_jsonl_label_strings(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text(

@@ -1,7 +1,10 @@
 import math
+from array import array
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textaudit.embedbias import (
     EmbeddingTable,
@@ -15,7 +18,7 @@ from textaudit.lexicon import NeutralWordList, _lexicon_from_obj
 
 
 def table_of(**vectors):
-    arrays = {k: np.asarray(v, dtype=np.float64) for k, v in vectors.items()}
+    arrays = {k: array("d", v) for k, v in vectors.items()}
     dim = len(next(iter(arrays.values())))
     return EmbeddingTable(dimension=dim, vectors=arrays)
 
@@ -27,6 +30,14 @@ def test_load_embeddings_basic(tmp_path):
     assert table.dimension == 2
     assert len(table) == 2
     assert list(table.get("a")) == [1.0, 0.0]
+
+
+def test_load_embeddings_ignores_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "vecs.txt"
+    path.write_bytes(b"\xef\xbb\xbfa 1 0\nb 0 1\n")
+    table = load_embeddings(path)
+    assert "a" in table
+    assert table.get("a") == array("d", [1.0, 0.0])
 
 
 def test_load_embeddings_dimension_error_reports_line(tmp_path):
@@ -83,6 +94,31 @@ def test_profile_hand_average():
     table = table_of(n=[1, 0], t1=[2, 0], t2=[0, 5])
     profile = subgroup_similarity_profile(NeutralWordList(words=("n",)), ["t1", "t2"], table, "s")
     assert profile.x[0] == pytest.approx(0.5, abs=1e-12)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dimension=st.integers(1, 12),
+    n_terms=st.integers(1, 6),
+    n_neutrals=st.integers(1, 6),
+)
+def test_profile_equals_brute_force_mean_of_cosines(seed, dimension, n_terms, n_neutrals):
+    rng = np.random.default_rng(seed)
+    terms = [f"t{i}" for i in range(n_terms)]
+    neutrals = [f"n{i}" for i in range(n_neutrals)]
+    vectors = {name: rng.normal(size=dimension) for name in terms + neutrals}
+    profile = subgroup_similarity_profile(
+        NeutralWordList(words=tuple(neutrals)), terms, table_of(**vectors), "s"
+    )
+
+    def cosine(u, v):
+        return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+    expected = [
+        sum(cosine(vectors[n], vectors[t]) for t in terms) / n_terms for n in neutrals
+    ]
+    assert profile.x == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_profile_all_oov_error():

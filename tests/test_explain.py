@@ -91,6 +91,37 @@ def test_local_explain_exact_linear_recovery():
     assert explanation.intercept == pytest.approx(beta0, abs=1e-3)
 
 
+def test_local_explain_degenerate_design_raises():
+    # With no ridge and a kernel so narrow that every mask but the full one
+    # weighs exactly 0, the normal equations are exactly singular.
+    comment = Comment(id="c", text="you filthy liar", label=1)
+    with pytest.raises(ExplainError, match="degenerate design matrix for comment 'c'"):
+        local_explain(comment, filthy_adapter(), n_samples=8, kernel_width=1e-3, l2_lambda=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 13),
+    n_samples=st.integers(16, 200),
+    l2_lambda=st.floats(1e-6, 1.0),
+)
+def test_ridge_coefficients_match_numpy_solve(seed, k, n_samples, l2_lambda):
+    rng = np.random.default_rng(seed)
+    masks = rng.integers(0, 2, size=(n_samples, k))
+    masks[0] = 1
+    weights = rng.uniform(0.05, 1.0, size=n_samples)
+    y = rng.uniform(0.0, 1.0, size=n_samples)
+
+    X = np.hstack([masks, np.ones((n_samples, 1))])
+    ridge = l2_lambda * np.eye(k + 1)
+    ridge[k, k] = 0.0
+    expected = np.linalg.solve(X.T @ (X * weights[:, None]) + ridge, X.T @ (weights * y))
+
+    got = explain._ridge_coefficients(masks.tolist(), weights.tolist(), y.tolist(), l2_lambda)
+    assert np.linalg.norm(np.asarray(got) - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
 def test_local_explain_requires_enough_samples():
     comment = Comment(id="c", text="a b c d", label=0)
     with pytest.raises(ExplainError, match="n_samples"):
@@ -247,7 +278,7 @@ def reference_sampled_shapley_effects(
         marginals = np.zeros(k)
         ensure_values([0])
         for _ in range(m_permutations):
-            order = rng.permutation(k)
+            order = rng.sample(range(k), k)
             states = [0]
             bits = 0
             for j in order:

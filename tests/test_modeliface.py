@@ -404,6 +404,13 @@ def test_load_predictions_header_with_spaces(tmp_path):
     assert [(r.comment_id, r.p_hateful) for r in records] == [("a", 0.25), ("b", 0.9811)]
 
 
+def test_load_predictions_ignores_utf8_byte_order_mark(tmp_path):
+    path = tmp_path / "preds.csv"
+    path.write_bytes(b"\xef\xbb\xbfid,p_hateful\na,0.25\nb,0.9811\n")
+    records = load_predictions(path, _corpus())
+    assert [(r.comment_id, r.p_hateful) for r in records] == [("a", 0.25), ("b", 0.9811)]
+
+
 def test_load_predictions_missing_id(tmp_path):
     path = tmp_path / "preds.csv"
     path.write_text("id,p_hateful\na,0.25\n")

@@ -32,6 +32,7 @@ from textaudit.modeliface import PredictionCache, PredictionRecord, predict_batc
 from textaudit.report import (
     SECTIONS,
     AuditConfig,
+    AuditReport,
     canonical_json,
     estimate_emissions,
     load_config,
@@ -686,6 +687,27 @@ def test_markdown_reports_skip_reason(module_chdir):
     report = run_audit(fixture_config(embeddings=None))
     text = render_report(report, "markdown")
     assert "_Skipped: no embedding file_" in text
+
+
+def test_markdown_local_weights_rank_at_report_precision():
+    # are, and, should are exchangeable: their fitted weights differ only in
+    # the 16th digit, so they rank as equal and keep token order.
+    weights = [
+        ["men", -0.05],
+        ["are", -1.202494170000002e-06],
+        ["scum", 0.5],
+        ["and", -1.202494170000001e-06],
+        ["should", -1.202494170000004e-06],
+        ["vanish", 0.2],
+    ]
+    item = {"comment_id": "h02", "surrogate_fit_r2": 1.0, "token_weights": weights}
+    section = {"status": "computed", "data": {"local": [item]}}
+    report = AuditReport(version="0", config={}, inputs=[], sections={"explanations": section})
+    text = render_report(report, "markdown")
+    assert (
+        "- `h02` (R2 1.000): scum: +0.500, vanish: +0.200, men: -0.050, are: -0.000, and: -0.000"
+        in text.splitlines()
+    )
 
 
 def test_markdown_stats_table_shape(full_report):
