@@ -23,7 +23,10 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 
 from .corpus import Comment, LabeledCorpus, TokenSpan, splice, tokenize
 from .errors import ExplainError
@@ -103,39 +106,74 @@ def _ridge_coefficients(
     normal equations are exactly singular.
     """
     size = len(masks[0]) + 1
-    gram = [[0.0] * size for _ in range(size)]
-    rhs = [0.0] * size
-    for mask, w, target in zip(masks, weights, y):
-        active = [j for j, keep in enumerate(mask) if keep]
-        active.append(size - 1)
-        for a in active:
-            rhs[a] += w * target
-            row = gram[a]
-            for b in active:
-                row[b] += w
+    # The kernel gives every mask with the same number of kept tokens the same
+    # weight, so a comment has few distinct weights however many masks it has.
+    # Masks of one weight are counted as integers: each mask, with the
+    # intercept's 1 appended, is packed into one integer with a field per
+    # column, and the sum of the packed masks that keep column i holds in
+    # field j the number that keep both i and j. A Gram entry is then a sum
+    # over weights, not over masks.
+    groups: dict[float, list[list[int]]] = {}
+    for mask, w in zip(masks, weights):
+        groups.setdefault(w, []).append(mask + [1])
+    group_weights = list(groups)
+    largest = max(map(len, groups.values()))
+    code = next(c for c in "BHL" if largest < 256 ** array(c).itemsize)
+    field_bytes = array(code).itemsize
+    packed = [
+        [int.from_bytes(array(code, row).tobytes(), "little") for row in rows]
+        for rows in groups.values()
+    ]
+    columns = [list(zip(*rows)) for rows in groups.values()]
+    gram = [[0.0] * size for _ in range(size)]  # upper triangle only; _solve reads no more
+    for i in range(size):
+        # counts[g][j - i]: masks of the g-th weight that keep columns i and j >= i
+        counts = [
+            memoryview(
+                (sum(compress(rows, cols[i])) >> (8 * field_bytes * i)).to_bytes(
+                    field_bytes * (size - i), "little"
+                )
+            ).cast(code)
+            for rows, cols in zip(packed, columns)
+        ]
+        gram[i][i:] = [sum(map(mul, group_weights, per_weight)) for per_weight in zip(*counts)]
     for j in range(size - 1):
         gram[j][j] += l2_lambda
+    weighted_y = list(map(mul, weights, y))
+    rhs = [sum(compress(weighted_y, column)) for column in zip(*masks)]
+    rhs.append(sum(weighted_y))
     return _solve(gram, rhs)
 
 
 def _solve(a: list[list[float]], b: list[float]) -> list[float]:
-    """x with a x = b, by Gaussian elimination with partial pivoting."""
+    """x with a x = b for a symmetric positive semidefinite a, by LDLᵀ elimination.
+
+    Reads only the upper triangle of a. A Gram matrix plus a ridge needs no
+    pivoting, and an exactly zero pivot means it is singular: that raises
+    ``ZeroDivisionError``.
+    """
     n = len(b)
-    rows = [row + [value] for row, value in zip(a, b)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(rows[r][col]))
-        if rows[pivot][col] == 0.0:
+    lower: list[list[float]] = [[] for _ in range(n)]  # row i holds L[i][p] for p < i
+    scaled: list[list[float]] = [[] for _ in range(n)]  # row i holds L[i][p] * d[p]
+    d: list[float] = []
+    for j in range(n):
+        row = a[j]
+        pivot = row[j] - sum(map(mul, lower[j], scaled[j]))
+        if pivot == 0.0:
             raise ZeroDivisionError("singular matrix")
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        top = rows[col]
-        for row in rows[col + 1 :]:
-            factor = row[col] / top[col]
-            for c in range(col, n + 1):
-                row[c] -= factor * top[c]
+        d.append(pivot)
+        scaled_j = scaled[j]
+        for i in range(j + 1, n):
+            lower_i = lower[i]
+            entry = row[i] - sum(map(mul, lower_i, scaled_j))
+            scaled[i].append(entry)
+            lower_i.append(entry / pivot)
+    z: list[float] = []
+    for i in range(n):
+        z.append(b[i] - sum(map(mul, lower[i], z)))
     x = [0.0] * n
-    for r in reversed(range(n)):
-        row = rows[r]
-        x[r] = (row[n] - sum(row[c] * x[c] for c in range(r + 1, n))) / row[r]
+    for i in reversed(range(n)):
+        x[i] = z[i] / d[i] - sum(lower[r][i] * x[r] for r in range(i + 1, n))
     return x
 
 
@@ -175,9 +213,7 @@ def plan_local_explain(
             raise ExplainError(f"degenerate design matrix for comment {comment.id!r}") from exc
 
         intercept = beta[k]
-        fitted = [
-            intercept + sum(b for b, keep in zip(beta, mask) if keep) for mask in masks
-        ]
+        fitted = [intercept + sum(compress(beta, mask)) for mask in masks]
         ss_res = sum(wi * (yi - fi) ** 2 for wi, yi, fi in zip(w, y, fitted))
         y_bar = sum(wi * yi for wi, yi in zip(w, y)) / sum(w)
         ss_tot = sum(wi * (yi - y_bar) ** 2 for wi, yi in zip(w, y))

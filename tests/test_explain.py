@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import CallableAdapter
@@ -102,15 +102,27 @@ def test_local_explain_degenerate_design_raises():
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    k=st.integers(1, 13),
-    n_samples=st.integers(16, 200),
+    k=st.integers(1, 30),
+    n_samples=st.integers(16, 600),
     l2_lambda=st.floats(1e-6, 1.0),
+    kernel_width=st.one_of(st.none(), st.floats(0.5, 2.0)),
 )
-def test_ridge_coefficients_match_numpy_solve(seed, k, n_samples, l2_lambda):
+# One weight shared by more than 255 masks: the packed counts need 2-byte fields.
+@example(seed=0, k=1, n_samples=600, l2_lambda=1e-3, kernel_width=0.75)
+def test_ridge_coefficients_match_numpy_solve(seed, k, n_samples, l2_lambda, kernel_width):
+    # kernel_width None: a different weight per mask; otherwise the audit's
+    # kernel, which gives every mask with the same kept count one weight.
+    # Beyond 13 tokens, few masks per token can leave the system so
+    # ill-conditioned (condition numbers near 1e8) that double-precision
+    # solvers land about 1e-9 apart.
+    assume(k <= 13 or n_samples >= 4 * (k + 1))
     rng = np.random.default_rng(seed)
     masks = rng.integers(0, 2, size=(n_samples, k))
     masks[0] = 1
-    weights = rng.uniform(0.05, 1.0, size=n_samples)
+    if kernel_width is None:
+        weights = rng.uniform(0.05, 1.0, size=n_samples)
+    else:
+        weights = np.asarray(explain._mask_weights(masks.tolist(), kernel_width))
     y = rng.uniform(0.0, 1.0, size=n_samples)
 
     X = np.hstack([masks, np.ones((n_samples, 1))])
