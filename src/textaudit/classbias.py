@@ -39,25 +39,15 @@ class ClassMetrics(Record):
 
 
 @dataclass(frozen=True)
-class ClassReport:
+class ClassReport(Record):
     """Per-class precision/recall/F1/support plus macro and weighted averages."""
 
-    per_class: dict[int, ClassMetrics]
+    per_class: dict[str, ClassMetrics]  # keyed by class name
     macro: ClassMetrics
     weighted: ClassMetrics
     accuracy: float
     threshold: float
     zero_division_flags: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "per_class": {CLASS_NAMES[c]: m.to_dict() for c, m in self.per_class.items()},
-            "macro": self.macro.to_dict(),
-            "weighted": self.weighted.to_dict(),
-            "accuracy": self.accuracy,
-            "threshold": self.threshold,
-            "zero_division_flags": list(self.zero_division_flags),
-        }
 
 
 def _safe_ratio(numerator: int, denominator: int, flag: str, flags: list[str]) -> float:
@@ -90,7 +80,7 @@ def performance_report(
 
     total = len(corpus)
     flags: list[str] = []
-    per_class: dict[int, ClassMetrics] = {}
+    per_class: dict[str, ClassMetrics] = {}
     for cls in (0, 1):
         tp = confusion[(cls, cls)]
         fp = confusion[(1 - cls, cls)]
@@ -103,7 +93,7 @@ def performance_report(
             f1 = 0.0
         else:
             f1 = 2 * precision * recall / (precision + recall)
-        per_class[cls] = ClassMetrics(precision=precision, recall=recall, f1=f1, support=support)
+        per_class[CLASS_NAMES[cls]] = ClassMetrics(precision=precision, recall=recall, f1=f1, support=support)
 
     macro = ClassMetrics(
         precision=sum(m.precision for m in per_class.values()) / 2,
@@ -133,19 +123,11 @@ def performance_report(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SubgroupStatsRow:
-    label: int
+class SubgroupStatsRow(Record):
+    actual: str  # class name
     subgroup: str
-    mean_p: float | None  # None when no comment falls in the cell
+    mean_p_hateful: float | None  # None when no comment falls in the cell
     n: int
-
-    def to_dict(self) -> dict:
-        return {
-            "actual": CLASS_NAMES[self.label],
-            "subgroup": self.subgroup,
-            "mean_p_hateful": self.mean_p,
-            "n": self.n,
-        }
 
 
 def _stats_rows(cells: dict[tuple[int, str], list[float]]) -> list[SubgroupStatsRow]:
@@ -156,9 +138,9 @@ def _stats_rows(cells: dict[tuple[int, str], list[float]]) -> list[SubgroupStats
             values = cells.get((label, subgroup), [])
             rows.append(
                 SubgroupStatsRow(
-                    label=label,
+                    actual=CLASS_NAMES[label],
                     subgroup=subgroup,
-                    mean_p=(sum(values) / len(values)) if values else None,
+                    mean_p_hateful=(sum(values) / len(values)) if values else None,
                     n=len(values),
                 )
             )

@@ -61,10 +61,7 @@ def identity_term_frequencies(
     Containment is whole-token; rows follow the input term order.
     """
     n_h, n_nh = _check_partitions(corpus)
-    index = TermIndex(
-        ((term, term) for term in terms.terms),
-        frozenset(t for t in terms.terms if t.endswith(".")),
-    )
+    index = TermIndex((term, term) for term in terms.terms)
     counts = {term: [0, 0] for term in terms.terms}  # [hateful, not-hateful]
     for comment in corpus:
         found = {term for term, _, _ in index.matches(tokenize(comment.text, index.abbreviations))}

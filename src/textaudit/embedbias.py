@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .errors import EmbeddingError
 from .lexicon import AttributeLexicon, NeutralWordList
+from .record import Record
 
 
 class EmbeddingTable:
@@ -89,6 +90,11 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     return EmbeddingTable(dimension=dimension, vectors=vectors)
 
 
+def _usable(term: str, table: EmbeddingTable) -> bool:
+    """Whether a subgroup term enters its profile: one token, in the table."""
+    return " " not in term and term in table
+
+
 @dataclass(frozen=True)
 class SimilarityProfile:
     """Averaged neutral-word/subgroup-term cosine similarities for one subgroup."""
@@ -110,7 +116,7 @@ def subgroup_similarity_profile(
     from the table are dropped from the profile (and from
     ``covered_neutral_terms``).
     """
-    usable_terms = [t for t in subgroup_terms if " " not in t and t in table]
+    usable_terms = [t for t in subgroup_terms if _usable(t, table)]
     if not usable_terms:
         missing = [t for t in subgroup_terms]
         raise EmbeddingError(
@@ -138,26 +144,24 @@ def subgroup_similarity_profile(
 
 
 @dataclass(frozen=True)
-class EmbeddingBiasResult:
+class PairGap(Record):
+    """MAE and RMSE between the profiles of two subgroups, ``subgroup_a < subgroup_b``."""
+
+    subgroup_a: str
+    subgroup_b: str
+    mae: float
+    rmse: float
+
+
+@dataclass(frozen=True)
+class EmbeddingBiasResult(Record):
     """Pairwise and aggregate neutral-word association gaps for one attribute."""
 
     attribute: str
-    pairwise: dict[tuple[str, str], tuple[float, float]]  # (mae, rmse)
+    pairwise: tuple[PairGap, ...]  # in sorted pair order
     amae: float
     armse: float
     skipped_terms: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "attribute": self.attribute,
-            "pairwise": [
-                {"subgroup_a": a, "subgroup_b": b, "mae": mae, "rmse": rmse}
-                for (a, b), (mae, rmse) in sorted(self.pairwise.items())
-            ],
-            "amae": self.amae,
-            "armse": self.armse,
-            "skipped_terms": list(self.skipped_terms),
-        }
 
 
 def embedding_bias(
@@ -193,11 +197,9 @@ def embedding_bias(
     profiles: dict[str, SimilarityProfile] = {}
     for subgroup in sorted(lexicon.subgroups(attribute)):
         terms = lexicon.terms(attribute, subgroup)
-        skipped.extend(t for t in dict.fromkeys(terms) if " " in t or t not in table)
-        try:
+        skipped.extend(t for t in dict.fromkeys(terms) if not _usable(t, table))
+        if any(_usable(t, table) for t in terms):
             profiles[subgroup] = subgroup_similarity_profile(filtered, terms, table, subgroup)
-        except EmbeddingError:
-            continue
     if len(profiles) < 2:
         raise EmbeddingError(
             f"attribute {attribute!r}: need at least 2 subgroups with in-vocabulary terms, "
@@ -206,22 +208,18 @@ def embedding_bias(
 
     # Every profile covers the same neutral words (those in the table), in order.
     names = sorted(profiles)
-    pairwise: dict[tuple[str, str], tuple[float, float]] = {}
-    maes: list[float] = []
-    rmses: list[float] = []
+    pairwise: list[PairGap] = []
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
             diff = [xa - xb for xa, xb in zip(profiles[a].x, profiles[b].x)]
             mae = sum(map(abs, diff)) / len(diff)
             rmse = math.sqrt(sum(d * d for d in diff) / len(diff))
-            pairwise[(a, b)] = (mae, rmse)
-            maes.append(mae)
-            rmses.append(rmse)
+            pairwise.append(PairGap(subgroup_a=a, subgroup_b=b, mae=mae, rmse=rmse))
     return EmbeddingBiasResult(
         attribute=attribute,
-        pairwise=pairwise,
-        amae=sum(maes) / len(maes),
-        armse=sum(rmses) / len(rmses),
+        pairwise=tuple(pairwise),
+        amae=sum(p.mae for p in pairwise) / len(pairwise),
+        armse=sum(p.rmse for p in pairwise) / len(pairwise),
         skipped_terms=tuple(skipped),
     )
 
@@ -230,7 +228,7 @@ def embedding_bias_csv(results: list[EmbeddingBiasResult]) -> str:
     """Flat CSV of pairwise and aggregate values, one attribute per block."""
     lines = ["attribute,subgroup_a,subgroup_b,mae,rmse"]
     for result in results:
-        for (a, b), (mae, rmse) in sorted(result.pairwise.items()):
-            lines.append(f"{result.attribute},{a},{b},{mae:.6g},{rmse:.6g}")
+        for p in result.pairwise:
+            lines.append(f"{result.attribute},{p.subgroup_a},{p.subgroup_b},{p.mae:.6g},{p.rmse:.6g}")
         lines.append(f"{result.attribute},ALL,ALL,{result.amae:.6g},{result.armse:.6g}")
     return "\n".join(lines) + "\n"

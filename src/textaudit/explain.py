@@ -44,32 +44,20 @@ def _comment_rng(rng_seed: int, comment_id: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _unique_tokens(text: str) -> tuple[list[str], dict[str, list[TokenSpan]]]:
-    spans_by_token: dict[str, list[TokenSpan]] = {}
-    order: list[str] = []
-    for span in tokenize(text):
-        if span.token not in spans_by_token:
-            spans_by_token[span.token] = []
-            order.append(span.token)
-        spans_by_token[span.token].append(span)
-    return order, spans_by_token
+def _unique_tokens(text: str) -> tuple[list[str], list[tuple[int, TokenSpan]]]:
+    """The text's unique tokens in first-appearance order, and every span in
+    text order tagged with the index of its token among them."""
+    index: dict[str, int] = {}
+    spans = [(index.setdefault(span.token, len(index)), span) for span in tokenize(text)]
+    return list(index), spans
 
 
-def _delete_spans(text: str, spans: list[TokenSpan]) -> str:
-    doomed = sorted(spans, key=lambda s: s.start)
-    return " ".join(splice(text, [(span, "") for span in doomed]).split())
-
-
-def _realize_mask(
-    text: str, tokens: list[str], spans_by_token: dict[str, list[TokenSpan]], mask
-) -> str:
-    doomed: list[TokenSpan] = []
-    for token, keep in zip(tokens, mask):
-        if not keep:
-            doomed.extend(spans_by_token[token])
+def _realize_mask(text: str, spans: list[tuple[int, TokenSpan]], mask) -> str:
+    """``text`` with every occurrence of each token whose mask entry is 0 deleted."""
+    doomed = [(span, "") for j, span in spans if not mask[j]]
     if not doomed:
         return text
-    return _delete_spans(text, doomed)
+    return " ".join(splice(text, doomed).split())
 
 
 @dataclass(frozen=True)
@@ -185,7 +173,7 @@ def plan_local_explain(
     rng_seed: int = 0,
 ) -> ScoringPlan[LocalExplanation]:
     """The perturbed texts :func:`local_explain` scores, and the surrogate fit."""
-    tokens, spans_by_token = _unique_tokens(comment.text)
+    tokens, spans = _unique_tokens(comment.text)
     k = len(tokens)
     if k == 0:
         raise ExplainError(f"comment {comment.id!r} has no tokens")
@@ -203,7 +191,7 @@ def plan_local_explain(
         masks = [[1] * k]
         masks += [[rng.getrandbits(1) for _ in range(k)] for _ in range(n_samples - 1)]
 
-    texts = [_realize_mask(comment.text, tokens, spans_by_token, mask) for mask in masks]
+    texts = [_realize_mask(comment.text, spans, mask) for mask in masks]
 
     def finish(y: list[float]) -> LocalExplanation:
         w = _mask_weights(masks, kernel_width)
@@ -282,11 +270,14 @@ class GlobalImportance(Record):
         return "\n".join(lines) + "\n"
 
 
-def _capped_tokens(text: str, max_tokens: int) -> tuple[list[str], dict[str, list[TokenSpan]]]:
-    tokens, spans_by_token = _unique_tokens(text)
+def _capped_tokens(
+    text: str, max_tokens: int
+) -> tuple[list[str], list[tuple[int, TokenSpan]]]:
+    tokens, spans = _unique_tokens(text)
     if max_tokens and len(tokens) > max_tokens:
         tokens = tokens[:max_tokens]  # first-appearance order keeps this deterministic
-    return tokens, spans_by_token
+        spans = [(j, span) for j, span in spans if j < max_tokens]
+    return tokens, spans
 
 
 def _plan_occlusion(
@@ -296,9 +287,12 @@ def _plan_occlusion(
     deletion_texts: list[str] = []
     token_lists: list[list[str]] = []
     for comment in corpus:
-        tokens, spans_by_token = _capped_tokens(comment.text, max_tokens_per_comment)
+        tokens, spans = _capped_tokens(comment.text, max_tokens_per_comment)
         full_texts.append(comment.text)
-        deletion_texts.extend(_delete_spans(comment.text, spans_by_token[t]) for t in tokens)
+        deletion_texts.extend(
+            _realize_mask(comment.text, spans, [j != t for j in range(len(tokens))])
+            for t in range(len(tokens))
+        )
         token_lists.append(tokens)
 
     def finish(probs: list[float]) -> dict[str, list[float]]:
@@ -322,7 +316,7 @@ def _plan_sampled_shapley(
     texts: list[str] = []
     plans: list[tuple[list[str], list[list[int]], dict[int, int]]] = []
     for comment in corpus:
-        tokens, spans_by_token = _capped_tokens(comment.text, max_tokens_per_comment)
+        tokens, spans = _capped_tokens(comment.text, max_tokens_per_comment)
         k = len(tokens)
         if k == 0:
             continue
@@ -333,7 +327,7 @@ def _plan_sampled_shapley(
             if bits not in slot_of:
                 slot_of[bits] = len(texts)
                 mask = [(bits >> j) & 1 for j in range(k)]
-                texts.append(_realize_mask(comment.text, tokens, spans_by_token, mask))
+                texts.append(_realize_mask(comment.text, spans, mask))
         plans.append((tokens, orders, slot_of))
 
     def finish(values: list[float]) -> dict[str, list[float]]:
@@ -445,7 +439,7 @@ def exact_shapley(
     The value of a coalition is the model's probability on the text with the
     complement deleted. Serves as the oracle for the sampled estimator.
     """
-    tokens, spans_by_token = _unique_tokens(comment.text)
+    tokens, spans = _unique_tokens(comment.text)
     k = len(tokens)
     if k == 0:
         raise ExplainError(f"comment {comment.id!r} has no tokens")
@@ -459,7 +453,7 @@ def exact_shapley(
     texts = []
     for bits in range(2**k):
         mask = [(bits >> j) & 1 for j in range(k)]
-        texts.append(_realize_mask(comment.text, tokens, spans_by_token, mask))
+        texts.append(_realize_mask(comment.text, spans, mask))
     values = predict_batch(texts, adapter, cache)
 
     size_weight = [

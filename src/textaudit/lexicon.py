@@ -41,7 +41,7 @@ def _read_resource(name: str) -> str:
 
 def _read_path(path: str | Path) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise LexiconError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -105,13 +105,14 @@ class AttributeLexicon:
         return subgroups[subgroup]
 
     def abbreviations(self) -> frozenset[str]:
-        """Terms ending in a period; fed to the tokenizer so they survive intact."""
+        """Words of the terms that end in a period; the tokenizer keeps them intact."""
         return frozenset(
-            term
+            word
             for subgroups in self.attributes.values()
             for terms in subgroups.values()
             for term in terms
-            if term.endswith(".")
+            for word in term.split()
+            if word.endswith(".")
         )
 
 

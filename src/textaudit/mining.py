@@ -89,18 +89,21 @@ class TermIndex:
     separated by single spaces, as :mod:`textaudit.lexicon` checks them to
     be. Each first token maps to the remaining tokens, the term and the
     target of every term that starts with it, in the order the pairs were
-    given. ``abbreviations`` are the period-terminated terms the tokenizer
-    must keep intact for these terms to match. Matching a comment costs one
-    dict lookup per token, plus one comparison per multi-token candidate,
-    however many terms there are.
+    given. ``abbreviations`` are the words of these terms that end in a
+    period ("u.s." of "u.s. citizen"): the tokenizer must keep them intact
+    for the terms to match. Matching a comment costs one dict lookup per
+    token, plus one comparison per multi-token candidate, however many terms
+    there are.
     """
 
-    def __init__(self, pairs: Iterable[tuple[str, Hashable]], abbreviations: frozenset[str]):
-        self.abbreviations = abbreviations
+    def __init__(self, pairs: Iterable[tuple[str, Hashable]]):
         self._by_first: dict[str, list[tuple[tuple[str, ...], str, Hashable]]] = {}
+        abbreviations: set[str] = set()
         for term, target in pairs:
-            first, *rest = term.split()
-            self._by_first.setdefault(first, []).append((tuple(rest), term, target))
+            words = term.split()
+            abbreviations.update(w for w in words if w.endswith("."))
+            self._by_first.setdefault(words[0], []).append((tuple(words[1:]), term, target))
+        self.abbreviations = frozenset(abbreviations)
 
     def matches(self, tokens: list[TokenSpan]) -> Iterator[tuple[Hashable, str, TokenSpan]]:
         """``(target, term, span)`` per occurrence, in token order, then pair order.
@@ -146,11 +149,7 @@ def _lookup_index(lexicon: AttributeLexicon) -> TermIndex:
         for subgroup, terms in subgroups.items()
         for term in dict.fromkeys(terms)
     )
-    return TermIndex(pairs, lexicon.abbreviations())
-
-
-def _gazetteer_index(gaz: Gazetteer) -> TermIndex:
-    return TermIndex(gaz.entries.items(), frozenset(t for t in gaz.entries if t.endswith(".")))
+    return TermIndex(pairs)
 
 
 def annotate_corpus(
@@ -164,7 +163,7 @@ def annotate_corpus(
     extractor then sees the tokens its own terms alone would give.
     """
     lookup = _lookup_index(lexicon)
-    gazetteer = _gazetteer_index(gaz)
+    gazetteer = TermIndex(gaz.entries.items())
     abbreviations = lookup.abbreviations | gazetteer.abbreviations
     annotations: dict[str, tuple[SubgroupRef, ...]] = {}
     for comment in corpus:

@@ -1,7 +1,7 @@
 """Dict forms of result dataclasses, derived from their fields.
 
-A result whose dict form is just its fields, in order, mixes in
-:class:`Record`; a result that reshapes its data keeps its own ``to_dict``.
+A result's fields are its published keys, so its dict form is just its
+fields, in order: every result mixes in :class:`Record`.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from dataclasses import fields, is_dataclass
 
 def plain(value):
     """``value`` as JSON-ready data: dataclasses as dicts, tuples as lists."""
-    if hasattr(value, "to_dict"):
-        return value.to_dict()
     if is_dataclass(value):
         return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, (list, tuple)):
@@ -26,4 +24,4 @@ class Record:
     """Mixin: ``to_dict`` maps every dataclass field name to its plain value."""
 
     def to_dict(self) -> dict:
-        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
+        return plain(self)

@@ -378,24 +378,16 @@ def _sha256_file(path) -> str | None:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AuditReport:
+class AuditReport(Record):
     version: str
     config: dict
     inputs: list[dict]
     sections: dict[str, dict]
+    tool: str = "textaudit"
 
     @property
     def any_failed(self) -> bool:
         return any(s.get("status") == "failed" for s in self.sections.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "tool": "textaudit",
-            "version": self.version,
-            "config": self.config,
-            "inputs": self.inputs,
-            "sections": self.sections,
-        }
 
 
 class _Skip(Exception):

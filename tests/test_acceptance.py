@@ -15,6 +15,7 @@ import pytest
 from conftest import FIXTURES_DIR, GOLDEN_DIR, REPO_ROOT, CallableAdapter
 
 from textaudit.classbias import (
+    CLASS_NAMES,
     CounterfactualCorpus,
     CounterfactualRow,
     counterfactual_bias,
@@ -142,7 +143,7 @@ def test_criterion_01_metric_oracle_equivalence():
         assert report.accuracy == pytest.approx((tp + tn) / n, abs=1e-9)
         for cls in (0, 1):
             precision, recall, f1, support = oracle_class_metrics(labels, probs, threshold, cls)
-            metrics = report.per_class[cls]
+            metrics = report.per_class[CLASS_NAMES[cls]]
             assert_matches(metrics.precision, precision, f"precision[{cls}] trial {trial}")
             assert_matches(metrics.recall, recall, f"recall[{cls}] trial {trial}")
             assert_matches(metrics.f1, f1, f"f1[{cls}] trial {trial}")
@@ -210,14 +211,14 @@ def test_criterion_02_embedding_bias_properties():
         neutrals = NeutralWordList(words=tuple(neutral_names))
         result = embedding_bias(neutrals, lexicon, "attr", table)
 
-        for pair, (mae, rmse) in result.pairwise.items():
-            assert rmse >= mae - 1e-12, f"RMSE >= MAE violated for {pair} in trial {trial}"
+        for gap in result.pairwise:
+            assert gap.rmse >= gap.mae - 1e-12, f"RMSE >= MAE violated for {gap} in trial {trial}"
         assert 0.0 <= result.amae <= 2.0
         assert 0.0 <= result.armse <= 2.0
         if n_subgroups == 2:
-            ((mae, rmse),) = result.pairwise.values()
-            assert result.amae == mae
-            assert result.armse == rmse
+            (gap,) = result.pairwise
+            assert result.amae == gap.mae
+            assert result.armse == gap.rmse
 
         scale = float(rng.uniform(0.1, 50.0))
         scaled_table = EmbeddingTable(
@@ -521,11 +522,12 @@ def test_criterion_08_end_to_end_determinism(tmp_path):
     assert "report.json" in names
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-    golden = (GOLDEN_DIR / "report.json").read_bytes()
-    assert (out_a / "report.json").read_bytes() == golden, "report.json drifted from the golden"
+    for name in ("report.json", "report.md"):
+        golden = (GOLDEN_DIR / name).read_bytes()
+        assert (out_a / name).read_bytes() == golden, f"{name} drifted from the golden"
     print(
         f"\nACCEPTANCE 8 PASS - two audit runs wrote {len(names)} byte-identical files"
-        " and report.json equals the golden report"
+        " and report.json and report.md equal the golden reports"
     )
 
 

@@ -5,6 +5,7 @@ import pytest
 from conftest import CallableAdapter
 
 from textaudit.classbias import (
+    CLASS_NAMES,
     CBResult,
     CounterfactualCorpus,
     CounterfactualRow,
@@ -66,12 +67,12 @@ def test_performance_hand_confusion():
     corpus = four_comment_corpus()
     preds = records([("a", 0.9), ("b", 0.2), ("c", 0.1), ("d", 0.1)])
     report = performance_report(corpus, preds, threshold=0.5)
-    hateful = report.per_class[1]
+    hateful = report.per_class["hateful"]
     assert hateful.precision == pytest.approx(1.0, abs=1e-9)
     assert hateful.recall == pytest.approx(0.5, abs=1e-9)
     assert hateful.f1 == pytest.approx(2 / 3, abs=1e-9)
     assert hateful.support == 2
-    nothateful = report.per_class[0]
+    nothateful = report.per_class["not-hateful"]
     assert nothateful.precision == pytest.approx(2 / 3, abs=1e-9)
     assert nothateful.recall == pytest.approx(1.0, abs=1e-9)
     assert report.accuracy == pytest.approx(0.75, abs=1e-9)
@@ -84,7 +85,7 @@ def test_performance_perfect():
     corpus = four_comment_corpus()
     preds = records([("a", 0.9), ("b", 0.8), ("c", 0.1), ("d", 0.2)])
     report = performance_report(corpus, preds)
-    for cls in (0, 1):
+    for cls in ("not-hateful", "hateful"):
         m = report.per_class[cls]
         assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
     assert report.accuracy == 1.0
@@ -95,7 +96,7 @@ def test_performance_zero_denominator_flagged():
     corpus = four_comment_corpus()
     preds = records([("a", 0.1), ("b", 0.1), ("c", 0.1), ("d", 0.1)])
     report = performance_report(corpus, preds)
-    assert report.per_class[1].precision == 0.0
+    assert report.per_class["hateful"].precision == 0.0
     assert "precision[hateful]" in report.zero_division_flags
 
 
@@ -126,10 +127,10 @@ def test_performance_weighted_identity_and_trace():
         corpus = LabeledCorpus(comments)
         report = performance_report(corpus, preds, threshold=0.5)
         recomputed = sum(
-            report.per_class[c].f1 * report.per_class[c].support for c in (0, 1)
+            report.per_class[c].f1 * report.per_class[c].support for c in CLASS_NAMES.values()
         ) / len(corpus)
         assert report.weighted.f1 == pytest.approx(recomputed, abs=1e-9)
-        assert sum(report.per_class[c].support for c in (0, 1)) == len(corpus)
+        assert sum(report.per_class[c].support for c in CLASS_NAMES.values()) == len(corpus)
 
 
 # ---------------------------------------------------------------------------
@@ -151,30 +152,30 @@ def test_subgroup_stats_singleton_and_mean():
     annotated = annotated_gender_corpus()
     preds = records([("f1", 0.856), ("m1", 0.1), ("m2", 0.208)])
     stats = subgroup_probability_stats(annotated, preds, "gender")
-    by_cell = {(r.label, r.subgroup): r for r in stats.rows}
-    assert by_cell[(1, "female")].mean_p == pytest.approx(0.856)
-    assert by_cell[(1, "female")].n == 1
-    assert by_cell[(0, "male")].mean_p == pytest.approx(0.154)
-    assert by_cell[(0, "male")].n == 2
+    by_cell = {(r.actual, r.subgroup): r for r in stats.rows}
+    assert by_cell[("hateful", "female")].mean_p_hateful == pytest.approx(0.856)
+    assert by_cell[("hateful", "female")].n == 1
+    assert by_cell[("not-hateful", "male")].mean_p_hateful == pytest.approx(0.154)
+    assert by_cell[("not-hateful", "male")].n == 2
 
 
 def test_subgroup_stats_empty_cell_is_none():
     annotated = annotated_gender_corpus()
     preds = records([("f1", 0.856), ("m1", 0.1), ("m2", 0.208)])
     stats = subgroup_probability_stats(annotated, preds, "gender")
-    by_cell = {(r.label, r.subgroup): r for r in stats.rows}
-    assert by_cell[(0, "female")].mean_p is None
-    assert by_cell[(0, "female")].n == 0
-    assert by_cell[(1, "male")].mean_p is None
+    by_cell = {(r.actual, r.subgroup): r for r in stats.rows}
+    assert by_cell[("not-hateful", "female")].mean_p_hateful is None
+    assert by_cell[("not-hateful", "female")].n == 0
+    assert by_cell[("hateful", "male")].mean_p_hateful is None
 
 
 def test_subgroup_stats_multi_reference_contributes_to_each():
     corpus = LabeledCorpus([Comment(id="x", text="he told her", label=1)])
     annotated = annotate_corpus(corpus, LEX, EMPTY_GAZ)
     stats = subgroup_probability_stats(annotated, records([("x", 0.7)]), "gender")
-    by_cell = {(r.label, r.subgroup): r for r in stats.rows}
-    assert by_cell[(1, "male")].mean_p == pytest.approx(0.7)
-    assert by_cell[(1, "female")].mean_p == pytest.approx(0.7)
+    by_cell = {(r.actual, r.subgroup): r for r in stats.rows}
+    assert by_cell[("hateful", "male")].mean_p_hateful == pytest.approx(0.7)
+    assert by_cell[("hateful", "female")].mean_p_hateful == pytest.approx(0.7)
 
 
 # ---------------------------------------------------------------------------
@@ -431,9 +432,9 @@ def test_counterfactual_probability_stats():
     rows = group_rows(0, 1, ["a", "b"]) + group_rows(1, 0, ["a", "b"])
     corpus = CounterfactualCorpus(rows=tuple(rows), n_groups=2)
     stats = counterfactual_probability_stats(corpus, [0.9, 0.7, 0.2, 0.4])
-    by_cell = {(r.label, r.subgroup): r for r in stats}
-    assert by_cell[(1, "a")].mean_p == pytest.approx(0.9)
-    assert by_cell[(0, "b")].mean_p == pytest.approx(0.4)
+    by_cell = {(r.actual, r.subgroup): r for r in stats}
+    assert by_cell[("hateful", "a")].mean_p_hateful == pytest.approx(0.9)
+    assert by_cell[("not-hateful", "b")].mean_p_hateful == pytest.approx(0.4)
 
 
 # ---------------------------------------------------------------------------

@@ -152,9 +152,10 @@ def test_embedding_bias_hand_case():
     result = embedding_bias(NeutralWordList(words=("n1", "n2")), lexicon, "attr", table)
     assert result.amae == pytest.approx(0.3, abs=1e-9)
     assert result.armse == pytest.approx(math.sqrt(0.1), abs=1e-9)
-    mae, rmse = result.pairwise[("a", "b")]
-    assert mae == pytest.approx(0.3, abs=1e-9)
-    assert rmse == pytest.approx(math.sqrt(0.1), abs=1e-9)
+    (gap,) = result.pairwise
+    assert (gap.subgroup_a, gap.subgroup_b) == ("a", "b")
+    assert gap.mae == pytest.approx(0.3, abs=1e-9)
+    assert gap.rmse == pytest.approx(math.sqrt(0.1), abs=1e-9)
 
 
 def test_embedding_bias_identical_term_sets_zero():
@@ -171,10 +172,11 @@ def test_embedding_bias_two_subgroups_amae_equals_mae():
     table = table_of(**{name: rng.normal(size=4) for name in names})
     lexicon = _lexicon_from_obj({"attr": {"a": ["t0", "t1", "t2"], "b": ["t3", "t4", "t5"]}})
     result = embedding_bias(NeutralWordList(words=("n1", "n2", "n3")), lexicon, "attr", table)
-    mae, rmse = result.pairwise[("a", "b")]
-    assert result.amae == mae
-    assert result.armse == rmse
-    assert rmse >= mae
+    (gap,) = result.pairwise
+    assert (gap.subgroup_a, gap.subgroup_b) == ("a", "b")
+    assert result.amae == gap.mae
+    assert result.armse == gap.rmse
+    assert gap.rmse >= gap.mae
 
 
 def test_embedding_bias_multi_token_and_oov_skipped():
@@ -191,6 +193,21 @@ def test_embedding_bias_fewer_than_two_subgroups():
     lexicon = _lexicon_from_obj({"attr": {"a": ["t1"], "b": ["ghost"]}})
     with pytest.raises(EmbeddingError, match="at least 2 subgroups"):
         embedding_bias(NeutralWordList(words=("n",)), lexicon, "attr", table)
+
+
+def test_embedding_bias_zero_vector_term_fails_instead_of_dropping_subgroup():
+    # Three subgroups: dropping "c" would still leave a pair to average over.
+    table = table_of(n=[1, 0], t1=[0.5, 0.5], t2=[0.1, 0.9], t3=[0, 0])
+    lexicon = _lexicon_from_obj({"attr": {"a": ["t1"], "b": ["t2"], "c": ["t3"]}})
+    with pytest.raises(EmbeddingError, match=r"zero-norm embedding for term\(s\): \['t3'\]"):
+        embedding_bias(NeutralWordList(words=("n",)), lexicon, "attr", table)
+
+
+def test_embedding_bias_no_neutral_embedding_keeps_its_message():
+    table = table_of(t1=[0.5, 0.5], t2=[0.1, 0.9])
+    lexicon = _lexicon_from_obj({"attr": {"a": ["t1"], "b": ["t2"]}})
+    with pytest.raises(EmbeddingError, match="no neutral word has an embedding"):
+        embedding_bias(NeutralWordList(words=("ghost",)), lexicon, "attr", table)
 
 
 def test_embedding_bias_neutral_overlap_excluded():

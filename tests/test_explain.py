@@ -268,7 +268,7 @@ def reference_sampled_shapley_effects(
         raise ExplainError(f"m_permutations must be positive, got {m_permutations}")
     effects = {}
     for comment in corpus:
-        tokens, spans_by_token = explain._capped_tokens(comment.text, max_tokens_per_comment)
+        tokens, spans = explain._capped_tokens(comment.text, max_tokens_per_comment)
         k = len(tokens)
         if k == 0:
             continue
@@ -277,7 +277,7 @@ def reference_sampled_shapley_effects(
 
         def coalition_text(bits):
             mask = [(bits >> j) & 1 for j in range(k)]
-            return explain._realize_mask(comment.text, tokens, spans_by_token, mask)
+            return explain._realize_mask(comment.text, spans, mask)
 
         def ensure_values(bit_sets):
             missing = [b for b in dict.fromkeys(bit_sets) if b not in value_memo]

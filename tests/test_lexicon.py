@@ -58,6 +58,17 @@ def test_lexicon_non_utf8_rejected(tmp_path):
         load_lexicon(path)
 
 
+@pytest.mark.parametrize("name", sorted(lexicon.BUILTIN_FILES))
+def test_word_resource_with_byte_order_mark_loads_as_without(tmp_path, name):
+    text = lexicon.builtin_file(name).read_text(encoding="utf-8")
+    plain_path = tmp_path / "plain"
+    plain_path.write_text(text, encoding="utf-8")
+    bom_path = tmp_path / "bom"
+    bom_path.write_text(text, encoding="utf-8-sig")
+    load = getattr(lexicon, f"load_{name}")
+    assert load(bom_path) == load(plain_path)
+
+
 def test_lexicon_roundtrip(tmp_path):
     lex = default_lexicon()
     path = tmp_path / "roundtrip.json"

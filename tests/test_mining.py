@@ -189,6 +189,21 @@ def test_multi_token_term_matching():
     assert "back in my home town tonight"[span.start : span.end] == "home town"
 
 
+def test_multi_token_term_with_abbreviated_word():
+    # "u.s." is a word of the term, not a term, and must keep its period.
+    lex = _lexicon_from_obj({"origin": {"domestic": ["u.s. citizen"], "foreign": ["visitor"]}})
+    text = "Every U.S. citizen votes"
+    refs = mine(text, lex, NO_GAZ)
+    assert [(r.attribute, r.subgroup) for r in refs] == [("origin", "domestic")]
+    ((term, span),) = refs[0].matched_terms
+    assert (term, text[span.start : span.end]) == ("u.s. citizen", "U.S. citizen")
+    corpus = LabeledCorpus(
+        [Comment(id="h", text=text, label=1), Comment(id="n", text="A visitor", label=0)]
+    )
+    (row,) = identity_term_frequencies(corpus, IdentityTermList(terms=("u.s. citizen",)))
+    assert (row.hateful_n, row.nothateful_n) == (1, 0)
+
+
 def test_annotations_jsonl_export(fixture_annotated):
     text = annotations_to_jsonl(fixture_annotated)
     lines = [line for line in text.splitlines() if line]
@@ -232,7 +247,7 @@ def reference_lookup(comment, lexicon):
 
 
 def reference_gazetteer(comment, gaz):
-    abbreviations = frozenset(t for t in gaz.entries if t.endswith("."))
+    abbreviations = frozenset(w for t in gaz.entries for w in t.split() if w.endswith("."))
     targets = [(attribute, subgroup, term) for term, (attribute, subgroup) in gaz.entries.items()]
     return reference_mine(tokenize(comment.text, abbreviations), targets, METHOD_GAZETTEER)
 
@@ -261,7 +276,7 @@ def reference_annotate_corpus(corpus, lexicon, gaz):
 
 
 def reference_identity_term_frequencies(corpus, terms):
-    abbreviations = frozenset(t for t in terms.terms if t.endswith("."))
+    abbreviations = frozenset(w for t in terms.terms for w in t.split() if w.endswith("."))
     counts = {term: [0, 0] for term in terms.terms}
     for comment in corpus:
         tokens = tokenize(comment.text, abbreviations)
