@@ -81,19 +81,19 @@ def performance_report(
     total = len(corpus)
     flags: list[str] = []
     per_class: dict[str, ClassMetrics] = {}
-    for cls in (0, 1):
+    for cls, name in CLASS_NAMES.items():
         tp = confusion[(cls, cls)]
         fp = confusion[(1 - cls, cls)]
         fn = confusion[(cls, 1 - cls)]
         support = tp + fn
-        precision = _safe_ratio(tp, tp + fp, f"precision[{CLASS_NAMES[cls]}]", flags)
-        recall = _safe_ratio(tp, support, f"recall[{CLASS_NAMES[cls]}]", flags)
+        precision = _safe_ratio(tp, tp + fp, f"precision[{name}]", flags)
+        recall = _safe_ratio(tp, support, f"recall[{name}]", flags)
         if precision + recall == 0.0:
-            flags.append(f"f1[{CLASS_NAMES[cls]}]")
+            flags.append(f"f1[{name}]")
             f1 = 0.0
         else:
             f1 = 2 * precision * recall / (precision + recall)
-        per_class[CLASS_NAMES[cls]] = ClassMetrics(precision=precision, recall=recall, f1=f1, support=support)
+        per_class[name] = ClassMetrics(precision=precision, recall=recall, f1=f1, support=support)
 
     macro = ClassMetrics(
         precision=sum(m.precision for m in per_class.values()) / 2,
@@ -134,11 +134,11 @@ def _stats_rows(cells: dict[tuple[int, str], list[float]]) -> list[SubgroupStats
     """One row per subgroup and label, subgroups sorted; an empty cell's mean is None."""
     rows = []
     for subgroup in sorted({subgroup for _, subgroup in cells}):
-        for label in (0, 1):
+        for label, actual in CLASS_NAMES.items():
             values = cells.get((label, subgroup), [])
             rows.append(
                 SubgroupStatsRow(
-                    actual=CLASS_NAMES[label],
+                    actual=actual,
                     subgroup=subgroup,
                     mean_p_hateful=(sum(values) / len(values)) if values else None,
                     n=len(values),

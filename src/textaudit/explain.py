@@ -45,8 +45,7 @@ def _comment_rng(rng_seed: int, comment_id: str) -> random.Random:
 
 
 def _unique_tokens(text: str) -> tuple[list[str], list[tuple[int, TokenSpan]]]:
-    """The text's unique tokens in first-appearance order, and every span in
-    text order tagged with the index of its token among them."""
+    """Unique tokens in first-appearance order; each span, in text order, with its token's index."""
     index: dict[str, int] = {}
     spans = [(index.setdefault(span.token, len(index)), span) for span in tokenize(text)]
     return list(index), spans
@@ -270,9 +269,7 @@ class GlobalImportance(Record):
         return "\n".join(lines) + "\n"
 
 
-def _capped_tokens(
-    text: str, max_tokens: int
-) -> tuple[list[str], list[tuple[int, TokenSpan]]]:
+def _capped_tokens(text: str, max_tokens: int) -> tuple[list[str], list[tuple[int, TokenSpan]]]:
     tokens, spans = _unique_tokens(text)
     if max_tokens and len(tokens) > max_tokens:
         tokens = tokens[:max_tokens]  # first-appearance order keeps this deterministic

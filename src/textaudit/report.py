@@ -707,13 +707,12 @@ def _pct(value) -> str:
 
 
 def _md_performance(data: dict) -> list[str]:
-    rows = []
-    for name, key in (("Not-hateful", "not-hateful"), ("Hateful", "hateful")):
-        m = data["per_class"][key]
-        rows.append([name, _fmt(m["precision"], 2), _fmt(m["recall"], 2), _fmt(m["f1"], 2), str(m["support"])])
-    for name, key in (("Macro Avg.", "macro"), ("Weighted Avg.", "weighted")):
-        m = data[key]
-        rows.append([name, _fmt(m["precision"], 2), _fmt(m["recall"], 2), _fmt(m["f1"], 2), str(m["support"])])
+    named = [(name.capitalize(), m) for name, m in data["per_class"].items()]
+    named += [("Macro Avg.", data["macro"]), ("Weighted Avg.", data["weighted"])]
+    rows = [
+        [name, _fmt(m["precision"], 2), _fmt(m["recall"], 2), _fmt(m["f1"], 2), str(m["support"])]
+        for name, m in named
+    ]
     lines = _md_table(["", "Precision", "Recall", "F1-Score", "Support"], rows)
     lines.append("")
     lines.append(f"Accuracy: {data['accuracy']:.2f} at threshold {data['threshold']:.2f}.")
