@@ -24,7 +24,7 @@ from textaudit.classbias import (
     swap_favor_analysis,
 )
 from textaudit.corpus import load_dataset
-from textaudit.errors import AuditError, ConfigError
+from textaudit.errors import AuditError, ConfigError, LexiconError
 from textaudit.explain import global_importance, local_explain
 from textaudit.lexicon import aligned_swap_pairs, default_gazetteer, default_lexicon, load_templates
 from textaudit.mining import annotate_corpus
@@ -412,6 +412,21 @@ def test_section_isolation(full_report, module_chdir, tmp_path):
         if name == "embedding_bias":
             continue
         assert section == full_report.sections[name], name
+
+
+def test_section_isolation_unreadable_identity_terms(full_report, module_chdir, tmp_path):
+    missing = tmp_path / "no_such_identity_terms.txt"
+    with pytest.raises(LexiconError) as raised:
+        lexicon.load_identity_terms(missing)
+    report = run_audit(fixture_config(identity_terms=str(missing)))
+    assert report.sections["data_bias"] == {
+        "status": "failed",
+        "error": f"LexiconError: {raised.value}",
+    }
+    assert report.sections["subgroup_stats"]["status"] == "computed"
+    for name, section in report.sections.items():
+        if name != "data_bias":
+            assert section == full_report.sections[name], name
 
 
 LIVE_SECTIONS = (
