@@ -2,6 +2,9 @@
 
 Both approaches count comment presence (a comment counts once no matter how
 often a term repeats), reported as percentages alongside the raw counts.
+Neither tokenizes: :func:`textaudit.mining.annotate_corpus` finds each
+comment's subgroup references and identity terms in its one pass over the
+corpus, and the tables here tally what it found.
 """
 
 from __future__ import annotations
@@ -10,10 +13,10 @@ import io
 import csv
 from dataclasses import dataclass
 
-from .corpus import LabeledCorpus, tokenize
+from .corpus import LabeledCorpus
 from .errors import EmptyPartitionError
-from .lexicon import IdentityTermList
-from .mining import AnnotatedCorpus, TermIndex
+from .lexicon import AttributeLexicon, Gazetteer, IdentityTermList
+from .mining import AnnotatedCorpus, annotate_corpus
 from .record import Record
 
 
@@ -54,18 +57,23 @@ def _row(key: str, hateful_n: int, nothateful_n: int, n_h: int, n_nh: int) -> Fr
 
 
 def identity_term_frequencies(
-    corpus: LabeledCorpus, terms: IdentityTermList
+    corpus: LabeledCorpus | AnnotatedCorpus, terms: IdentityTermList
 ) -> list[FrequencyRow]:
     """Per identity term, the share of comments containing it, per partition.
 
-    Containment is whole-token; rows follow the input term order.
+    Containment is whole-token; rows follow the input term order. An
+    :class:`AnnotatedCorpus` must have been annotated with ``terms``; a
+    plain corpus is annotated with ``terms`` alone.
     """
-    n_h, n_nh = _check_partitions(corpus)
-    index = TermIndex((term, term) for term in terms.terms)
+    if isinstance(corpus, LabeledCorpus):
+        corpus = annotate_corpus(corpus, AttributeLexicon({}), Gazetteer({}), terms)
+    elif corpus.identity_terms != terms:
+        raise ValueError("the corpus was annotated with other identity terms")
+    n_h, n_nh = _check_partitions(corpus.corpus)
     counts = {term: [0, 0] for term in terms.terms}  # [hateful, not-hateful]
-    for comment in corpus:
-        found = {term for term, _, _ in index.matches(tokenize(comment.text, index.abbreviations))}
-        for term in found:
+    hits = corpus.identity_hits
+    for comment in corpus.corpus:
+        for term in hits.get(comment.id, ()):
             counts[term][0 if comment.label == 1 else 1] += 1
     return [_row(term, counts[term][0], counts[term][1], n_h, n_nh) for term in terms.terms]
 

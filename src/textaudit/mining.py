@@ -5,21 +5,22 @@ attribute lexicon and a gazetteer matcher for nationality/religion/political
 group mentions. Matching is whole-token only (multi-token terms match as
 contiguous token runs); "gayety" never matches "gay".
 
-Both extractors, and the identity-term counts in :mod:`textaudit.databias`,
+Both extractors, and the identity-term counts of :mod:`textaudit.databias`,
 match through a :class:`TermIndex` that keys every term on its first token.
-A pass over a corpus tokenizes each comment once and then costs one dict
-lookup per token, whatever the number of terms; :func:`annotate_corpus`
-feeds both extractors from that one token list.
+:func:`annotate_corpus` is the one pass that tokenizes and matches: it
+tokenizes each comment once, keeping the periods of every index's terms,
+and each index then sees the tokens its own terms alone would give. A
+comment's identity terms are kept as a set, its tokens are not.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator
 
 from .corpus import Comment, LabeledCorpus, TokenSpan, narrow_abbreviations, tokenize
-from .lexicon import AttributeLexicon, Gazetteer
+from .lexicon import AttributeLexicon, Gazetteer, IdentityTermList
 
 METHOD_LOOKUP = "lookup"
 METHOD_GAZETTEER = "gazetteer"
@@ -37,10 +38,17 @@ class SubgroupRef:
 
 @dataclass(frozen=True)
 class AnnotatedCorpus:
-    """Corpus plus per-comment subgroup references (the join for all bias stats)."""
+    """Corpus plus per-comment subgroup references (the join for all bias stats).
+
+    ``identity_hits`` maps each comment id to the identity terms it
+    contains, for the ``identity_terms`` it was annotated with; comments
+    without any, and every comment when there are no such terms, are absent.
+    """
 
     corpus: LabeledCorpus
     annotations: dict[str, tuple[SubgroupRef, ...]]
+    identity_terms: IdentityTermList | None = None
+    identity_hits: dict[str, frozenset[str]] = field(default_factory=dict)
 
     def refs(self, comment_id: str) -> tuple[SubgroupRef, ...]:
         return self.annotations.get(comment_id, ())
@@ -153,19 +161,28 @@ def _lookup_index(lexicon: AttributeLexicon) -> TermIndex:
 
 
 def annotate_corpus(
-    corpus: LabeledCorpus, lexicon: AttributeLexicon, gaz: Gazetteer
+    corpus: LabeledCorpus,
+    lexicon: AttributeLexicon,
+    gaz: Gazetteer,
+    identity_terms: IdentityTermList | None = None,
 ) -> AnnotatedCorpus:
-    """Union of look-up and gazetteer references per comment.
+    """Union of look-up and gazetteer references per comment, and identity hits.
 
     Matches are deduplicated on (attribute, subgroup, span) with the look-up
     path taking precedence; output order is deterministic. Each comment is
-    tokenized once, keeping the periods of both extractors' terms; each
-    extractor then sees the tokens its own terms alone would give.
+    tokenized once, keeping the periods of the lexicon's, the gazetteer's
+    and the identity terms' words; each index then sees the tokens its own
+    terms alone would give.
     """
     lookup = _lookup_index(lexicon)
     gazetteer = TermIndex(gaz.entries.items())
     abbreviations = lookup.abbreviations | gazetteer.abbreviations
+    identity = None
+    if identity_terms is not None:
+        identity = TermIndex((term, term) for term in identity_terms.terms)
+        abbreviations |= identity.abbreviations
     annotations: dict[str, tuple[SubgroupRef, ...]] = {}
+    identity_hits: dict[str, frozenset[str]] = {}
     for comment in corpus:
         text = comment.text
         tokens = tokenize(text, abbreviations)
@@ -183,7 +200,12 @@ def annotate_corpus(
         if refs:
             refs.sort(key=lambda r: (r.attribute, r.subgroup, r.method != METHOD_LOOKUP))
             annotations[comment.id] = tuple(refs)
-    return AnnotatedCorpus(corpus=corpus, annotations=annotations)
+        if identity is not None:
+            narrowed = narrow_abbreviations(text, tokens, identity.abbreviations)
+            hits = frozenset(term for term, _, _ in identity.matches(narrowed))
+            if hits:
+                identity_hits[comment.id] = hits
+    return AnnotatedCorpus(corpus, annotations, identity_terms, identity_hits)
 
 
 def annotations_to_jsonl(annotated: AnnotatedCorpus) -> str:

@@ -7,8 +7,10 @@ the model through one of two adapters: a subprocess speaking a line protocol
 (POST /predict over one kept-alive standard-library connection per adapter).
 Every adapter has one lifecycle: it is opened by :func:`open_adapter`,
 scores batches, and is closed with ``close()`` or by leaving a ``with``
-block. A normalized-text cache keeps swap/counterfactual/explanation
-workloads affordable. Probabilities outside [0, 1] are rejected, never
+block, and imports its own transport (``subprocess`` and ``shlex``, or
+``http.client`` and ``ssl``), so an audit loads only the one it uses. A
+normalized-text cache keeps swap/counterfactual/explanation workloads
+affordable. Probabilities outside [0, 1] are rejected, never
 clamped: they signal a broken adapter and clamping would corrupt every
 downstream metric.
 """
@@ -16,12 +18,8 @@ downstream metric.
 from __future__ import annotations
 
 import csv
-import http.client
 import json
 import math
-import shlex
-import ssl
-import subprocess
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,23 +140,28 @@ class SubprocessAdapter(_AdapterLifecycle):
     """Spawns the scoring command per batch and speaks the line protocol.
 
     One JSON string per line on stdin; one decimal probability per line on
-    stdout; EOF terminates the child.
+    stdout; EOF terminates the child. Both pipes carry UTF-8, whatever the
+    locale; output that is not UTF-8 is decoded with replacement characters,
+    so it fails as a protocol error, never as a codec error.
     """
 
     def __init__(self, config: AdapterConfig):
+        import shlex
+
         self.config = config
         self._argv = shlex.split(config.location)
         if not self._argv:
             raise AdapterError("subprocess adapter needs a non-empty command")
 
     def score_batch(self, texts: Sequence[str]) -> list[float]:
+        import subprocess
+
         payload = "".join(json.dumps(t, ensure_ascii=False) + "\n" for t in texts)
         try:
             proc = subprocess.run(
                 self._argv,
-                input=payload,
+                input=payload.encode("utf-8"),
                 capture_output=True,
-                text=True,
                 timeout=self.config.timeout,
             )
         except FileNotFoundError as exc:
@@ -167,11 +170,12 @@ class SubprocessAdapter(_AdapterLifecycle):
             raise AdapterUnavailableError(
                 f"scoring command timed out after {self.config.timeout}s"
             ) from exc
+        stdout, stderr = (out.decode("utf-8", "replace") for out in (proc.stdout, proc.stderr))
         if proc.returncode != 0:
             raise AdapterUnavailableError(
-                f"scoring command exited with {proc.returncode}: {proc.stderr.strip()[:500]}"
+                f"scoring command exited with {proc.returncode}: {stderr.strip()[:500]}"
             )
-        lines = [line for line in proc.stdout.splitlines() if line.strip()]
+        lines = [line for line in stdout.splitlines() if line.strip()]
         if len(lines) != len(texts):
             raise AdapterProtocolError(
                 f"response count mismatch: sent {len(texts)} texts, got {len(lines)} lines"
@@ -195,6 +199,9 @@ class HttpAdapter(_AdapterLifecycle):
     """
 
     def __init__(self, config: AdapterConfig):
+        import http.client
+        import ssl
+
         self.config = config
         self._url = config.location.rstrip("/") + "/predict"
         parts = urlsplit(self._url)
@@ -224,6 +231,8 @@ class HttpAdapter(_AdapterLifecycle):
         return self._conn.getresponse()
 
     def score_batch(self, texts: Sequence[str]) -> list[float]:
+        import http.client
+
         payload = json.dumps({"texts": list(texts)}).encode("utf-8")
         try:
             reused = self._conn.sock is not None

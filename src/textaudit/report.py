@@ -444,8 +444,16 @@ class _AuditRun:
         return getattr(lexicon, f"default_{name}")()
 
     @functools.cached_property
+    def identity_terms(self):
+        """The identity-term list, or the error loading it raised, which fails data_bias only."""
+        return _attempt(self.resource, "identity_terms")
+
+    @functools.cached_property
     def annotated(self):
-        annotated = annotate_corpus(self.corpus, self.lexicon, self.gazetteer)
+        terms = self.identity_terms if "data_bias" in self.config.sections else None
+        if isinstance(terms, Exception):
+            terms = None
+        annotated = annotate_corpus(self.corpus, self.lexicon, self.gazetteer, terms)
         self.files["annotations.jsonl"] = functools.partial(annotations_to_jsonl, annotated)
         return annotated
 
@@ -479,9 +487,11 @@ class _AuditRun:
         )
 
     def section_data_bias(self) -> dict:
-        terms = self.resource("identity_terms")
+        terms = self.identity_terms
+        if isinstance(terms, Exception):
+            raise terms
         data = {
-            "identity_terms": identity_term_frequencies(self.corpus, terms),
+            "identity_terms": identity_term_frequencies(self.annotated, terms),
             "subgroup_references": subgroup_reference_frequencies(self.annotated),
         }
         for key, rows in data.items():

@@ -3,7 +3,8 @@
 
 Run as a script it speaks the subprocess line protocol: one JSON-encoded
 text per stdin line, one decimal probability per stdout line, EOF
-terminates. Import ``keyword_probability`` for in-process tests.
+terminates. Stdin is read as UTF-8, as the protocol says, whatever the
+locale. Import ``keyword_probability`` for in-process tests.
 """
 
 import json
@@ -48,6 +49,7 @@ def keyword_probability(text: str) -> float:
 
 
 def main() -> int:
+    sys.stdin.reconfigure(encoding="utf-8")
     for line in sys.stdin:
         line = line.strip()
         if not line:

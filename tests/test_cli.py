@@ -84,10 +84,17 @@ def test_bad_http_location_exit_one(tmp_path, capsys):
 
 def test_cli_import_loads_no_third_party_http_client():
     # The http adapter uses only the standard library; requests and urllib3
-    # would add to every audit's start-up time.
+    # would add to every audit's start-up time. Each adapter imports its own
+    # transport, so importing the CLI loads neither http.client and ssl nor
+    # subprocess and shlex. Only what the import adds to a bare interpreter's
+    # modules counts, so a site hook that loads one of them cannot matter.
     paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    probe = "import sys, textaudit.cli; print(sorted({'requests', 'urllib3'} & set(sys.modules)))"
+    probe = (
+        "import sys; bare = set(sys.modules); import textaudit.cli; "
+        "print(sorted({'requests', 'urllib3', 'http.client', 'ssl', 'subprocess', 'shlex'}"
+        " & (set(sys.modules) - bare)))"
+    )
     result = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
     )

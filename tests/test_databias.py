@@ -61,6 +61,18 @@ def test_empty_partition_structured_error():
     assert excinfo.value.partition == "not-hateful"
 
 
+def test_identity_frequencies_tally_the_annotate_pass():
+    corpus = corpus_of(("gay people", 1), ("he is muslim", 0))
+    terms = IdentityTermList(terms=("gay", "muslim"))
+    annotated = annotate_corpus(corpus, default_lexicon(), default_gazetteer(), terms)
+    assert annotated.identity_hits == {"0": {"gay"}, "1": {"muslim"}}
+    assert identity_term_frequencies(annotated, terms) == identity_term_frequencies(corpus, terms)
+    for other in (None, IdentityTermList(terms=("gay",))):
+        stale = annotate_corpus(corpus, default_lexicon(), default_gazetteer(), other)
+        with pytest.raises(ValueError, match="other identity terms"):
+            identity_term_frequencies(stale, terms)
+
+
 def test_row_order_follows_input_terms():
     corpus = corpus_of(("gay white muslim", 1), ("none", 0))
     terms = IdentityTermList(terms=("white", "gay", "muslim"))

@@ -2,7 +2,7 @@ import json
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, REPO_ROOT
@@ -287,13 +287,24 @@ def reference_identity_term_frequencies(corpus, terms):
     return [_row(term, counts[term][0], counts[term][1], n_h, n_nh) for term in terms.terms]
 
 
+def reference_identity_hits(corpus, terms):
+    abbreviations = frozenset(w for t in terms.terms for w in t.split() if w.endswith("."))
+    hits = {}
+    for comment in corpus:
+        tokens = tokenize(comment.text, abbreviations)
+        found = frozenset(term for term in terms.terms if term_occurrences(tokens, term))
+        if found:
+            hits[comment.id] = found
+    return hits
+
+
 # Terms that share tokens, differ only by trailing periods ("mr" / "mr." /
 # "mr.."), span several tokens, or change under NFKC ("ﬁ."). Terms with stray
 # whitespace are rejected by the lexicon types (see the test below).
 TERMS = [
     "mr", "mr.", "mr..", "mrs.", "ms", "ms.", "he", "his", "new", "new york",
     "york", "mr. smith", "ms. jones", "jones", "st. louis", "st.", "ﬁ.",
-    "fi.", "fi",
+    "fi.", "fi", "dr", "dr.",
 ]
 AFFIXES = ["", "", ".", "..", "'", "'.", ".'", ",", "!"]
 SUBGROUPS = [("a", "x"), ("a", "y"), ("b", "x"), ("b", "z")]
@@ -335,11 +346,23 @@ def mining_inputs(draw):
     return lexicon, gaz, identity, corpus
 
 
+def _period_word_example(lexicon_term, identity_term):
+    """The lexicon and the identity list hold a word with and without its period."""
+    lexicon = AttributeLexicon(attributes={"a": {"x": (lexicon_term,), "y": ("he",)}})
+    texts = ["Dr. Smith met dr Jones", "DR.. and 'dr.' and dr", "no doctor here", "Dr."]
+    corpus = LabeledCorpus(
+        [Comment(id=f"c{i}", text=text, label=i % 2) for i, text in enumerate(texts)]
+    )
+    return lexicon, NO_GAZ, IdentityTermList(terms=(identity_term, "he")), corpus
+
+
 @settings(max_examples=300, deadline=None)
 @given(mining_inputs())
+@example(_period_word_example("dr", "dr."))  # a period only the identity list keeps
+@example(_period_word_example("dr.", "dr"))  # a period only the lexicon keeps
 def test_indexed_mining_matches_brute_force(inputs):
     lexicon, gaz, identity, corpus = inputs
-    annotated = annotate_corpus(corpus, lexicon, gaz)
+    annotated = annotate_corpus(corpus, lexicon, gaz, identity)
     expected = reference_annotate_corpus(corpus, lexicon, gaz)
     assert annotated.annotations == expected.annotations
     assert annotations_to_jsonl(annotated) == annotations_to_jsonl(expected)
@@ -348,9 +371,10 @@ def test_indexed_mining_matches_brute_force(inputs):
     for comment in corpus:
         assert list(lookup_only.refs(comment.id)) == reference_lookup(comment, lexicon)
         assert list(gazetteer_only.refs(comment.id)) == reference_gazetteer(comment, gaz)
-    assert identity_term_frequencies(corpus, identity) == reference_identity_term_frequencies(
-        corpus, identity
-    )
+    assert annotated.identity_hits == reference_identity_hits(corpus, identity)
+    expected_rows = reference_identity_term_frequencies(corpus, identity)
+    assert identity_term_frequencies(annotated, identity) == expected_rows
+    assert identity_term_frequencies(corpus, identity) == expected_rows
 
 
 @pytest.mark.parametrize("term", ["he ", " he", "new  york", "new\tyork", "new york\n", "  "])

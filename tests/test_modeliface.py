@@ -1,4 +1,6 @@
 import json
+import os
+import subprocess
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -171,6 +173,55 @@ def test_subprocess_adapter_non_numeric_line(tmp_path):
         AdapterConfig(kind="subprocess", location=f"{sys.executable} {script}", max_retries=0)
     )
     with pytest.raises(AdapterProtocolError, match="non-numeric"):
+        adapter.score_batch(["x"])
+
+
+def test_subprocess_protocol_is_utf8_under_an_ascii_locale(tmp_path):
+    # The auditor runs with LC_ALL=C and UTF-8 mode off, so its locale
+    # encoding is ASCII; the scorer must still get UTF-8 lines.
+    received = tmp_path / "received.bin"
+    recorder = tmp_path / "record.py"
+    recorder.write_text(
+        "import sys\n"
+        "data = sys.stdin.buffer.read()\n"
+        f"open({str(received)!r}, 'wb').write(data)\n"
+        "sys.stdout.write('0.5\\n' * data.count(b'\\n'))\n"
+    )
+    probe = (
+        "import locale, sys\n"
+        "from textaudit.modeliface import AdapterConfig, SubprocessAdapter, predict_batch\n"
+        "def score(command, text):\n"
+        "    config = AdapterConfig(kind='subprocess', location=command, max_retries=0)\n"
+        "    return predict_batch([text], SubprocessAdapter(config))[0]\n"
+        "print(locale.getpreferredencoding(False), sys.flags.utf8_mode)\n"
+        f"print(score({f'{sys.executable} {recorder}'!r}, {ascii('café 𝐆 ✓')}))\n"
+        f"print(score({STUB_CMD!r}, {ascii('café gay people')}))\n"
+    )
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(
+        os.environ,
+        LC_ALL="C",
+        PYTHONUTF8="0",
+        PYTHONPATH=os.pathsep.join(p for p in paths if p),
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    encoding, recorded, stub = result.stdout.splitlines()
+    assert "utf" not in encoding.lower()
+    assert received.read_bytes() == '"café 𝐆 ✓"\n'.encode("utf-8")
+    assert float(recorded) == 0.5
+    assert float(stub) == pytest.approx(keyword_probability("café gay people"))
+
+
+def test_subprocess_non_utf8_stderr_is_reported(tmp_path):
+    script = tmp_path / "crash.py"
+    script.write_text("import sys\nsys.stderr.buffer.write(b'bad \\xff byte')\nsys.exit(3)\n")
+    adapter = SubprocessAdapter(
+        AdapterConfig(kind="subprocess", location=f"{sys.executable} {script}", max_retries=0)
+    )
+    with pytest.raises(AdapterUnavailableError, match="exited with 3: bad \ufffd byte"):
         adapter.score_batch(["x"])
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import FIXTURES_DIR, CallableAdapter
 from stub_model import keyword_probability
 
-from textaudit import lexicon
+from textaudit import lexicon, mining
 from textaudit.classbias import (
     counterfactual_bias,
     counterfactual_probability_stats,
@@ -392,6 +392,25 @@ def test_predictions_file_is_read_not_opened(module_chdir, tmp_path):
     assert report.inputs[-1]["name"] == "predictions"
     assert not (out / "global_importance.csv").exists()
     assert (out / "report.json").exists()
+
+
+def test_predictions_file_audit_tokenizes_each_comment_once(module_chdir, tmp_path, monkeypatch):
+    # Mining, the subgroup tables and the identity-term counts share one pass.
+    calls = []
+    original = mining.tokenize
+
+    def counted(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("textaudit.")]:
+        if getattr(module, "tokenize", None) is original:
+            monkeypatch.setattr(module, "tokenize", counted)
+    report = run_audit(predictions_file_config(tmp_path, output_dir=str(tmp_path / "out")))
+    assert all(s["status"] != "failed" for s in report.sections.values())
+    assert report.sections["data_bias"]["status"] == "computed"
+    corpus = load_dataset(FIXTURES_DIR / "comments.csv", "csv")
+    assert sorted(calls) == sorted(c.text for c in corpus)
 
 
 def test_no_adapter_skips_prediction_sections(module_chdir):
