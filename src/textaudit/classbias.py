@@ -11,11 +11,12 @@ score needs no threshold at all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
-from .corpus import LabeledCorpus, splice, tokenize
+from .corpus import LabeledCorpus, TokenSpan, splice
 from .errors import AuditError, CoverageError, LexiconError
 from .lexicon import IDENTITY_SLOT, AttributeLexicon, SwapTable, TemplateSet
-from .mining import AnnotatedCorpus
+from .mining import METHOD_LOOKUP, AnnotatedCorpus
 from .modeliface import Adapter, PredictionCache, PredictionRecord, ScoringPlan
 from .record import Record
 
@@ -177,25 +178,33 @@ def subgroup_probability_stats(
 # ---------------------------------------------------------------------------
 
 def _mirror_casing(original: str, replacement: str) -> str:
-    if original.isupper():
-        return replacement.upper()
-    if original[:1].isupper():
-        return replacement[:1].upper() + replacement[1:]
-    return replacement
+    """Each replacement word cased as the original word at its position, or the last one."""
+    words = original.split()
+    mirrored = []
+    for k, word in enumerate(replacement.split()):
+        model = words[min(k, len(words) - 1)]
+        if model.isupper():
+            word = word.upper()
+        elif model[:1].isupper():
+            word = word[:1].upper() + word[1:]
+        mirrored.append(word)
+    return " ".join(mirrored)
 
 
-def swap_text(text: str, table: SwapTable) -> str:
-    """Replace every whole-token paired term by its partner, all at once.
+def swap_text(text: str, matched: Iterable[tuple[str, TokenSpan]], table: SwapTable) -> str:
+    """Replace every matched term that has a partner by that partner, all at once.
 
-    The pass is simultaneous (a replacement is never re-swapped). Initial
-    capitals and all-caps tokens keep their casing pattern; everything else
-    is emitted lowercase.
+    ``matched`` are look-up ``(term, span)`` matches in ``text``. A replacement
+    is never re-swapped; of overlapping partnered matches, the leftmost, then
+    the longest, is swapped. All caps and initial capitals are mirrored word by
+    word; everything else is emitted lowercase.
     """
-    replacements = []
-    for span in tokenize(text, table.abbreviations()):
-        partner = table.partner(span.token)
-        if partner is not None and partner != span.token:
+    replacements, cursor = [], 0
+    for term, span in sorted(matched, key=lambda match: (match[1].start, -match[1].end)):
+        partner = table.partner(term)
+        if partner is not None and partner != term and span.start >= cursor:
             replacements.append((span, _mirror_casing(text[span.start : span.end], partner)))
+            cursor = span.end
     return splice(text, replacements)
 
 
@@ -234,17 +243,20 @@ def plan_swap_favor(
 ) -> ScoringPlan[FavorReport]:
     """The original and swapped texts :func:`swap_favor_analysis` scores, and the tally."""
     eligible: list[tuple[str, int, str]] = []  # (comment id, label, referenced subgroup)
+    originals, swapped = [], []
     for comment in annotated.corpus:
-        referenced = annotated.subgroups_referenced(comment.id, attribute) & {sub_a, sub_b}
+        refs = [r for r in annotated.refs(comment.id) if r.attribute == attribute]
+        referenced = {r.subgroup for r in refs} & {sub_a, sub_b}
         if len(referenced) == 1:
             eligible.append((comment.id, comment.label, referenced.pop()))
+            originals.append(comment.text)
+            matched = [m for r in refs if r.method == METHOD_LOOKUP for m in r.matched_terms]
+            swapped.append(swap_text(comment.text, matched, table))
     if not eligible:
         raise AuditError(
             f"no comment references exactly one of {sub_a!r}/{sub_b!r} for attribute {attribute!r}"
         )
 
-    originals = [annotated.corpus.get(cid).text for cid, _, _ in eligible]
-    swapped = [swap_text(text, table) for text in originals]
     n = len(eligible)
 
     def finish(probs: list[float]) -> FavorReport:

@@ -232,32 +232,20 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Tok
     return spans
 
 
-def narrow_abbreviations(
-    text: str, spans: list[TokenSpan], abbreviations: frozenset[str]
-) -> list[TokenSpan]:
-    """The tokens ``tokenize(text, abbreviations)`` gives, derived from ``spans``.
+def narrow(text: str, span: TokenSpan, abbreviations: frozenset[str]) -> TokenSpan:
+    """The token ``tokenize(text, abbreviations)`` gives in place of ``span``.
 
-    ``spans`` must come from tokenizing ``text`` with a superset of
-    ``abbreviations``. Only trimming depends on the set, so a token differs
-    only where its run kept a trailing period for a term outside
-    ``abbreviations``; that token is trimmed further by the tokenizer's rule
-    and its end moves back. Returns ``spans`` itself when nothing changes.
+    ``span`` must come from tokenizing ``text`` with a superset of
+    ``abbreviations``, so it differs only if it kept a trailing period for a
+    word outside ``abbreviations``: the tokenizer's rule then trims it
+    further.
     """
-    narrowed = None
-    for k, span in enumerate(spans):
-        if not span.token.endswith("."):
-            continue
-        # A span starts where its token's match did, so the pattern matches there.
-        first_end = _TOKEN.match(text, span.start).end(1)
-        end = _kept_end(text, span.start, first_end, span.end, abbreviations)
-        if end == span.end:
-            continue
-        if narrowed is None:
-            narrowed = list(spans)
-        narrowed[k] = TokenSpan(
-            unicodedata.normalize("NFKC", text[span.start : end]).lower(), span.start, end
-        )
-    return spans if narrowed is None else narrowed
+    if not span.token.endswith("."):
+        return span
+    # A span starts where its token's match did, so the pattern matches there.
+    first_end = _TOKEN.match(text, span.start).end(1)
+    end = _kept_end(text, span.start, first_end, span.end, abbreviations)
+    return TokenSpan(unicodedata.normalize("NFKC", text[span.start : end]).lower(), span.start, end)
 
 
 def splice(text: str, replacements: Iterable[tuple[TokenSpan, str]]) -> str:

@@ -48,11 +48,20 @@ def _read_path(path: str | Path) -> str:
         raise LexiconError(f"{path} is not valid UTF-8: {exc}") from exc
 
 
+def check_unicode(obj) -> None:
+    """Raise ``UnicodeEncodeError`` if decoded JSON holds a lone surrogate (it has no UTF-8)."""
+    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+
+
 def _read_json(path: str | Path):
     try:
-        return json.loads(_read_path(path))
+        obj = json.loads(_read_path(path))
+        check_unicode(obj)
     except json.JSONDecodeError as exc:
         raise LexiconError(f"{path}: invalid JSON: {exc.msg}") from exc
+    except UnicodeEncodeError as exc:
+        raise LexiconError(f"{path}: not valid Unicode ({exc.reason})") from exc
+    return obj
 
 
 def _clean_term(raw: str) -> str:
@@ -142,12 +151,11 @@ def default_lexicon() -> AttributeLexicon:
 
 @dataclass(frozen=True)
 class SwapTable:
-    """Bidirectional aligned term pairs for one attribute."""
+    """Bidirectional aligned term pairs for one attribute: the partner of each term."""
 
     attribute: str
     pairs: tuple[tuple[str, str], ...]
     _partner: dict[str, str] = field(repr=False, compare=False, default_factory=dict)
-    _abbreviations: frozenset[str] = field(repr=False, compare=False, default=frozenset())
 
     def __post_init__(self):
         mapping: dict[str, str] = {}
@@ -157,13 +165,9 @@ class SwapTable:
             mapping[a] = b
             mapping[b] = a
         object.__setattr__(self, "_partner", mapping)
-        object.__setattr__(self, "_abbreviations", frozenset(t for t in mapping if t.endswith(".")))
 
     def partner(self, term: str) -> str | None:
         return self._partner.get(term)
-
-    def abbreviations(self) -> frozenset[str]:
-        return self._abbreviations
 
 
 def aligned_swap_pairs(

@@ -5,12 +5,13 @@ attribute lexicon and a gazetteer matcher for nationality/religion/political
 group mentions. Matching is whole-token only (multi-token terms match as
 contiguous token runs); "gayety" never matches "gay".
 
-Both extractors, and the identity-term counts of :mod:`textaudit.databias`,
-match through a :class:`TermIndex` that keys every term on its first token.
+Both extractors and the identity-term counts of :mod:`textaudit.databias`
+are roles of one :class:`TermIndex` that keys every term on its first token.
 :func:`annotate_corpus` is the one pass that tokenizes and matches: it
-tokenizes each comment once, keeping the periods of every index's terms,
-and each index then sees the tokens its own terms alone would give. A
-comment's identity terms are kept as a set, its tokens are not.
+tokenizes each comment once, keeping the periods of every role's terms,
+and each role then sees the tokens its own terms alone would give. A
+comment's identity terms are kept as a set, its tokens are not; identity
+swapping replaces the look-up spans.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator
 
-from .corpus import Comment, LabeledCorpus, TokenSpan, narrow_abbreviations, tokenize
+from .corpus import Comment, LabeledCorpus, TokenSpan, narrow, tokenize
 from .lexicon import AttributeLexicon, Gazetteer, IdentityTermList
 
 METHOD_LOOKUP = "lookup"
@@ -91,51 +92,50 @@ def term_occurrences(tokens: list[TokenSpan], term: str) -> list[TokenSpan]:
 
 
 class TermIndex:
-    """Whole-token matcher for many terms at once, keyed on each term's first token.
+    """Whole-token matcher for several term sets at once, keyed on each term's first token.
 
-    Built from ``(term, target)`` pairs whose terms are non-empty words
-    separated by single spaces, as :mod:`textaudit.lexicon` checks them to
-    be. Each first token maps to the remaining tokens, the term and the
-    target of every term that starts with it, in the order the pairs were
-    given. ``abbreviations`` are the words of these terms that end in a
-    period ("u.s." of "u.s. citizen"): the tokenizer must keep them intact
-    for the terms to match. Matching a comment costs one dict lookup per
-    token, plus one comparison per multi-token candidate, however many terms
-    there are.
+    Each set is ``(term, target)`` pairs, its terms words separated by single
+    spaces as :mod:`textaudit.lexicon` checks them to be; its position is its
+    role. ``abbreviations[role]`` are the words of that role's terms that end
+    in a period ("u.s." of "u.s. citizen"); ``union`` holds them all. Matching
+    a comment costs one dict lookup per token, plus one comparison per
+    multi-token candidate, however many terms there are.
     """
 
-    def __init__(self, pairs: Iterable[tuple[str, Hashable]]):
-        self._by_first: dict[str, list[tuple[tuple[str, ...], str, Hashable]]] = {}
-        abbreviations: set[str] = set()
-        for term, target in pairs:
-            words = term.split()
-            abbreviations.update(w for w in words if w.endswith("."))
-            self._by_first.setdefault(words[0], []).append((tuple(words[1:]), term, target))
-        self.abbreviations = frozenset(abbreviations)
+    def __init__(self, *term_sets: Iterable[tuple[str, Hashable]]):
+        self._by_first: dict[str, list[tuple[int, tuple[str, ...], str, Hashable]]] = {}
+        kept: list[set[str]] = [set() for _ in term_sets]
+        for role, pairs in enumerate(term_sets):
+            for term, target in pairs:
+                words = term.split()
+                kept[role].update(w for w in words if w.endswith("."))
+                self._by_first.setdefault(words[0], []).append((role, tuple(words[1:]), term, target))
+        self.abbreviations = tuple(map(frozenset, kept))
+        self.union = frozenset().union(*kept)
 
-    def matches(self, tokens: list[TokenSpan]) -> Iterator[tuple[Hashable, str, TokenSpan]]:
-        """``(target, term, span)`` per occurrence, in token order, then pair order.
+    def matches(self, text: str, tokens: list[TokenSpan]) -> Iterator[tuple]:
+        """``(role, target, term, span)`` per occurrence, in token order, then set and pair order.
 
-        Finds exactly the spans :func:`term_occurrences` finds for each term.
+        ``tokens`` are ``tokenize(text, self.union)``; each role sees them as
+        its own abbreviations alone would give them, as :func:`narrow` does.
         """
-        by_first = self._by_first
-        n = len(tokens)
+        by_first, kept = self._by_first, self.abbreviations
         for i, first in enumerate(tokens):
-            for rest, term, target in by_first.get(first.token, ()):
+            entries = by_first.get(first.token, ())
+            if first.token.endswith("."):
+                # Only roles that keep this period key terms on it; the others look up the trimmed token.
+                entries = [*entries, *(
+                    entry
+                    for role, words in enumerate(kept) if first.token not in words
+                    for entry in by_first.get(narrow(text, first, words).token, ()) if entry[0] == role
+                )]
+            for role, rest, term, target in entries:
                 if not rest:
-                    yield target, term, first
+                    yield role, target, term, narrow(text, first, kept[role])
                     continue
-                last = i + len(rest)
-                if last < n and all(tokens[i + 1 + k].token == part for k, part in enumerate(rest)):
-                    yield target, term, TokenSpan(term, first.start, tokens[last].end)
-
-
-def _group(matches: Iterable[tuple[Hashable, str, TokenSpan]]) -> dict:
-    """target -> {(start, end): (term, span)}; the first term found keeps a span."""
-    grouped: dict = {}
-    for target, term, span in matches:
-        grouped.setdefault(target, {}).setdefault((span.start, span.end), (term, span))
-    return grouped
+                view = [narrow(text, span, kept[role]) for span in tokens[i + 1 : i + 1 + len(rest)]]
+                if tuple(span.token for span in view) == rest:
+                    yield role, target, term, TokenSpan(term, first.start, view[-1].end)
 
 
 def _refs(grouped: dict, method: str) -> list[SubgroupRef]:
@@ -147,17 +147,8 @@ def _refs(grouped: dict, method: str) -> list[SubgroupRef]:
             method=method,
         )
         for (attribute, subgroup), spans in sorted(grouped.items())
+        if spans
     ]
-
-
-def _lookup_index(lexicon: AttributeLexicon) -> TermIndex:
-    pairs = (
-        (term, (attribute, subgroup))
-        for attribute, subgroups in lexicon.attributes.items()
-        for subgroup, terms in subgroups.items()
-        for term in dict.fromkeys(terms)
-    )
-    return TermIndex(pairs)
 
 
 def annotate_corpus(
@@ -169,42 +160,37 @@ def annotate_corpus(
     """Union of look-up and gazetteer references per comment, and identity hits.
 
     Matches are deduplicated on (attribute, subgroup, span) with the look-up
-    path taking precedence; output order is deterministic. Each comment is
-    tokenized once, keeping the periods of the lexicon's, the gazetteer's
-    and the identity terms' words; each index then sees the tokens its own
-    terms alone would give.
+    path taking precedence; output order is deterministic. One
+    :class:`TermIndex` holds the lexicon's, the gazetteer's and the identity
+    terms; each comment is tokenized and matched against it once.
     """
-    lookup = _lookup_index(lexicon)
-    gazetteer = TermIndex(gaz.entries.items())
-    abbreviations = lookup.abbreviations | gazetteer.abbreviations
-    identity = None
-    if identity_terms is not None:
-        identity = TermIndex((term, term) for term in identity_terms.terms)
-        abbreviations |= identity.abbreviations
+    index = TermIndex(
+        (
+            (term, (attribute, subgroup))
+            for attribute, subgroups in lexicon.attributes.items()
+            for subgroup, terms in subgroups.items()
+            for term in dict.fromkeys(terms)
+        ),
+        gaz.entries.items(),
+        ((term, term) for term in identity_terms.terms) if identity_terms is not None else (),
+    )
     annotations: dict[str, tuple[SubgroupRef, ...]] = {}
     identity_hits: dict[str, frozenset[str]] = {}
     for comment in corpus:
         text = comment.text
-        tokens = tokenize(text, abbreviations)
-        found = _group(lookup.matches(narrow_abbreviations(text, tokens, lookup.abbreviations)))
-        gazetted = _group(
-            gazetteer.matches(narrow_abbreviations(text, tokens, gazetteer.abbreviations))
-        )
-        fresh: dict = {}
+        # Per role, target -> {(start, end): (term, span)}; the first term found keeps a span.
+        found, gazetted, identity = by_role = ({}, {}, {})
+        for role, target, term, span in index.matches(text, tokenize(text, index.union)):
+            by_role[role].setdefault(target, {}).setdefault((span.start, span.end), (term, span))
         for target, spans in gazetted.items():
-            claimed = found.get(target, {})
-            unclaimed = {key: match for key, match in spans.items() if key not in claimed}
-            if unclaimed:
-                fresh[target] = unclaimed
-        refs = _refs(found, METHOD_LOOKUP) + _refs(fresh, METHOD_GAZETTEER)
+            for key in found.get(target, ()):
+                spans.pop(key, None)
+        refs = _refs(found, METHOD_LOOKUP) + _refs(gazetted, METHOD_GAZETTEER)
         if refs:
             refs.sort(key=lambda r: (r.attribute, r.subgroup, r.method != METHOD_LOOKUP))
             annotations[comment.id] = tuple(refs)
-        if identity is not None:
-            narrowed = narrow_abbreviations(text, tokens, identity.abbreviations)
-            hits = frozenset(term for term, _, _ in identity.matches(narrowed))
-            if hits:
-                identity_hits[comment.id] = hits
+        if identity:
+            identity_hits[comment.id] = frozenset(identity)
     return AnnotatedCorpus(corpus, annotations, identity_terms, identity_hits)
 
 

@@ -47,7 +47,7 @@ from .databias import (
 from .embedbias import embedding_bias, embedding_bias_csv, load_embeddings
 from .errors import AdapterError, AuditError, ConfigError
 from .explain import plan_global_importance, plan_local_explain
-from .lexicon import aligned_swap_pairs
+from .lexicon import aligned_swap_pairs, check_unicode
 from .mining import annotate_corpus, annotations_to_jsonl
 from .modeliface import (
     AdapterConfig,
@@ -321,10 +321,13 @@ def read_json(path: str | Path) -> dict:
     """The JSON object in config file ``path``."""
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        check_unicode(obj)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path}: invalid JSON: {exc.msg}") from exc
+    except UnicodeEncodeError as exc:
+        raise ConfigError(f"config {path}: not valid Unicode ({exc.reason})") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     return obj

@@ -12,7 +12,7 @@ from array import array
 import numpy as np
 import pytest
 
-from conftest import FIXTURES_DIR, GOLDEN_DIR, REPO_ROOT, CallableAdapter
+from conftest import FIXTURES_DIR, GOLDEN_DIR, REPO_ROOT, CallableAdapter, annotate_and_swap
 
 from textaudit.classbias import (
     CLASS_NAMES,
@@ -23,7 +23,6 @@ from textaudit.classbias import (
     fairness_metrics,
     performance_report,
     swap_favor_analysis,
-    swap_text,
 )
 from textaudit.corpus import Comment, LabeledCorpus, load_dataset, tokenize
 from textaudit.databias import identity_term_frequencies, subgroup_reference_frequencies
@@ -323,8 +322,12 @@ TABLE5_SWAPPED = (
 def test_criterion_04_swap_correctness():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        table = aligned_swap_pairs(default_lexicon(), "gender", "male", "female")
-    assert swap_text(TABLE5_ORIGINAL, table) == TABLE5_SWAPPED
+        table = aligned_swap_pairs(lexicon := default_lexicon(), "gender", "male", "female")
+
+    def swap(text):
+        return annotate_and_swap(text, table, lexicon)
+
+    assert swap(TABLE5_ORIGINAL) == TABLE5_SWAPPED
 
     paired_terms = [term for pair in table.pairs for term in pair]
     rng = random.Random(20240904)
@@ -332,7 +335,7 @@ def test_criterion_04_swap_correctness():
         sentence = " ".join(
             rng.choice(paired_terms) for _ in range(rng.randrange(3, 13))
         )
-        assert swap_text(swap_text(sentence, table), table) == sentence
+        assert swap(swap(sentence)) == sentence
     print("\nACCEPTANCE 4 PASS - reference swap example reproduced byte-for-byte; involution on 1000 sentences")
 
 

@@ -1,8 +1,11 @@
 import random
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import CallableAdapter
+from conftest import CallableAdapter, annotate_and_swap
 
 from textaudit.classbias import (
     CLASS_NAMES,
@@ -15,13 +18,15 @@ from textaudit.classbias import (
     fairness_metrics,
     gini_coefficient,
     performance_report,
+    plan_swap_favor,
     subgroup_probability_stats,
     swap_favor_analysis,
     swap_text,
 )
-from textaudit.corpus import Comment, LabeledCorpus
+from textaudit.corpus import Comment, LabeledCorpus, tokenize
 from textaudit.errors import AuditError, CoverageError, LexiconError
 from textaudit.lexicon import (
+    AttributeLexicon,
     Gazetteer,
     TemplateSet,
     aligned_swap_pairs,
@@ -192,8 +197,12 @@ TABLE5_SWAPPED = (
 )
 
 
+def swap(text, table):
+    return annotate_and_swap(text, table, LEX)
+
+
 def test_swap_text_reference_example():
-    assert swap_text(TABLE5_ORIGINAL, gender_swap_table()) == TABLE5_SWAPPED
+    assert swap(TABLE5_ORIGINAL, gender_swap_table()) == TABLE5_SWAPPED
 
 
 def test_swap_involution_lowercase_pairs():
@@ -201,20 +210,20 @@ def test_swap_involution_lowercase_pairs():
     text = "the guy told his brother that he and the gal were waiters"
     # 'his' is unpaired (collapsed duplicate); restrict to paired terms
     text = "guy brother he gal waiters queen mr. ma'am"
-    assert swap_text(swap_text(text, table), table) == text
+    assert swap(swap(text, table), table) == text
 
 
 def test_swap_casing_rules():
     table = gender_swap_table()
-    assert swap_text("HE left", table) == "SHE left"
-    assert swap_text("He left", table) == "She left"
-    assert swap_text("Mr. Smith met MA'AM", table) == "Mrs. Smith met SIR"
+    assert swap("HE left", table) == "SHE left"
+    assert swap("He left", table) == "She left"
+    assert swap("Mr. Smith met MA'AM", table) == "Mrs. Smith met SIR"
 
 
 def test_swap_after_non_ascii_text():
     # "é" and "𝐀" stand before the swapped terms; spans are character offsets.
     table = gender_swap_table()
-    assert swap_text("Café 𝐀 says He is a guy", table) == "Café 𝐀 says She is a gal"
+    assert swap("Café 𝐀 says He is a guy", table) == "Café 𝐀 says She is a gal"
 
 
 def test_swap_identity_table_is_noop():
@@ -224,7 +233,7 @@ def test_swap_identity_table_is_noop():
         warnings.simplefilter("ignore")
         table = aligned_swap_pairs(LEX, "gender", "male", "male")
     text = "The guy is here and he is loud"
-    assert swap_text(text, table) == text
+    assert swap(text, table) == text
 
 
 def test_swap_no_chaining():
@@ -232,12 +241,97 @@ def test_swap_no_chaining():
     with pytest.warns(UserWarning, match="already paired"):
         table = aligned_swap_pairs(lex, "x", "a", "b")
     # red->blue and blue->red happen simultaneously: blue never chains to green
-    assert swap_text("red blue", table) == "blue red"
+    assert annotate_and_swap("red blue", table, lex) == "blue red"
 
 
 def test_swap_whole_token_only():
     table = gender_swap_table()
-    assert swap_text("guys guyss", table) == "gals guyss"
+    assert swap("guys guyss", table) == "gals guyss"
+
+
+def test_swap_multi_word_term_in_both_directions():
+    lex = _lexicon_from_obj({"origin": {"a": ["new yorker", "he"], "b": ["texan", "she"]}})
+    table = aligned_swap_pairs(lex, "origin", "a", "b")
+    texts = ["A New Yorker walked in", "The Texan walked in"]
+    corpus = LabeledCorpus([Comment(id=str(i), text=t, label=0) for i, t in enumerate(texts)])
+    plan = plan_swap_favor(annotate_corpus(corpus, lex, EMPTY_GAZ), table, "origin", "a", "b")
+    assert plan.texts == texts + ["A Texan walked in", "The New Yorker walked in"]
+    # Casing is mirrored word by word: a longer replacement repeats the last
+    # original word's, a shorter one drops the rest.
+    assert annotate_and_swap("THE TEXAN and he", table, lex) == "THE NEW YORKER and she"
+    assert annotate_and_swap("the Texan", table, lex) == "the New Yorker"
+    assert annotate_and_swap("a new YORKER", table, lex) == "a texan"
+    lex = _lexicon_from_obj({"origin": {"a": ["new yorker"], "b": ["lone star texan"]}})
+    table = aligned_swap_pairs(lex, "origin", "a", "b")
+    assert annotate_and_swap("a new YORKER", table, lex) == "a lone STAR TEXAN"
+
+
+def test_swap_overlapping_terms_longest_wins():
+    lex = _lexicon_from_obj(
+        {"place": {"a": ["new", "new york", "york"], "b": ["old", "boston", "paris"]}}
+    )
+    table = aligned_swap_pairs(lex, "place", "a", "b")
+    assert annotate_and_swap("I love New York", table, lex) == "I love Boston"
+    assert annotate_and_swap("York and new york, new", table, lex) == "Paris and boston, old"
+    assert annotate_and_swap("Boston, paris, old", table, lex) == "New York, york, new"
+
+
+def test_swap_term_with_abbreviated_inner_word():
+    lex = _lexicon_from_obj({"origin": {"a": ["u.s. citizen"], "b": ["foreigner"]}})
+    table = aligned_swap_pairs(lex, "origin", "a", "b")
+    assert annotate_and_swap("every u.s. citizen votes", table, lex) == "every foreigner votes"
+    assert annotate_and_swap("a foreigner votes", table, lex) == "a u.s. citizen votes"
+
+
+def reference_swap(text, lexicon, table):
+    """Token by token: each token of the lexicon's tokenization that has a partner, cased like it."""
+    pieces, cursor = [], 0
+    for span in tokenize(text, lexicon.abbreviations()):
+        partner = table.partner(span.token)
+        if partner is None or partner == span.token:
+            continue
+        original = text[span.start : span.end]
+        if original.isupper():
+            partner = partner.upper()
+        elif original[:1].isupper():
+            partner = partner[:1].upper() + partner[1:]
+        pieces += [text[cursor : span.start], partner]
+        cursor = span.end
+    return "".join(pieces) + text[cursor:]
+
+
+SWAP_WORDS = ["mr", "mr.", "mr..", "mrs.", "ms", "ms.", "he", "she", "his", "her", "dr", "dr.", "ﬁ.", "fi."]
+
+
+@st.composite
+def single_word_swap_inputs(draw):
+    n = draw(st.integers(1, 4))
+    paired = st.lists(st.sampled_from(SWAP_WORDS), min_size=n, max_size=n)
+    terms = st.lists(st.sampled_from(SWAP_WORDS), min_size=1, max_size=3)
+    lexicon = AttributeLexicon(
+        attributes={
+            "x": {"a": tuple(draw(paired)), "b": tuple(draw(paired)), "c": tuple(draw(terms))},
+            "y": {"p": tuple(draw(terms)), "q": tuple(draw(terms))},
+        }
+    )
+    word = st.tuples(
+        st.sampled_from(["", "", "'", "("]),
+        st.sampled_from(SWAP_WORDS + ["ok"]),
+        st.sampled_from([str.lower, str.upper, str.title]),
+        st.sampled_from(["", "", ".", "..", "'", "'.", ".'", ",", "!"]),
+    )
+    words = draw(st.lists(word, min_size=1, max_size=8))
+    return lexicon, " ".join(lead + case(body) + tail for lead, body, case, tail in words)
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_word_swap_inputs())
+def test_swap_of_single_word_terms_matches_token_reference(inputs):
+    lexicon, text = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        table = aligned_swap_pairs(lexicon, "x", "a", "b")
+    assert annotate_and_swap(text, table, lexicon) == reference_swap(text, lexicon, table)
 
 
 # ---------------------------------------------------------------------------

@@ -370,6 +370,19 @@ def test_non_utf8_config_exit_one(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_lone_surrogate_in_config_exit_one(tmp_path, capsys):
+    config = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
+    config["counterfactual_fills"]["gender"]["male"] = ["ma\ud800n"]
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["audit", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: config {path}: not valid Unicode (surrogates not allowed)\n"
+    )
+    assert not out.exists()
+
+
 def test_dataset_format_flag_keeps_a_path_only_dataset(monkeypatch, tmp_path):
     config = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
     config["dataset"] = "comments.jsonl"

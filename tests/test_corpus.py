@@ -10,7 +10,7 @@ from textaudit.corpus import (
     Comment,
     TokenSpan,
     load_dataset,
-    narrow_abbreviations,
+    narrow,
     tokenize,
 )
 from textaudit.errors import DatasetError
@@ -276,10 +276,10 @@ def test_tokenize_matches_reference(text, abbreviations):
 @settings(max_examples=500, deadline=None)
 @given(texts, abbreviation_sets, st.data())
 def test_narrow_abbreviations_equals_tokenizing_with_narrow_set(text, wide, data):
-    narrow = data.draw(
+    narrow_set = data.draw(
         st.frozensets(st.sampled_from(sorted(wide))) if wide else st.just(frozenset())
     )
-    assert narrow_abbreviations(text, tokenize(text, wide), narrow) == tokenize(text, narrow)
+    assert [narrow(text, s, narrow_set) for s in tokenize(text, wide)] == tokenize(text, narrow_set)
 
 
 @settings(max_examples=500, deadline=None)
@@ -295,7 +295,7 @@ def test_narrow_abbreviations_trims_the_raw_text():
     # must cut the text, not the token.
     text = "ﬁ. MR.. a...'"
     wide = frozenset({"ﬁ.", "mr..", "a..", "a."})
-    narrowed = narrow_abbreviations(text, tokenize(text, wide), frozenset({"a."}))
+    narrowed = [narrow(text, s, frozenset({"a."})) for s in tokenize(text, wide)]
     assert narrowed == tokenize(text, frozenset({"a."}))
     assert narrowed == [("fi", 0, 1), ("mr", 3, 5), ("a.", 8, 10)]
 

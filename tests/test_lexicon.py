@@ -179,6 +179,15 @@ def test_templates_default_and_validation(tmp_path):
         load_templates(path)
 
 
+def test_template_with_lone_surrogate_rejected(tmp_path):
+    # A JSON escape can decode to a lone surrogate, which no UTF-8 output can carry.
+    path = tmp_path / "templates.json"
+    path.write_text(json.dumps([{"pattern": "[Identity] ma\ud800n", "label": 0}]))
+    with pytest.raises(LexiconError) as caught:
+        load_templates(path)
+    assert str(caught.value) == f"{path}: not valid Unicode (surrogates not allowed)"
+
+
 @pytest.mark.parametrize("label", [1.9, 0.2, True, "x", 1.0])
 def test_template_label_must_be_json_integer(tmp_path, label):
     path = tmp_path / "templates.json"

@@ -36,6 +36,7 @@ from textaudit.report import (
     canonical_json,
     estimate_emissions,
     load_config,
+    read_json,
     render_report,
     run_audit,
 )
@@ -329,6 +330,14 @@ def test_load_config_file(module_chdir):
     config = load_config(FIXTURES_DIR / "audit_config.json")
     assert config.rng_seed == 7
     assert config.adapter.kind == "subprocess"
+
+
+def test_config_with_lone_surrogate_rejected(tmp_path):
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps({"counterfactual_fills": {"gender": {"male": ["ma\ud800n"]}}}))
+    with pytest.raises(ConfigError) as caught:
+        read_json(path)
+    assert str(caught.value) == f"config {path}: not valid Unicode (surrogates not allowed)"
 
 
 # ---------------------------------------------------------------------------
