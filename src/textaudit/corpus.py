@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DatasetError
+from .errors import DatasetError, read_text
 
 SPLITS = ("train", "test", "unsplit")
 
@@ -153,26 +153,12 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
     (1-based). Loading is deterministic: identical bytes yield an identical
     corpus.
     """
-    path = Path(path)
     if format not in ("csv", "jsonl"):
         raise DatasetError(f"unknown dataset format {format!r}")
-    try:
-        raw = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"dataset {path} is not valid UTF-8: {exc}") from exc
-
     comments: list[Comment] = []
     seen_ids: dict[str, int] = {}
     if format == "csv":
-        reader = csv.DictReader(raw.splitlines(keepends=True))
-        if reader.fieldnames is None:
-            raise DatasetError("CSV file is empty (header row required)")
-        reader.fieldnames = [f.strip() for f in reader.fieldnames]
-        for required in ("text", "label"):
-            if required not in reader.fieldnames:
-                raise DatasetError(f"CSV header is missing the {required!r} column")
+        reader = csv_rows(path, ("text", "label"), "dataset")
         has_ids = "id" in reader.fieldnames
         for ordinal, row in enumerate(reader, start=1):
             line = reader.line_num
@@ -183,7 +169,7 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
             comments.append(comment)
     else:
         ordinal = 0
-        for line, text_line in enumerate(raw.splitlines(), start=1):
+        for line, text_line in enumerate(read_text(path, DatasetError, "dataset").splitlines(), 1):
             if not text_line.strip():
                 continue
             ordinal += 1
@@ -197,6 +183,21 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
             _check_duplicate(comment.id, seen_ids, line)
             comments.append(comment)
     return LabeledCorpus(comments)
+
+
+def csv_rows(path: str | Path, required: tuple[str, ...], name: str) -> csv.DictReader:
+    """The rows of CSV file ``path`` (``name`` in messages), its header names stripped.
+
+    The header must hold every column in ``required``.
+    """
+    reader = csv.DictReader(read_text(path, DatasetError, name).splitlines(keepends=True))
+    if reader.fieldnames is None:
+        raise DatasetError(f"{name} {path} is empty (header row required)")
+    reader.fieldnames = [f.strip() for f in reader.fieldnames]
+    for column in required:
+        if column not in reader.fieldnames:
+            raise DatasetError(f"{name} {path} header is missing the {column!r} column")
+    return reader
 
 
 def _check_duplicate(comment_id: str, seen: dict[str, int], line: int) -> None:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import mul
 from pathlib import Path
 
-from .errors import EmbeddingError
+from .errors import EmbeddingError, read_text
 from .lexicon import AttributeLexicon, NeutralWordList
 from .record import Record
 
@@ -49,14 +49,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     The dimension is inferred from the first line and must stay constant.
     Duplicate terms keep their first vector with a warning.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise EmbeddingError(f"cannot read embeddings {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise EmbeddingError(f"embeddings {path} are not valid UTF-8: {exc}") from exc
-
+    text = read_text(path, EmbeddingError, "embeddings")
     vectors: dict[str, array] = {}
     dimension: int | None = None
     duplicates = 0

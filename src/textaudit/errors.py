@@ -1,6 +1,9 @@
-"""Exception types shared across the audit toolkit."""
+"""Exception types shared across the audit toolkit, and the readers of every input file."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
 
 
 class AuditError(Exception):
@@ -64,3 +67,35 @@ class ExplainError(AuditError):
 
 class ConfigError(AuditError):
     """Invalid audit configuration."""
+
+
+def read_text(path, error: type[AuditError], name: str = "") -> str:
+    """Input file ``path`` as UTF-8 text, with or without a byte-order mark.
+
+    If that fails, raises ``error``, naming the file as "<name> <path>".
+    """
+    where = f"{name} {path}" if name else f"{path}"
+    try:
+        return (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8-sig")
+    except OSError as exc:
+        raise error(f"cannot read {where}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{where} is not valid UTF-8: {exc}") from exc
+
+
+def read_json(path, error: type[AuditError], name: str = ""):
+    """The JSON value in input file ``path``, read by :func:`read_text`.
+
+    A lone surrogate, which a JSON escape can decode to, has no UTF-8 bytes
+    and could not be written to any output, so it raises ``error`` too.
+    """
+    text = read_text(path, error, name)
+    where = f"{name} {path}" if name else f"{path}"
+    try:
+        value = json.loads(text)
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except json.JSONDecodeError as exc:
+        raise error(f"{where}: invalid JSON: {exc.msg}") from exc
+    except UnicodeEncodeError as exc:
+        raise error(f"{where}: not valid Unicode ({exc.reason})") from exc
+    return value

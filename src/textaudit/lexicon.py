@@ -9,13 +9,12 @@ list of ``{pattern, label}``, and word lists are one term per line with
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .errors import LexiconError
+from .errors import LexiconError, read_json, read_text
 
 IDENTITY_SLOT = "[Identity]"
 
@@ -33,35 +32,6 @@ BUILTIN_FILES = {
 def builtin_file(name: str):
     """The packaged built-in file of word resource ``name``."""
     return resources.files("textaudit").joinpath(f"data/{BUILTIN_FILES[name]}")
-
-
-def _read_resource(name: str) -> str:
-    return builtin_file(name).read_text(encoding="utf-8")
-
-
-def _read_path(path: str | Path) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise LexiconError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise LexiconError(f"{path} is not valid UTF-8: {exc}") from exc
-
-
-def check_unicode(obj) -> None:
-    """Raise ``UnicodeEncodeError`` if decoded JSON holds a lone surrogate (it has no UTF-8)."""
-    json.dumps(obj, ensure_ascii=False).encode("utf-8")
-
-
-def _read_json(path: str | Path):
-    try:
-        obj = json.loads(_read_path(path))
-        check_unicode(obj)
-    except json.JSONDecodeError as exc:
-        raise LexiconError(f"{path}: invalid JSON: {exc.msg}") from exc
-    except UnicodeEncodeError as exc:
-        raise LexiconError(f"{path}: not valid Unicode ({exc.reason})") from exc
-    return obj
 
 
 def _clean_term(raw: str) -> str:
@@ -142,11 +112,11 @@ def _lexicon_from_obj(obj) -> AttributeLexicon:
 
 
 def load_lexicon(path: str | Path) -> AttributeLexicon:
-    return _lexicon_from_obj(_read_json(path))
+    return _lexicon_from_obj(read_json(path, LexiconError))
 
 
 def default_lexicon() -> AttributeLexicon:
-    return _lexicon_from_obj(json.loads(_read_resource("lexicon")))
+    return _lexicon_from_obj(read_json(builtin_file("lexicon"), LexiconError))
 
 
 @dataclass(frozen=True)
@@ -241,19 +211,19 @@ def _identity_terms(text: str) -> IdentityTermList:
 
 
 def load_neutral_words(path: str | Path) -> NeutralWordList:
-    return _neutral_words(_read_path(path))
+    return _neutral_words(read_text(path, LexiconError))
 
 
 def default_neutral_words() -> NeutralWordList:
-    return _neutral_words(_read_resource("neutral_words"))
+    return _neutral_words(read_text(builtin_file("neutral_words"), LexiconError))
 
 
 def load_identity_terms(path: str | Path) -> IdentityTermList:
-    return _identity_terms(_read_path(path))
+    return _identity_terms(read_text(path, LexiconError))
 
 
 def default_identity_terms() -> IdentityTermList:
-    return _identity_terms(_read_resource("identity_terms"))
+    return _identity_terms(read_text(builtin_file("identity_terms"), LexiconError))
 
 
 @dataclass(frozen=True)
@@ -285,11 +255,11 @@ def _gazetteer_from_obj(obj) -> Gazetteer:
 
 
 def load_gazetteer(path: str | Path) -> Gazetteer:
-    return _gazetteer_from_obj(_read_json(path))
+    return _gazetteer_from_obj(read_json(path, LexiconError))
 
 
 def default_gazetteer() -> Gazetteer:
-    return _gazetteer_from_obj(json.loads(_read_resource("gazetteer")))
+    return _gazetteer_from_obj(read_json(builtin_file("gazetteer"), LexiconError))
 
 
 @dataclass(frozen=True)
@@ -324,8 +294,8 @@ def _templates_from_obj(obj) -> TemplateSet:
 
 
 def load_templates(path: str | Path) -> TemplateSet:
-    return _templates_from_obj(_read_json(path))
+    return _templates_from_obj(read_json(path, LexiconError))
 
 
 def default_templates() -> TemplateSet:
-    return _templates_from_obj(json.loads(_read_resource("templates")))
+    return _templates_from_obj(read_json(builtin_file("templates"), LexiconError))

@@ -17,7 +17,6 @@ downstream metric.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import unicodedata
@@ -26,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Generic, Protocol, Sequence, TypeVar
 from urllib.parse import urlsplit
 
-from .corpus import LabeledCorpus
+from .corpus import LabeledCorpus, csv_rows
 from .errors import (
     AdapterError,
     AdapterProtocolError,
@@ -390,20 +389,7 @@ def load_predictions(path: str | Path, corpus: LabeledCorpus) -> list[Prediction
     Records come back in corpus order. Unknown ids, duplicate ids, missing
     ids and out-of-range probabilities are all hard errors.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
-        raise DatasetError(f"cannot read predictions {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"predictions {path} is not valid UTF-8: {exc}") from exc
-    reader = csv.DictReader(text.splitlines(keepends=True))
-    if reader.fieldnames is None:
-        raise DatasetError(f"predictions file {path} is empty")
-    reader.fieldnames = [f.strip() for f in reader.fieldnames]
-    for required in ("id", "p_hateful"):
-        if required not in reader.fieldnames:
-            raise DatasetError(f"predictions header is missing the {required!r} column")
+    reader = csv_rows(path, ("id", "p_hateful"), "predictions")
     by_id: dict[str, float] = {}
     for row in reader:
         line = reader.line_num

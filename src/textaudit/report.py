@@ -27,7 +27,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Callable, get_args, get_origin, get_type_hints
 
-from . import __version__, lexicon
+from . import __version__, errors, lexicon
 from .classbias import (
     CounterfactualCorpus,
     counterfactual_bias,
@@ -47,7 +47,7 @@ from .databias import (
 from .embedbias import embedding_bias, embedding_bias_csv, load_embeddings
 from .errors import AdapterError, AuditError, ConfigError
 from .explain import plan_global_importance, plan_local_explain
-from .lexicon import aligned_swap_pairs, check_unicode
+from .lexicon import aligned_swap_pairs
 from .mining import annotate_corpus, annotations_to_jsonl
 from .modeliface import (
     AdapterConfig,
@@ -213,6 +213,11 @@ class AuditConfig:
                 raise ConfigError(f"unknown section {name!r} (expected one of {SECTIONS})")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"threshold must lie strictly between 0 and 1, got {self.threshold}")
+        # A flag's undecodable bytes arrive as lone surrogates, which the echo could not write.
+        try:
+            json.dumps(self.to_dict(), ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ConfigError(f"config: not valid Unicode ({exc.reason})") from exc
 
     @classmethod
     def from_dict(cls, obj: dict) -> "AuditConfig":
@@ -319,15 +324,7 @@ def set_path(data: dict, dotted: str, value) -> None:
 
 def read_json(path: str | Path) -> dict:
     """The JSON object in config file ``path``."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        check_unicode(obj)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path}: invalid JSON: {exc.msg}") from exc
-    except UnicodeEncodeError as exc:
-        raise ConfigError(f"config {path}: not valid Unicode ({exc.reason})") from exc
+    obj = errors.read_json(path, ConfigError, "config")
     if not isinstance(obj, dict):
         raise ConfigError("config must be a JSON object")
     return obj

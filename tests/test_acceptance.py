@@ -525,12 +525,13 @@ def test_criterion_08_end_to_end_determinism(tmp_path):
     assert "report.json" in names
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
-    for name in ("report.json", "report.md"):
+    assert names == sorted(path.name for path in GOLDEN_DIR.iterdir())
+    for name in names:
         golden = (GOLDEN_DIR / name).read_bytes()
         assert (out_a / name).read_bytes() == golden, f"{name} drifted from the golden"
     print(
         f"\nACCEPTANCE 8 PASS - two audit runs wrote {len(names)} byte-identical files"
-        " and report.json and report.md equal the golden reports"
+        " and each equals its golden file"
     )
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import FIXTURES_DIR, REPO_ROOT
+from conftest import FIXTURES_DIR, GOLDEN_DIR, REPO_ROOT
 
 from textaudit.cli import main
 
@@ -45,6 +45,14 @@ def test_full_audit_exit_zero(tmp_path, capsys):
         assert f"{section}: computed" in out
     assert (tmp_path / "report.json").exists()
     assert (tmp_path / "report.md").exists()
+
+
+def test_config_with_byte_order_mark_audits_to_golden(tmp_path):
+    path = tmp_path / "audit.json"
+    path.write_bytes(b"\xef\xbb\xbf" + (FIXTURES_DIR / "audit_config.json").read_bytes())
+    out = tmp_path / "out"
+    assert main(["audit", "--config", str(path), "--out", str(out)]) == 0
+    assert (out / "report.json").read_bytes() == (GOLDEN_DIR / "report.json").read_bytes()
 
 
 def test_config_error_exit_one(capsys):
@@ -367,7 +375,9 @@ def test_non_utf8_config_exit_one(tmp_path, capsys):
     path = tmp_path / "audit.json"
     path.write_bytes(b'{"threshold": "\xff"}')
     assert main(["audit", "--config", str(path)]) == 1
-    assert "cannot read config" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"config error: config {path} is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"
+    )
 
 
 def test_lone_surrogate_in_config_exit_one(tmp_path, capsys):
@@ -379,6 +389,18 @@ def test_lone_surrogate_in_config_exit_one(tmp_path, capsys):
     assert main(["audit", "--config", str(path), "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
         f"config error: config {path}: not valid Unicode (surrogates not allowed)\n"
+    )
+    assert not out.exists()
+
+
+def test_lone_surrogate_flag_exit_one(tmp_path, capsys):
+    # An undecodable argument byte arrives as a lone surrogate, which the
+    # config echo in report.json could not carry.
+    out = tmp_path / "out"
+    argv = ["audit", "--config", str(FIXTURES_DIR / "audit_config.json"), "--swap-a", "\udcff"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: config: not valid Unicode (surrogates not allowed)\n"
     )
     assert not out.exists()
 
