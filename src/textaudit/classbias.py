@@ -10,15 +10,14 @@ score needs no threshold at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .corpus import LabeledCorpus, TokenSpan, splice
 from .errors import AuditError, CoverageError, LexiconError
 from .lexicon import IDENTITY_SLOT, AttributeLexicon, SwapTable, TemplateSet
 from .mining import METHOD_LOOKUP, AnnotatedCorpus
 from .modeliface import Adapter, PredictionCache, PredictionRecord, ScoringPlan
-from .record import Record
+from .record import checked, plain
 
 CLASS_NAMES = {0: "not-hateful", 1: "hateful"}
 
@@ -31,16 +30,14 @@ def predictions_by_id(preds: list[PredictionRecord]) -> dict[str, float]:
 # Technical performance report
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassMetrics(Record):
+class ClassMetrics(NamedTuple):
     precision: float
     recall: float
     f1: float
     support: int
 
 
-@dataclass(frozen=True)
-class ClassReport(Record):
+class ClassReport(NamedTuple):
     """Per-class precision/recall/F1/support plus macro and weighted averages."""
 
     per_class: dict[str, ClassMetrics]  # keyed by class name
@@ -49,6 +46,8 @@ class ClassReport(Record):
     accuracy: float
     threshold: float
     zero_division_flags: tuple[str, ...]
+
+    to_dict = plain
 
 
 def _safe_ratio(numerator: int, denominator: int, flag: str, flags: list[str]) -> float:
@@ -123,12 +122,13 @@ def performance_report(
 # Per-subgroup probability statistics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubgroupStatsRow(Record):
+class SubgroupStatsRow(NamedTuple):
     actual: str  # class name
     subgroup: str
     mean_p_hateful: float | None  # None when no comment falls in the cell
     n: int
+
+    to_dict = plain
 
 
 def _stats_rows(cells: dict[tuple[int, str], list[float]]) -> list[SubgroupStatsRow]:
@@ -148,10 +148,11 @@ def _stats_rows(cells: dict[tuple[int, str], list[float]]) -> list[SubgroupStats
     return rows
 
 
-@dataclass(frozen=True)
-class SubgroupProbabilityStats(Record):
+class SubgroupProbabilityStats(NamedTuple):
     attribute: str
     rows: tuple[SubgroupStatsRow, ...]
+
+    to_dict = plain
 
 
 def subgroup_probability_stats(
@@ -212,8 +213,8 @@ def swap_text(text: str, matched: Iterable[tuple[str, TokenSpan]], table: SwapTa
 # Swapped-identity favor analysis
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FavorReport(Record):
+@checked
+class FavorReport(NamedTuple):
     """Which identity the model favors when the pair is swapped in-place.
 
     For not-hateful comments the identity present in the lower-probability
@@ -230,7 +231,9 @@ class FavorReport(Record):
     fraction_no_change: float
     n_swapped: int
     rounding_decimals: int
-    by_label: dict[str, dict[str, int]] = field(default_factory=dict)
+    by_label: dict[str, dict[str, int]] = {}
+
+    to_dict = plain
 
 
 def plan_swap_favor(
@@ -240,7 +243,7 @@ def plan_swap_favor(
     sub_a: str,
     sub_b: str,
     rounding_decimals: int = 4,
-) -> ScoringPlan[FavorReport]:
+) -> ScoringPlan:
     """The original and swapped texts :func:`swap_favor_analysis` scores, and the tally."""
     eligible: list[tuple[str, int, str]] = []  # (comment id, label, referenced subgroup)
     originals, swapped = [], []
@@ -315,8 +318,7 @@ def swap_favor_analysis(
 # Counterfactual templates and the CB metric
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CounterfactualRow(Record):
+class CounterfactualRow(NamedTuple):
     template_index: int
     group_index: int
     subgroup: str
@@ -324,9 +326,10 @@ class CounterfactualRow(Record):
     text: str
     label: int
 
+    to_dict = plain
 
-@dataclass(frozen=True)
-class CounterfactualCorpus:
+
+class CounterfactualCorpus(NamedTuple):
     """Template realizations, grouped so each group spans all subgroups."""
 
     rows: tuple[CounterfactualRow, ...]
@@ -385,14 +388,15 @@ def expand_templates(
     return CounterfactualCorpus(rows=tuple(rows), n_groups=group_index)
 
 
-@dataclass(frozen=True)
-class CBResult(Record):
+class CBResult(NamedTuple):
     """Counterfactual bias for one reference subgroup; positive favors it."""
 
     reference: str
     cb_total: float
     cb_mean: float
     n_examples: int
+
+    to_dict = plain
 
 
 def counterfactual_bias(
@@ -473,8 +477,7 @@ def gini_coefficient(values: list[float]) -> float:
     return (2.0 * weighted) / (n * total) - (n + 1.0) / n
 
 
-@dataclass(frozen=True)
-class FairnessMetrics(Record):
+class FairnessMetrics(NamedTuple):
     """Seven signed differences (reference - protected) at a fixed threshold.
 
     A metric whose components are undefined for either group carries None in
@@ -487,6 +490,8 @@ class FairnessMetrics(Record):
     threshold: float
     values: dict[str, float | None]
     not_computable: dict[str, str]
+
+    to_dict = plain
 
 
 def _group_components(labels: list[int], probs: list[float], threshold: float) -> dict:

@@ -16,11 +16,11 @@ import csv
 import json
 import re
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DatasetError, read_text
+from .record import checked
 
 SPLITS = ("train", "test", "unsplit")
 
@@ -42,14 +42,14 @@ class TokenSpan(NamedTuple):
     end: int
 
 
-@dataclass(frozen=True)
-class Comment:
+@checked
+class Comment(NamedTuple):
     id: str
     text: str
     label: int
     split: str = "unsplit"
 
-    def __post_init__(self):
+    def _check(self):
         if self.label not in (0, 1):
             raise DatasetError(f"comment {self.id!r}: label must be 0 or 1, got {self.label!r}")
         if not self.text.strip():

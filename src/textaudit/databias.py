@@ -11,17 +11,16 @@ from __future__ import annotations
 
 import io
 import csv
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import LabeledCorpus
 from .errors import EmptyPartitionError
 from .lexicon import AttributeLexicon, Gazetteer, IdentityTermList
 from .mining import AnnotatedCorpus, annotate_corpus
-from .record import Record
+from .record import plain
 
 
-@dataclass(frozen=True)
-class FrequencyRow(Record):
+class FrequencyRow(NamedTuple):
     """Prevalence of one key (term or attribute/subgroup) per label partition."""
 
     key: str
@@ -31,6 +30,8 @@ class FrequencyRow(Record):
     hateful_n: int
     nothateful_n: int
     overall_n: int
+
+    to_dict = plain
 
 
 def _check_partitions(corpus: LabeledCorpus) -> tuple[int, int]:

@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 import warnings
 from array import array
-from dataclasses import dataclass
 from operator import mul
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import EmbeddingError, read_text
 from .lexicon import AttributeLexicon, NeutralWordList
-from .record import Record
+from .record import plain
 
 
 class EmbeddingTable:
@@ -88,8 +88,7 @@ def _usable(term: str, table: EmbeddingTable) -> bool:
     return " " not in term and term in table
 
 
-@dataclass(frozen=True)
-class SimilarityProfile:
+class SimilarityProfile(NamedTuple):
     """Averaged neutral-word/subgroup-term cosine similarities for one subgroup."""
 
     subgroup: str
@@ -136,8 +135,7 @@ def subgroup_similarity_profile(
     return SimilarityProfile(subgroup=subgroup, x=x, covered_neutral_terms=tuple(covered))
 
 
-@dataclass(frozen=True)
-class PairGap(Record):
+class PairGap(NamedTuple):
     """MAE and RMSE between the profiles of two subgroups, ``subgroup_a < subgroup_b``."""
 
     subgroup_a: str
@@ -146,8 +144,7 @@ class PairGap(Record):
     rmse: float
 
 
-@dataclass(frozen=True)
-class EmbeddingBiasResult(Record):
+class EmbeddingBiasResult(NamedTuple):
     """Pairwise and aggregate neutral-word association gaps for one attribute."""
 
     attribute: str
@@ -155,6 +152,8 @@ class EmbeddingBiasResult(Record):
     amae: float
     armse: float
     skipped_terms: tuple[str, ...]
+
+    to_dict = plain
 
 
 def embedding_bias(

@@ -24,14 +24,14 @@ import hashlib
 import math
 import random
 from array import array
-from dataclasses import dataclass
 from itertools import compress
 from operator import mul
+from typing import NamedTuple
 
 from .corpus import Comment, LabeledCorpus, TokenSpan, splice, tokenize
 from .errors import ExplainError
 from .modeliface import Adapter, PredictionCache, ScoringPlan, predict_batch
-from .record import Record
+from .record import plain
 
 EXACT_SHAPLEY_MAX_TOKENS = 12
 
@@ -59,8 +59,7 @@ def _realize_mask(text: str, spans: list[tuple[int, TokenSpan]], mask) -> str:
     return " ".join(splice(text, doomed).split())
 
 
-@dataclass(frozen=True)
-class LocalExplanation(Record):
+class LocalExplanation(NamedTuple):
     """Linear surrogate weights for one prediction; positive pushes toward hateful."""
 
     comment_id: str
@@ -71,6 +70,8 @@ class LocalExplanation(Record):
     kernel_width: float
     l2_lambda: float
     rng_seed: int
+
+    to_dict = plain
 
 
 def _mask_weights(masks: list[list[int]], kernel_width: float) -> list[float]:
@@ -170,7 +171,7 @@ def plan_local_explain(
     kernel_width: float = DEFAULT_KERNEL_WIDTH,
     l2_lambda: float = DEFAULT_L2_LAMBDA,
     rng_seed: int = 0,
-) -> ScoringPlan[LocalExplanation]:
+) -> ScoringPlan:
     """The perturbed texts :func:`local_explain` scores, and the surrogate fit."""
     tokens, spans = _unique_tokens(comment.text)
     k = len(tokens)
@@ -244,21 +245,21 @@ def local_explain(
     return plan.run(adapter, cache)
 
 
-@dataclass(frozen=True)
-class ImportanceRow(Record):
+class ImportanceRow(NamedTuple):
     token: str
     mean_effect: float
     mean_abs_effect: float
     support: int
 
 
-@dataclass(frozen=True)
-class GlobalImportance(Record):
+class GlobalImportance(NamedTuple):
     """Corpus-level token effects, sorted by mean |effect| descending."""
 
     rows: tuple[ImportanceRow, ...]
     method: str
     rng_seed: int
+
+    to_dict = plain
 
     def to_csv(self) -> str:
         lines = ["token,mean_effect,mean_abs_effect,support"]
@@ -279,7 +280,7 @@ def _capped_tokens(text: str, max_tokens: int) -> tuple[list[str], list[tuple[in
 
 def _plan_occlusion(
     corpus: LabeledCorpus, max_tokens_per_comment: int
-) -> ScoringPlan[dict[str, list[float]]]:
+) -> ScoringPlan:
     full_texts: list[str] = []
     deletion_texts: list[str] = []
     token_lists: list[list[str]] = []
@@ -305,7 +306,7 @@ def _plan_occlusion(
 
 def _plan_sampled_shapley(
     corpus: LabeledCorpus, m_permutations: int, max_tokens_per_comment: int, rng_seed: int
-) -> ScoringPlan[dict[str, list[float]]]:
+) -> ScoringPlan:
     if m_permutations < 1:
         raise ExplainError(f"m_permutations must be positive, got {m_permutations}")
     # Draw every order up front (they never depend on model outputs) and
@@ -363,7 +364,7 @@ def plan_global_importance(
     m_permutations: int = 200,
     max_tokens_per_comment: int = 12,
     rng_seed: int = 0,
-) -> ScoringPlan[GlobalImportance]:
+) -> ScoringPlan:
     """The perturbed texts :func:`global_importance` scores, and the aggregation."""
     if method not in ("occlusion", "sampled_shapley"):
         raise ExplainError(f"unknown importance method {method!r}")

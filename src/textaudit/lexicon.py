@@ -10,11 +10,12 @@ list of ``{pattern, label}``, and word lists are one term per line with
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import LexiconError, read_json, read_text
+from .record import checked
 
 IDENTITY_SLOT = "[Identity]"
 
@@ -44,8 +45,8 @@ def _clean_term(raw: str) -> str:
     return " ".join(raw.split()).lower()
 
 
-@dataclass(frozen=True)
-class AttributeLexicon:
+@checked
+class AttributeLexicon(NamedTuple):
     """Protected attribute -> subgroup -> ordered term list.
 
     Term lists keep their file order and duplicates: swap-pair alignment is
@@ -55,7 +56,7 @@ class AttributeLexicon:
 
     attributes: dict[str, dict[str, tuple[str, ...]]]
 
-    def __post_init__(self):
+    def _check(self):
         for attribute, subgroups in self.attributes.items():
             if len(subgroups) < 2:
                 raise LexiconError(
@@ -119,25 +120,22 @@ def default_lexicon() -> AttributeLexicon:
     return _lexicon_from_obj(read_json(builtin_file("lexicon"), LexiconError))
 
 
-@dataclass(frozen=True)
-class SwapTable:
+@checked
+class SwapTable(NamedTuple):
     """Bidirectional aligned term pairs for one attribute: the partner of each term."""
 
     attribute: str
     pairs: tuple[tuple[str, str], ...]
-    _partner: dict[str, str] = field(repr=False, compare=False, default_factory=dict)
 
-    def __post_init__(self):
-        mapping: dict[str, str] = {}
+    def _check(self):
+        seen: set[str] = set()
         for a, b in self.pairs:
-            if a in mapping or (b in mapping and b != a):
+            if a in seen or (b in seen and b != a):
                 raise LexiconError(f"term appears in more than one swap pair: {a!r}/{b!r}")
-            mapping[a] = b
-            mapping[b] = a
-        object.__setattr__(self, "_partner", mapping)
+            seen.update((a, b))
 
     def partner(self, term: str) -> str | None:
-        return self._partner.get(term)
+        return next((b if term == a else a for a, b in self.pairs if term in (a, b)), None)
 
 
 def aligned_swap_pairs(
@@ -170,11 +168,11 @@ def aligned_swap_pairs(
     return SwapTable(attribute=attribute, pairs=tuple(pairs))
 
 
-@dataclass(frozen=True)
-class NeutralWordList:
+@checked
+class NeutralWordList(NamedTuple):
     words: tuple[str, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.words:
             raise LexiconError("neutral word list is empty")
         for word in self.words:
@@ -182,11 +180,11 @@ class NeutralWordList:
                 raise LexiconError(f"invalid neutral word {word!r}")
 
 
-@dataclass(frozen=True)
-class IdentityTermList:
+@checked
+class IdentityTermList(NamedTuple):
     terms: tuple[str, ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.terms:
             raise LexiconError("identity term list is empty")
         if len(set(self.terms)) != len(self.terms):
@@ -226,8 +224,8 @@ def default_identity_terms() -> IdentityTermList:
     return _identity_terms(read_text(builtin_file("identity_terms"), LexiconError))
 
 
-@dataclass(frozen=True)
-class Gazetteer:
+@checked
+class Gazetteer(NamedTuple):
     """Deterministic term -> (attribute, subgroup) map standing in for NER.
 
     Covers nationality/religion/political group (NORP) mentions.
@@ -235,7 +233,7 @@ class Gazetteer:
 
     entries: dict[str, tuple[str, str]]
 
-    def __post_init__(self):
+    def _check(self):
         for term, target in self.entries.items():
             if not term or term != _clean_term(term):
                 raise LexiconError(f"invalid gazetteer term {term!r}")
@@ -262,13 +260,13 @@ def default_gazetteer() -> Gazetteer:
     return _gazetteer_from_obj(read_json(builtin_file("gazetteer"), LexiconError))
 
 
-@dataclass(frozen=True)
-class TemplateSet:
+@checked
+class TemplateSet(NamedTuple):
     """Counterfactual sentence templates, each with one identity slot and a label."""
 
     templates: tuple[tuple[str, int], ...]
 
-    def __post_init__(self):
+    def _check(self):
         if not self.templates:
             raise LexiconError("template set is empty")
         for pattern, label in self.templates:

@@ -17,18 +17,17 @@ swapping replaces the look-up spans.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, NamedTuple
 
 from .corpus import Comment, LabeledCorpus, TokenSpan, narrow, tokenize
 from .lexicon import AttributeLexicon, Gazetteer, IdentityTermList
+from .record import checked
 
 METHOD_LOOKUP = "lookup"
 METHOD_GAZETTEER = "gazetteer"
 
 
-@dataclass(frozen=True)
-class SubgroupRef:
+class SubgroupRef(NamedTuple):
     """One subgroup referenced by a comment, with the matching term spans."""
 
     attribute: str
@@ -37,8 +36,8 @@ class SubgroupRef:
     method: str
 
 
-@dataclass(frozen=True)
-class AnnotatedCorpus:
+@checked
+class AnnotatedCorpus(NamedTuple):
     """Corpus plus per-comment subgroup references (the join for all bias stats).
 
     ``identity_hits`` maps each comment id to the identity terms it
@@ -49,7 +48,7 @@ class AnnotatedCorpus:
     corpus: LabeledCorpus
     annotations: dict[str, tuple[SubgroupRef, ...]]
     identity_terms: IdentityTermList | None = None
-    identity_hits: dict[str, frozenset[str]] = field(default_factory=dict)
+    identity_hits: dict[str, frozenset[str]] = {}
 
     def refs(self, comment_id: str) -> tuple[SubgroupRef, ...]:
         return self.annotations.get(comment_id, ())

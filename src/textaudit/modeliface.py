@@ -20,9 +20,8 @@ from __future__ import annotations
 import json
 import math
 import unicodedata
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Generic, Protocol, Sequence, TypeVar
+from typing import Callable, NamedTuple, Protocol, Sequence
 from urllib.parse import urlsplit
 
 from .corpus import LabeledCorpus, csv_rows
@@ -33,31 +32,32 @@ from .errors import (
     CoverageError,
     DatasetError,
 )
+from .record import checked
 
 ADAPTER_KINDS = ("predictions_file", "subprocess", "http")
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
+@checked
+class PredictionRecord(NamedTuple):
     comment_id: str
     p_hateful: float
 
-    def __post_init__(self):
+    def _check(self):
         if not 0.0 <= self.p_hateful <= 1.0:
             raise AdapterProtocolError(
                 f"probability for {self.comment_id!r} outside [0, 1]: {self.p_hateful!r}"
             )
 
 
-@dataclass(frozen=True)
-class AdapterConfig:
+@checked
+class AdapterConfig(NamedTuple):
     kind: str
     location: str
     batch_size: int = 32
     timeout: float = 30.0
     max_retries: int = 2
 
-    def __post_init__(self):
+    def _check(self):
         if self.kind not in ADAPTER_KINDS:
             raise AdapterError(f"unknown adapter kind {self.kind!r} (expected one of {ADAPTER_KINDS})")
         if not isinstance(self.location, str):
@@ -157,9 +157,14 @@ class SubprocessAdapter(_AdapterLifecycle):
 
         payload = "".join(json.dumps(t, ensure_ascii=False) + "\n" for t in texts)
         try:
+            data = payload.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a lone surrogate; JSON escapes a text's own newlines
+            index = payload.count("\n", 0, exc.start)
+            raise AdapterProtocolError(f"text at batch index {index} is not valid Unicode ({exc.reason})") from exc
+        try:
             proc = subprocess.run(
                 self._argv,
-                input=payload.encode("utf-8"),
+                input=data,
                 capture_output=True,
                 timeout=self.config.timeout,
             )
@@ -349,11 +354,7 @@ def predict_batch(
     return [resolved[key] for key in keys]
 
 
-T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class ScoringPlan(Generic[T]):
+class ScoringPlan(NamedTuple):
     """Every text a computation will score, and how their probabilities become its result.
 
     Building a plan calls no model, so a caller can score the texts of many
@@ -362,18 +363,18 @@ class ScoringPlan(Generic[T]):
     """
 
     texts: list[str]
-    finish: Callable[[list[float]], T]
+    finish: Callable[[list[float]], object]
 
-    def run(self, adapter: Adapter, cache: PredictionCache | None = None) -> T:
+    def run(self, adapter: Adapter, cache: PredictionCache | None = None):
         """Score the plan's texts (cached ones are not sent) and finish."""
         return self.finish(predict_batch(self.texts, adapter, cache))
 
 
-def gather(plans: Sequence[ScoringPlan], finish: Callable[[list], T]) -> ScoringPlan[T]:
+def gather(plans: Sequence[ScoringPlan], finish: Callable[[list], object]) -> ScoringPlan:
     """One plan over the texts of all ``plans``; ``finish`` gets their results, in order."""
     plans = list(plans)
 
-    def finish_all(probs: list[float]) -> T:
+    def finish_all(probs: list[float]):
         results, start = [], 0
         for plan in plans:
             results.append(plan.finish(probs[start : start + len(plan.texts)]))

@@ -1,18 +1,19 @@
-"""Dict forms of result dataclasses, derived from their fields.
+"""Records: immutable ``NamedTuple``s whose fields are their published keys.
 
-A result's fields are its published keys, so its dict form is just its
-fields, in order: every result mixes in :class:`Record`.
+Records are serialized only through :func:`plain`, which each result type
+binds as ``to_dict``: ``json.dumps`` of a record gives a list. ``_replace``
+and ``_make`` bypass :func:`checked`, so the package never calls them.
 """
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
+import copy
 
 
 def plain(value):
-    """``value`` as JSON-ready data: dataclasses as dicts, tuples as lists."""
-    if is_dataclass(value):
-        return {f.name: plain(getattr(value, f.name)) for f in fields(value)}
+    """``value`` as JSON-ready data: records as dicts, other tuples as lists."""
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        return {k: plain(v) for k, v in value._asdict().items()}
     if isinstance(value, (list, tuple)):
         return [plain(v) for v in value]
     if isinstance(value, dict):
@@ -20,8 +21,17 @@ def plain(value):
     return value
 
 
-class Record:
-    """Mixin: ``to_dict`` maps every dataclass field name to its plain value."""
+def checked(cls):
+    """Decorator: every new ``cls`` record gets its own copy of each dict default, then ``_check`` runs."""
+    new, check = cls.__new__, getattr(cls, "_check", lambda record: None)
+    shared = {i: d for i, d in enumerate(map(cls._field_defaults.get, cls._fields)) if isinstance(d, dict)}
 
-    def to_dict(self) -> dict:
-        return plain(self)
+    def __new__(klass, *args, **kwargs):
+        record = new(klass, *args, **kwargs)
+        if shared:
+            record = new(klass, *(copy.deepcopy(v) if v is shared.get(i) else v for i, v in enumerate(record)))
+        check(record)
+        return record
+
+    cls.__new__ = __new__
+    return cls

@@ -23,9 +23,8 @@ import json
 import math
 import os
 import types
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Callable, NamedTuple, get_args, get_origin, get_type_hints
 
 from . import __version__, errors, lexicon
 from .classbias import (
@@ -59,7 +58,7 @@ from .modeliface import (
     open_adapter,
     predict_batch,
 )
-from .record import Record, plain
+from .record import checked, plain
 
 SECTIONS = (
     "performance",
@@ -83,13 +82,14 @@ DEFAULT_COUNTERFACTUAL_FILLS = {
 # Emissions estimate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EmissionsEstimate(Record):
+class EmissionsEstimate(NamedTuple):
     power_draw_kw: float
     hours: float
     pue: float
     carbon_intensity_kg_per_kwh: float
     co2eq_kg: float
+
+    to_dict = plain
 
 
 def estimate_emissions(
@@ -123,27 +123,26 @@ def _check_keys(obj: dict, allowed, context: str) -> None:
         raise ConfigError(f"{context}: unknown key(s) {sorted(unknown)}")
 
 
-@dataclass(frozen=True)
-class SwapSpec:
+@checked
+class SwapSpec(NamedTuple):
     attribute: str = "gender"
     sub_a: str = "male"
     sub_b: str = "female"
     rounding_decimals: int = 4
 
-    def __post_init__(self):
+    def _check(self):
         if self.rounding_decimals < 0:
             raise ConfigError(f"swap.rounding_decimals must be >= 0, got {self.rounding_decimals}")
 
 
-@dataclass(frozen=True)
-class FairnessSpec:
+class FairnessSpec(NamedTuple):
     attribute: str = "gender"
     reference: str = "male"
     protected: str = "female"
 
 
-@dataclass(frozen=True)
-class ExplanationSpec:
+@checked
+class ExplanationSpec(NamedTuple):
     mode: str = "both"  # local | global | both
     n_samples: int | None = None  # None: max(512, 8 x unique tokens)
     kernel_width: float = 0.75
@@ -154,7 +153,7 @@ class ExplanationSpec:
     local_comment_ids: tuple[str, ...] = ()
     max_local_comments: int = 2
 
-    def __post_init__(self):
+    def _check(self):
         if self.mode not in ("local", "global", "both"):
             raise ConfigError(f"explanation.mode must be local, global or both, got {self.mode!r}")
         if self.method not in ("occlusion", "sampled_shapley"):
@@ -171,16 +170,15 @@ class ExplanationSpec:
                 raise ConfigError(f"explanation.{name} must be >= 0, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class EmissionsSpec:
+class EmissionsSpec(NamedTuple):
     power_draw_kw: float = 0.0
     hours: float = 0.0
     pue: float = 1.0
     carbon_intensity_kg_per_kwh: float = 0.0
 
 
-@dataclass(frozen=True)
-class AuditConfig:
+@checked
+class AuditConfig(NamedTuple):
     """One self-describing document configuring the whole audit."""
 
     dataset_path: str | None = None
@@ -194,18 +192,16 @@ class AuditConfig:
     adapter: AdapterConfig | None = None
     threshold: float = 0.5
     attributes: tuple[str, ...] = ("gender", "religion")
-    swap: SwapSpec = field(default_factory=SwapSpec)
-    fairness: FairnessSpec = field(default_factory=FairnessSpec)
-    counterfactual_fills: dict[str, dict[str, list[str]]] = field(
-        default_factory=lambda: json.loads(json.dumps(DEFAULT_COUNTERFACTUAL_FILLS))
-    )
-    explanation: ExplanationSpec = field(default_factory=ExplanationSpec)
-    emissions: EmissionsSpec = field(default_factory=EmissionsSpec)
+    swap: SwapSpec = SwapSpec()
+    fairness: FairnessSpec = FairnessSpec()
+    counterfactual_fills: dict[str, dict[str, list[str]]] = DEFAULT_COUNTERFACTUAL_FILLS
+    explanation: ExplanationSpec = ExplanationSpec()
+    emissions: EmissionsSpec = EmissionsSpec()
     rng_seed: int = 0
     sections: tuple[str, ...] = SECTIONS
     output_dir: str | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.dataset_format not in ("csv", "jsonl"):
             raise ConfigError(f"unknown dataset format {self.dataset_format!r}")
         for name in self.sections:
@@ -237,8 +233,8 @@ class AuditConfig:
     def to_dict(self) -> dict:
         """Config echo embedded in the report; omits the output location."""
         echo: dict = {}
-        for f in fields(self):
-            set_path(echo, _JSON_KEYS.get(f.name, f.name), plain(getattr(self, f.name)))
+        for name, value in zip(self._fields, self):
+            set_path(echo, _JSON_KEYS.get(name, name), plain(value))
         del echo["output_dir"]
         return echo
 
@@ -259,25 +255,28 @@ _JSON_KEYS = {
 _KINDS = {str: "a string", int: "an integer", float: "a number", list: "a list", tuple: "a list"}
 
 
+_field_types = functools.cache(get_type_hints)  # resolved once per config record class
+
+
 def _load(cls, obj: dict, context: str, nested: dict | None = None):
-    """Dataclass ``cls`` from JSON object ``obj``, every value checked against its field's type.
+    """Record ``cls`` from JSON object ``obj``, every value checked against its field's type.
 
     ``nested`` holds the values of fields whose dotted key sits inside
     another key, which the caller has read. Null for an object-valued key
     means its default.
     """
-    keys = {_JSON_KEYS.get(f.name, f.name): f for f in fields(cls)}
+    keys = {_JSON_KEYS.get(name, name): name for name in cls._fields}
     _check_keys(obj, [key for key in keys if "." not in key], context)
-    hints = get_type_hints(cls)
+    hints = _field_types(cls)
     values = {}
     for key, value in [*obj.items(), *(nested or {}).items()]:
-        f = keys[key]
-        if value is None and f.default_factory is not MISSING:
+        name = keys[key]
+        if value is None and (get_origin(hints[name]) is dict or hasattr(hints[name], "_fields")):
             continue  # an object-valued key: null means its default
         # AdapterConfig checks its own values, because code builds it too
         if cls is not AdapterConfig:
-            value = _typed(value, hints[f.name], f"{context}.{key}")
-        values[f.name] = value
+            value = _typed(value, hints[name], f"{context}.{key}")
+        values[name] = value
     try:
         return cls(**values)
     except (AdapterError, TypeError) as exc:
@@ -296,7 +295,7 @@ def _typed(value, hint, where: str):
             return None
         hint = get_args(hint)[0]
     kind, args = get_origin(hint) or hint, get_args(hint)
-    if kind is dict or is_dataclass(kind):
+    if kind is dict or hasattr(kind, "_fields"):
         if not isinstance(value, dict):
             raise ConfigError(f"{where} must be an object")
         if kind is dict:
@@ -377,13 +376,14 @@ def _sha256_file(path) -> str | None:
 # The audit run
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AuditReport(Record):
+class AuditReport(NamedTuple):
     version: str
     config: dict
     inputs: list[dict]
     sections: dict[str, dict]
     tool: str = "textaudit"
+
+    to_dict = plain
 
     @property
     def any_failed(self) -> bool:
@@ -522,7 +522,7 @@ class _AuditRun:
         self.require_live()
         spec = self.config.swap
         table = aligned_swap_pairs(self.lexicon, spec.attribute, spec.sub_a, spec.sub_b)
-        return plan_swap_favor(self.annotated, table, **vars(spec))
+        return plan_swap_favor(self.annotated, table, **spec._asdict())
 
     def section_counterfactual(self) -> ScoringPlan:
         self.require_live()
@@ -545,7 +545,7 @@ class _AuditRun:
         return self.from_records(lambda records: fairness_metrics(
             self.annotated,
             records,
-            **vars(self.config.fairness),
+            **self.config.fairness._asdict(),
             threshold=self.config.threshold,
         ))
 
@@ -586,7 +586,7 @@ class _AuditRun:
         return gather(plans, finish)
 
     def section_emissions(self) -> EmissionsEstimate:
-        return estimate_emissions(**vars(self.config.emissions))
+        return estimate_emissions(**self.config.emissions._asdict())
 
     # -- assembly ---------------------------------------------------------------
 
@@ -664,7 +664,7 @@ def _counterfactual_payload(
 ) -> dict:
     return {
         "attribute": attribute,
-        "rows": [{**vars(row), "p_hateful": p} for row, p in zip(corpus.rows, probs)],
+        "rows": [{**row._asdict(), "p_hateful": p} for row, p in zip(corpus.rows, probs)],
         "stats": counterfactual_probability_stats(corpus, probs),
         "cb": [counterfactual_bias(corpus, probs, reference) for reference in references],
     }

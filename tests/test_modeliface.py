@@ -225,6 +225,20 @@ def test_subprocess_non_utf8_stderr_is_reported(tmp_path):
         adapter.score_batch(["x"])
 
 
+def test_subprocess_adapter_rejects_lone_surrogate_before_spawning(tmp_path):
+    spawned = tmp_path / "spawned"
+    script = tmp_path / "record_spawn.py"
+    script.write_text(f"import sys\nopen({str(spawned)!r}, 'w').close()\nfor line in sys.stdin:\n    print(0.5)\n")
+    adapter = SubprocessAdapter(
+        AdapterConfig(kind="subprocess", location=f"{sys.executable} {script}", max_retries=0)
+    )
+    with pytest.raises(
+        AdapterProtocolError, match=r"^text at batch index 2 is not valid Unicode \(surrogates not allowed\)$"
+    ):
+        predict_batch(["fine", "two\nlines", "caf\ud800 gay"], adapter)
+    assert not spawned.exists()
+
+
 class _StubHTTPHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 keyword stub that records connections and request bodies."""
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import math
@@ -174,7 +173,7 @@ def fixture_json():
 )
 def test_config_round_trip(data):
     config = AuditConfig.from_dict(data)
-    assert AuditConfig.from_dict(config.to_dict()) == dataclasses.replace(config, output_dir=None)
+    assert AuditConfig.from_dict(config.to_dict()) == config._replace(output_dir=None)
     assert "output_dir" not in config.to_dict()
 
 
@@ -302,6 +301,15 @@ def test_config_integers_kept_for_float_fields():
     assert type(config.adapter.timeout) is int and config.adapter.timeout == 60
     assert config.to_dict()["emissions"]["hours"] == 4
     assert AuditConfig.from_dict({"threshold": 0.5}).threshold == 0.5
+
+
+def test_config_field_types_resolved_once_per_class():
+    from textaudit.report import _field_types
+
+    AuditConfig.from_dict(fixture_json())
+    resolved = _field_types.cache_info().misses
+    AuditConfig.from_dict(fixture_json())
+    assert _field_types.cache_info().misses == resolved
 
 
 def test_config_optional_fields_take_null():
