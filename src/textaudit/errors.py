@@ -76,7 +76,7 @@ def read_text(path, error: type[AuditError], name: str = "") -> str:
     """
     where = f"{name} {path}" if name else f"{path}"
     try:
-        return (Path(path) if isinstance(path, str) else path).read_text(encoding="utf-8-sig")
+        return Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise error(f"cannot read {where}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -10,7 +10,6 @@ list of ``{pattern, label}``, and word lists are one term per line with
 from __future__ import annotations
 
 import warnings
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -30,9 +29,9 @@ BUILTIN_FILES = {
 }
 
 
-def builtin_file(name: str):
+def builtin_file(name: str) -> Path:
     """The packaged built-in file of word resource ``name``."""
-    return resources.files("textaudit").joinpath(f"data/{BUILTIN_FILES[name]}")
+    return Path(__file__).parent / "data" / BUILTIN_FILES[name]
 
 
 def _clean_term(raw: str) -> str:

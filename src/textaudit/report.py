@@ -277,6 +277,9 @@ def _load(cls, obj: dict, context: str, nested: dict | None = None):
         if cls is not AdapterConfig:
             value = _typed(value, hints[name], f"{context}.{key}")
         values[name] = value
+    missing = [key for key, name in keys.items() if name not in values and name not in cls._field_defaults]
+    if missing:
+        raise ConfigError(f"{context}: missing key(s) {missing}")
     try:
         return cls(**values)
     except (AdapterError, TypeError) as exc:
@@ -348,7 +351,7 @@ def _canonical(value):
         return float(f"{value:.6g}")
     if isinstance(value, dict):
         return {str(k): _canonical(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)) and not hasattr(value, "_asdict"):  # a record goes through plain
         return [_canonical(v) for v in value]
     raise TypeError(f"cannot canonicalize {type(value).__name__}")
 

@@ -91,8 +91,14 @@ def test_no_two_records_share_a_mutable_default(key):
 
 
 def test_cli_import_builds_no_dataclass():
-    """No record is built by exec'ing generated methods: dataclasses and inspect stay unloaded."""
-    code = "import sys, textaudit.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    """No record is built by exec'ing generated methods: dataclasses and inspect stay unloaded.
+
+    Nor is importlib.resources loaded: from Python 3.12 on it imports inspect.
+    """
+    code = (
+        "import sys, textaudit.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))"
+    )
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     result = subprocess.run(
         [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60

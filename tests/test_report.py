@@ -103,6 +103,12 @@ def test_canonical_json_rejects_nan():
         canonical_json({"x": float("nan")})
 
 
+def test_canonical_json_rejects_a_record():
+    # a record reaches the report only through plain; as a tuple it would be written as a list
+    with pytest.raises(TypeError, match="cannot canonicalize PredictionRecord"):
+        canonical_json({"x": [PredictionRecord("h01", 0.5)]})
+
+
 # ---------------------------------------------------------------------------
 # config
 # ---------------------------------------------------------------------------
@@ -134,6 +140,16 @@ def test_config_adapter_integers_validated(field, value):
     adapter = {"kind": "subprocess", "location": "x", field: value}
     with pytest.raises(ConfigError, match=rf"config\.adapter: {field} must be an integer"):
         AuditConfig.from_dict({"adapter": adapter})
+
+
+@pytest.mark.parametrize(
+    "adapter, missing",
+    [({"kind": "http"}, "['location']"), ({"location": "x"}, "['kind']"), ({}, "['kind', 'location']")],
+)
+def test_config_adapter_missing_key_named(adapter, missing):
+    with pytest.raises(ConfigError) as info:
+        AuditConfig.from_dict({"adapter": adapter})
+    assert str(info.value) == f"config.adapter: missing key(s) {missing}"
 
 
 @pytest.mark.parametrize("timeout", [0, -1, float("inf"), True, "5", None])
