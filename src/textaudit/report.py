@@ -221,10 +221,8 @@ class AuditConfig(NamedTuple):
             raise ConfigError("config must be a JSON object")
         rest = dict(obj)
         dataset = rest.pop("dataset", None)
-        if isinstance(dataset, str):
-            dataset = {"path": dataset}
-        elif dataset is None:
-            dataset = {}
+        if dataset is None or isinstance(dataset, str):
+            dataset = {} if dataset is None else {"path": dataset}
         elif not isinstance(dataset, dict):
             raise ConfigError("config.dataset must be a path or {path, format}")
         _check_keys(dataset, ("path", "format"), "config.dataset")
@@ -274,9 +272,7 @@ def _load(cls, obj: dict, context: str, nested: dict | None = None):
         if value is None and (get_origin(hints[name]) is dict or hasattr(hints[name], "_fields")):
             continue  # an object-valued key: null means its default
         # AdapterConfig checks its own values, because code builds it too
-        if cls is not AdapterConfig:
-            value = _typed(value, hints[name], f"{context}.{key}")
-        values[name] = value
+        values[name] = value if cls is AdapterConfig else _typed(value, hints[name], f"{context}.{key}")
     missing = [key for key, name in keys.items() if name not in values and name not in cls._field_defaults]
     if missing:
         raise ConfigError(f"{context}: missing key(s) {missing}")
