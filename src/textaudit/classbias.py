@@ -8,8 +8,6 @@ threshold defaults to 0.5 and is a parameter everywhere it matters; the CB
 score needs no threshold at all.
 """
 
-from __future__ import annotations
-
 from typing import Iterable, NamedTuple
 
 from .corpus import LabeledCorpus, TokenSpan, splice
@@ -164,12 +162,14 @@ def subgroup_probability_stats(
     carry a None mean, never 0.
     """
     p_by_id = predictions_by_id(preds)
+    groups = [(sub, members) for (attr, sub), members in annotated.members.items() if attr == attribute]
+    missing = [comment for _, members in groups for comment in members if comment.id not in p_by_id]
+    if missing:
+        first = min(missing, key=annotated.corpus.comments.index)
+        raise CoverageError(f"prediction missing for annotated comment {first.id!r}")
     cells: dict[tuple[int, str], list[float]] = {}
-    for comment in annotated.corpus:
-        referenced = annotated.subgroups_referenced(comment.id, attribute)
-        for subgroup in referenced:
-            if comment.id not in p_by_id:
-                raise CoverageError(f"prediction missing for annotated comment {comment.id!r}")
+    for subgroup, members in groups:
+        for comment in members:
             cells.setdefault((comment.label, subgroup), []).append(p_by_id[comment.id])
     return SubgroupProbabilityStats(attribute=attribute, rows=tuple(_stats_rows(cells)))
 

@@ -9,6 +9,7 @@ one axis at a time. Flags override the matching config fields. Exit codes:
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .errors import ConfigError
@@ -101,6 +102,9 @@ def build_config(args: argparse.Namespace) -> AuditConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    invoked = argv[0] if argv else None
     parser = argparse.ArgumentParser(
         prog="textaudit",
         description="Black-box fairness and explainability audit for binary text classifiers.",
@@ -108,9 +112,11 @@ def main(argv: list[str] | None = None) -> int:
     subparsers = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in COMMANDS.items():
         sub = subparsers.add_parser(command, help=help_text)
-        sub.add_argument("--config", help="JSON config file (flags override its fields)")
-        for flag, _, options in _FLAGS:
-            sub.add_argument(flag, **options)
+        # Only the command named first parses flags, so only it needs them registered.
+        if command == invoked:
+            sub.add_argument("--config", help="JSON config file (flags override its fields)")
+            for flag, _, options in _FLAGS:
+                sub.add_argument(flag, **options)
 
     args = parser.parse_args(argv)
     try:
@@ -130,5 +136,17 @@ def main(argv: list[str] | None = None) -> int:
     return 2 if report.any_failed else 0
 
 
+def run() -> int:
+    """The console script: :func:`main` on the process's arguments, then the exit.
+
+    Once the outputs are written nothing else is allocated, so the heap is
+    frozen: the interpreter's final collection then skips the audit's objects.
+    Not in :func:`main`, which callers run in-process and keep running after.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

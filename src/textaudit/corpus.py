@@ -10,8 +10,6 @@ and URLs get no special treatment: their letters and digits become ordinary
 tokens. There is no stemming, sentence splitting or emoji normalization.
 """
 
-from __future__ import annotations
-
 import csv
 import json
 import re
@@ -30,8 +28,10 @@ DEFAULT_ABBREVIATIONS = frozenset({"mr.", "mrs.", "ms."})
 
 # One token: group 1 runs from its first letter or digit to its last, group 2
 # is the apostrophes and periods after it. ``[^\W_]`` matches exactly the
-# characters for which ``str.isalnum()`` is true.
-_TOKEN = re.compile(r"([^\W_](?:['.]*[^\W_])*)(['.]*)")
+# characters for which ``str.isalnum()`` is true. Each repetition consumes a
+# whole run of letters and digits, or of apostrophes and periods then letters
+# and digits, so the engine steps once per run, not once per character.
+_TOKEN = re.compile(r"([^\W_]+(?:['.]+[^\W_]+)*)(['.]*)")
 
 
 class TokenSpan(NamedTuple):
@@ -158,13 +158,11 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
     comments: list[Comment] = []
     seen_ids: dict[str, int] = {}
     if format == "csv":
-        reader = csv_rows(path, ("text", "label"), "dataset")
-        has_ids = "id" in reader.fieldnames
-        for ordinal, row in enumerate(reader, start=1):
-            line = reader.line_num
-            if None in row:
-                raise DatasetError("row has more fields than the header", line)
-            comment = _build_comment(row, line, ordinal, has_ids)
+        columns, rows = csv_rows(path, ("text", "label"), "dataset")
+        has_ids = "id" in columns
+        fields = [(key, columns[key]) for key in ("id", "text", "label", "split") if key in columns]
+        for ordinal, (line, row) in enumerate(rows, start=1):
+            comment = _build_comment({key: row[i] for key, i in fields}, line, ordinal, has_ids)
             _check_duplicate(comment.id, seen_ids, line)
             comments.append(comment)
     else:
@@ -185,19 +183,35 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
     return LabeledCorpus(comments)
 
 
-def csv_rows(path: str | Path, required: tuple[str, ...], name: str) -> csv.DictReader:
-    """The rows of CSV file ``path`` (``name`` in messages), its header names stripped.
+def csv_rows(path: str | Path, required: tuple[str, ...], name: str) -> tuple[dict[str, int], Iterator]:
+    """The columns and rows of CSV file ``path`` (``name`` in messages), as ``csv.DictReader`` reads them.
 
-    The header must hold every column in ``required``.
+    The columns map each header name, stripped, to its index; a repeated
+    name maps to its last column, and the header must hold every column in
+    ``required``. The rows are ``(line, fields)`` per non-blank row, where
+    ``line`` is the row's last physical line. A short row's missing fields
+    are ``None``; a row longer than the header is an error.
     """
-    reader = csv.DictReader(read_text(path, DatasetError, name).splitlines(keepends=True))
-    if reader.fieldnames is None:
+    reader = csv.reader(read_text(path, DatasetError, name).splitlines(keepends=True))
+    header = next(reader, None)
+    if header is None:
         raise DatasetError(f"{name} {path} is empty (header row required)")
-    reader.fieldnames = [f.strip() for f in reader.fieldnames]
+    columns = {column.strip(): i for i, column in enumerate(header)}
     for column in required:
-        if column not in reader.fieldnames:
+        if column not in columns:
             raise DatasetError(f"{name} {path} header is missing the {column!r} column")
-    return reader
+    return columns, _rows(reader, len(header))
+
+
+def _rows(reader, width: int) -> Iterator[tuple[int, list]]:
+    for row in reader:
+        if len(row) != width:
+            if not row:
+                continue
+            if len(row) > width:
+                raise DatasetError("row has more fields than the header", reader.line_num)
+            row += [None] * (width - len(row))
+        yield reader.line_num, row
 
 
 def _check_duplicate(comment_id: str, seen: dict[str, int], line: int) -> None:
@@ -224,12 +238,15 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Tok
     """
     if abbreviations is None:
         abbreviations = DEFAULT_ABBREVIATIONS
+    # TokenSpan(...) calls a Python-level __new__; tuple.__new__ builds the same record directly.
+    new, normalize = tuple.__new__, unicodedata.normalize
     spans: list[TokenSpan] = []
+    append = spans.append
     for match in _TOKEN.finditer(text):
         start, end = match.span(1)
         if "." in match[2]:
             end = _kept_end(text, start, end, match.end(), abbreviations)
-        spans.append(TokenSpan(unicodedata.normalize("NFKC", text[start:end]).lower(), start, end))
+        append(new(TokenSpan, (normalize("NFKC", text[start:end]).lower(), start, end)))
     return spans
 
 

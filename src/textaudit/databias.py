@@ -7,8 +7,6 @@ comment's subgroup references and identity terms in its one pass over the
 corpus, and the tables here tally what it found.
 """
 
-from __future__ import annotations
-
 import io
 import csv
 from typing import NamedTuple
@@ -87,15 +85,11 @@ def subgroup_reference_frequencies(annotated: AnnotatedCorpus) -> list[Frequency
     toward each.
     """
     n_h, n_nh = _check_partitions(annotated.corpus)
-    counts: dict[tuple[str, str], list[int]] = {}
-    for comment in annotated.corpus:
-        seen = {(r.attribute, r.subgroup) for r in annotated.refs(comment.id)}
-        for key in seen:
-            counts.setdefault(key, [0, 0])[0 if comment.label == 1 else 1] += 1
-    return [
-        _row(f"{attribute}/{subgroup}", counts[(attribute, subgroup)][0], counts[(attribute, subgroup)][1], n_h, n_nh)
-        for attribute, subgroup in sorted(counts)
-    ]
+    rows = []
+    for (attribute, subgroup), members in sorted(annotated.members.items()):
+        hateful_n = sum(comment.label for comment in members)
+        rows.append(_row(f"{attribute}/{subgroup}", hateful_n, len(members) - hateful_n, n_h, n_nh))
+    return rows
 
 
 def frequency_table_csv(rows: list[FrequencyRow]) -> str:

@@ -8,8 +8,6 @@ subgroups. Out-of-vocabulary and multi-token terms are skipped and
 reported, never imputed.
 """
 
-from __future__ import annotations
-
 import math
 import warnings
 from array import array

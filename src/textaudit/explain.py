@@ -18,8 +18,6 @@ result. ``local_explain`` and ``global_importance`` run the two back to
 back; an audit scores the texts of every plan together first.
 """
 
-from __future__ import annotations
-
 import hashlib
 import math
 import random

@@ -7,8 +7,6 @@ list of ``{pattern, label}``, and word lists are one term per line with
 ``#`` comments. Built-in defaults ship with the package.
 """
 
-from __future__ import annotations
-
 import warnings
 from pathlib import Path
 from typing import NamedTuple

@@ -14,10 +14,8 @@ comment's identity terms are kept as a set, its tokens are not; identity
 swapping replaces the look-up spans.
 """
 
-from __future__ import annotations
-
-import json
-from typing import Hashable, Iterable, Iterator, NamedTuple
+from json.encoder import encode_basestring
+from typing import Hashable, Iterable, NamedTuple
 
 from .corpus import Comment, LabeledCorpus, TokenSpan, narrow, tokenize
 from .lexicon import AttributeLexicon, Gazetteer, IdentityTermList
@@ -40,6 +38,9 @@ class SubgroupRef(NamedTuple):
 class AnnotatedCorpus(NamedTuple):
     """Corpus plus per-comment subgroup references (the join for all bias stats).
 
+    ``members`` maps each referenced (attribute, subgroup) to the comments
+    referencing it, in corpus order: :func:`annotate_corpus` records it in its
+    pass, so the bias statistics read it instead of walking every comment.
     ``identity_hits`` maps each comment id to the identity terms it
     contains, for the ``identity_terms`` it was annotated with; comments
     without any, and every comment when there are no such terms, are absent.
@@ -47,23 +48,15 @@ class AnnotatedCorpus(NamedTuple):
 
     corpus: LabeledCorpus
     annotations: dict[str, tuple[SubgroupRef, ...]]
+    members: dict[tuple[str, str], list[Comment]]
     identity_terms: IdentityTermList | None = None
     identity_hits: dict[str, frozenset[str]] = {}
 
     def refs(self, comment_id: str) -> tuple[SubgroupRef, ...]:
         return self.annotations.get(comment_id, ())
 
-    def subgroups_referenced(self, comment_id: str, attribute: str) -> set[str]:
-        return {r.subgroup for r in self.refs(comment_id) if r.attribute == attribute}
-
     def comments_referencing(self, attribute: str, subgroup: str) -> list[Comment]:
-        return [
-            c
-            for c in self.corpus
-            if any(
-                r.attribute == attribute and r.subgroup == subgroup for r in self.refs(c.id)
-            )
-        ]
+        return list(self.members.get((attribute, subgroup), ()))
 
 
 def term_occurrences(tokens: list[TokenSpan], term: str) -> list[TokenSpan]:
@@ -111,43 +104,42 @@ class TermIndex:
                 self._by_first.setdefault(words[0], []).append((role, tuple(words[1:]), term, target))
         self.abbreviations = tuple(map(frozenset, kept))
         self.union = frozenset().union(*kept)
+        # Every word ending in a period is a key, so a token that is not one matches no
+        # role, trimmed or not, and is skipped after one lookup.
+        for word in self.union:
+            self._by_first.setdefault(word, [])
 
-    def matches(self, text: str, tokens: list[TokenSpan]) -> Iterator[tuple]:
+    def matches(self, text: str, tokens: list[TokenSpan]) -> list[tuple]:
         """``(role, target, term, span)`` per occurrence, in token order, then set and pair order.
 
         ``tokens`` are ``tokenize(text, self.union)``; each role sees them as
         its own abbreviations alone would give them, as :func:`narrow` does.
         """
-        by_first, kept = self._by_first, self.abbreviations
+        get, kept, union = self._by_first.get, self.abbreviations, self.union
+        found = []
         for i, first in enumerate(tokens):
-            entries = by_first.get(first.token, ())
-            if first.token.endswith("."):
+            entries = get(first[0])
+            if entries is None:
+                continue
+            period = first[0] in union
+            if period:
                 # Only roles that keep this period key terms on it; the others look up the trimmed token.
                 entries = [*entries, *(
                     entry
-                    for role, words in enumerate(kept) if first.token not in words
-                    for entry in by_first.get(narrow(text, first, words).token, ()) if entry[0] == role
+                    for role, words in enumerate(kept) if first[0] not in words
+                    for entry in get(narrow(text, first, words)[0], ()) if entry[0] == role
                 )]
             for role, rest, term, target in entries:
                 if not rest:
-                    yield role, target, term, narrow(text, first, kept[role])
+                    found.append((role, target, term, narrow(text, first, kept[role]) if period else first))
                     continue
                 view = [narrow(text, span, kept[role]) for span in tokens[i + 1 : i + 1 + len(rest)]]
                 if tuple(span.token for span in view) == rest:
-                    yield role, target, term, TokenSpan(term, first.start, view[-1].end)
+                    found.append((role, target, term, TokenSpan(term, first.start, view[-1].end)))
+        return found
 
 
-def _refs(grouped: dict, method: str) -> list[SubgroupRef]:
-    return [
-        SubgroupRef(
-            attribute=attribute,
-            subgroup=subgroup,
-            matched_terms=tuple(spans[key] for key in sorted(spans)),
-            method=method,
-        )
-        for (attribute, subgroup), spans in sorted(grouped.items())
-        if spans
-    ]
+_METHODS = (METHOD_LOOKUP, METHOD_GAZETTEER)  # by role
 
 
 def annotate_corpus(
@@ -173,41 +165,56 @@ def annotate_corpus(
         gaz.entries.items(),
         ((term, term) for term in identity_terms.terms) if identity_terms is not None else (),
     )
+    matches, union = index.matches, index.union
     annotations: dict[str, tuple[SubgroupRef, ...]] = {}
     identity_hits: dict[str, frozenset[str]] = {}
+    members: dict[tuple[str, str], list[Comment]] = {}
     for comment in corpus:
         text = comment.text
-        # Per role, target -> {(start, end): (term, span)}; the first term found keeps a span.
-        found, gazetted, identity = by_role = ({}, {}, {})
-        for role, target, term, span in index.matches(text, tokenize(text, index.union)):
-            by_role[role].setdefault(target, {}).setdefault((span.start, span.end), (term, span))
-        for target, spans in gazetted.items():
-            for key in found.get(target, ()):
-                spans.pop(key, None)
-        refs = _refs(found, METHOD_LOOKUP) + _refs(gazetted, METHOD_GAZETTEER)
-        if refs:
-            refs.sort(key=lambda r: (r.attribute, r.subgroup, r.method != METHOD_LOOKUP))
-            annotations[comment.id] = tuple(refs)
+        # (target, role) -> {(start, end): (term, span)}; the first term found keeps a span.
+        grouped: dict = {}
+        identity = []
+        for role, target, term, span in matches(text, tokenize(text, union)):
+            if role == 2:
+                identity.append(target)
+            else:
+                grouped.setdefault((target, role), {}).setdefault(span[1:], (term, span))
         if identity:
             identity_hits[comment.id] = frozenset(identity)
-    return AnnotatedCorpus(corpus, annotations, identity_terms, identity_hits)
+        if not grouped:
+            continue
+        refs = []
+        # Keys sort as (attribute, subgroup), then look-up before gazetteer.
+        for (target, role), spans in sorted(grouped.items()):
+            if role:
+                for key in grouped.get((target, 0), ()):
+                    spans.pop(key, None)
+                if not spans:
+                    continue
+            if not refs or refs[-1][:2] != target:  # a subgroup's two methods are adjacent
+                members.setdefault(target, []).append(comment)
+            refs.append(SubgroupRef(*target, tuple([spans[key] for key in sorted(spans)]), _METHODS[role]))
+        annotations[comment.id] = tuple(refs)
+    return AnnotatedCorpus(corpus, annotations, members, identity_terms, identity_hits)
 
 
 def annotations_to_jsonl(annotated: AnnotatedCorpus) -> str:
-    """Serialize annotations as JSONL: {id, attribute, subgroup, terms, method}."""
+    """Serialize annotations as JSONL: {id, attribute, subgroup, terms, method}.
+
+    Each line is what ``json.dumps(record, ensure_ascii=False)`` gives for the
+    record, built from the strings it would encode with ``encode_basestring``.
+    """
+    encode = encode_basestring
     lines = []
     for comment in annotated.corpus:
-        for ref in annotated.refs(comment.id):
+        refs = annotated.annotations.get(comment.id)
+        if refs is None:
+            continue
+        head = f'{{"id": {encode(comment.id)}, "attribute": '
+        for ref in refs:
+            terms = ", ".join([encode(term) for term, _ in ref.matched_terms])
             lines.append(
-                json.dumps(
-                    {
-                        "id": comment.id,
-                        "attribute": ref.attribute,
-                        "subgroup": ref.subgroup,
-                        "terms": [term for term, _ in ref.matched_terms],
-                        "method": ref.method,
-                    },
-                    ensure_ascii=False,
-                )
+                f'{head}{encode(ref.attribute)}, "subgroup": {encode(ref.subgroup)}, '
+                f'"terms": [{terms}], "method": {encode(ref.method)}}}'
             )
     return "\n".join(lines) + ("\n" if lines else "")

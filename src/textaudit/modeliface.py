@@ -15,8 +15,6 @@ clamped: they signal a broken adapter and clamping would corrupt every
 downstream metric.
 """
 
-from __future__ import annotations
-
 import json
 import math
 import unicodedata
@@ -230,7 +228,7 @@ class HttpAdapter(_AdapterLifecycle):
     def close(self) -> None:
         self._conn.close()
 
-    def _send(self, body: bytes) -> http.client.HTTPResponse:
+    def _send(self, body: bytes) -> "http.client.HTTPResponse":
         self._conn.request("POST", self._target, body, {"Content-Type": "application/json"})
         return self._conn.getresponse()
 
@@ -390,18 +388,18 @@ def load_predictions(path: str | Path, corpus: LabeledCorpus) -> list[Prediction
     Records come back in corpus order. Unknown ids, duplicate ids, missing
     ids and out-of-range probabilities are all hard errors.
     """
-    reader = csv_rows(path, ("id", "p_hateful"), "predictions")
+    columns, rows = csv_rows(path, ("id", "p_hateful"), "predictions")
+    id_column, p_column = columns["id"], columns["p_hateful"]
     by_id: dict[str, float] = {}
-    for row in reader:
-        line = reader.line_num
-        comment_id = (row.get("id") or "").strip()
+    for line, row in rows:
+        comment_id = (row[id_column] or "").strip()
         if not comment_id:
             raise DatasetError("missing id value", line)
         if comment_id not in corpus:
             raise DatasetError(f"unknown comment id {comment_id!r}", line)
         if comment_id in by_id:
             raise DatasetError(f"duplicate prediction for id {comment_id!r}", line)
-        raw = (row.get("p_hateful") or "").strip()
+        raw = (row[p_column] or "").strip()
         try:
             p = float(raw)
         except ValueError as exc:

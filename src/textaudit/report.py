@@ -15,8 +15,6 @@ files, and to markdown for humans. The report carries a content hash for
 every input so the audit is self-contained evidence.
 """
 
-from __future__ import annotations
-
 import functools
 import hashlib
 import json

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -8,7 +9,7 @@ import pytest
 
 from conftest import FIXTURES_DIR, GOLDEN_DIR, REPO_ROOT
 
-from textaudit.cli import main
+from textaudit.cli import _FLAGS, COMMANDS, main
 
 
 @pytest.fixture(autouse=True)
@@ -413,3 +414,53 @@ def test_dataset_format_flag_keeps_a_path_only_dataset(monkeypatch, tmp_path):
     argv = ["audit", "--config", str(path), "--dataset-format", "jsonl"]
     parsed = config_from_argv(monkeypatch, argv)
     assert (parsed.dataset_path, parsed.dataset_format) == ("comments.jsonl", "jsonl")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_lists_every_flag(capsys, command):
+    with pytest.raises(SystemExit) as caught:
+        main([command, "-h"])
+    assert caught.value.code == 0
+    listed = set(re.findall(r"(--[a-z][a-z0-9-]*)", capsys.readouterr().out))
+    assert listed == {flag for flag, _, _ in _FLAGS} | {"--config", "--help"}
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["-h"])
+    assert caught.value.code == 0
+    out = capsys.readouterr().out
+    for command in COMMANDS:
+        assert re.search(rf"^ +{re.escape(command)} ", out, re.MULTILINE), command
+
+
+def test_unknown_command_exit_two(capsys):
+    with pytest.raises(SystemExit) as caught:
+        main(["audits", "--out", "x"])
+    assert caught.value.code == 2
+    assert "argument command: invalid choice: 'audits'" in capsys.readouterr().err
+
+
+def test_main_leaves_the_heap_unfrozen(tmp_path):
+    assert main(["emissions", "--out", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_console_script_freezes_the_heap_after_writing_the_golden(tmp_path):
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    argv = ["textaudit", "audit", "--config", str(FIXTURES_DIR / "audit_config.json"), "--out", str(tmp_path)]
+    probe = (
+        "import gc, sys\n"
+        "from textaudit.cli import run\n"
+        f"sys.argv = {argv!r}\n"
+        "print(run(), gc.get_freeze_count() > 0)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 True"
+    for golden in GOLDEN_DIR.iterdir():
+        assert (tmp_path / golden.name).read_bytes() == golden.read_bytes(), golden.name

@@ -92,3 +92,47 @@ def test_csv_header_errors_name_the_file(tmp_path, name, content, message):
     with pytest.raises(DatasetError) as caught:
         load(path)
     assert str(caught.value) == f"{name} {path} {message}"
+
+
+# Rows the CSV loaders read as csv.DictReader does: a blank row is skipped, a
+# short row's missing fields are missing, and a line number is the physical
+# line a row ends on. A row longer than the header is an error in both.
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("dataset", "id,text,label\na,hello,1\n\nb,world,7\n", "line 4: unknown label '7'"),
+        ("dataset", "id,text,label\na,hello,1\nb,world\n", "line 3: missing label field"),
+        ("dataset", "id,text,label\na,hello\n", "line 2: missing label field"),
+        ("dataset", "id,text,label\na,hello,1,x\n", "line 2: row has more fields than the header"),
+        ("dataset", 'id,text,label\na,"two\nlines",1\n\nb,world,7\n', "line 5: unknown label '7'"),
+        (
+            "predictions",
+            "id,p_hateful\na,0.5\n\nb,7\n",
+            "line 4: probability outside [0, 1] for id 'b': 7.0",
+        ),
+        ("predictions", "id,p_hateful\na,0.5\nb\n", "line 3: unparseable probability ''"),
+        # "0,5" with a decimal comma: the extra field must not be dropped, leaving p = 0
+        ("predictions", "id,p_hateful\na,0.5\nb,0,5\n", "line 3: row has more fields than the header"),
+        (
+            "predictions",
+            'id,p_hateful,note\na,0.5,"two\nlines"\n\nb,7,\n',
+            "line 5: probability outside [0, 1] for id 'b': 7.0",
+        ),
+    ],
+)
+def test_csv_row_errors_name_the_rows_line(tmp_path, name, content, message):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(content, encoding="utf-8")
+    load = {"dataset": load_dataset, "predictions": lambda p: load_predictions(p, CORPUS)}[name]
+    with pytest.raises(DatasetError) as caught:
+        load(path)
+    assert str(caught.value) == message
+
+
+def test_csv_repeated_header_name_reads_its_last_column(tmp_path):
+    path = tmp_path / "dataset.csv"
+    path.write_text("id,text,label,text\na,x,0,hello there\nb,y,1,you\n", encoding="utf-8")
+    assert list(load_dataset(path)) == CORPUS.comments
+    path = tmp_path / "predictions.csv"
+    path.write_text("id,p_hateful,p_hateful\na,7,0.25\nb,,0.75\n", encoding="utf-8")
+    assert [record.p_hateful for record in load_predictions(path, CORPUS)] == [0.25, 0.75]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import FIXTURES_DIR, REPO_ROOT
 
-from textaudit.corpus import Comment, LabeledCorpus, tokenize
+from textaudit.corpus import Comment, LabeledCorpus, TokenSpan, tokenize
 from textaudit.databias import (
     _row,
     frequency_table_csv,
@@ -47,6 +47,15 @@ def mine(text, lexicon, gaz):
     """The references ``annotate_corpus`` finds in a one-comment corpus."""
     corpus = LabeledCorpus([Comment(id="1", text=text, label=0)])
     return list(annotate_corpus(corpus, lexicon, gaz).refs("1"))
+
+
+def subgroups_referenced(annotated, comment_id, attribute):
+    """The subgroups of ``attribute`` whose member comments include ``comment_id``."""
+    return {
+        subgroup
+        for (name, subgroup), members in annotated.members.items()
+        if name == attribute and comment_id in [comment.id for comment in members]
+    }
 
 ROW1 = (
     "A visit to the DC Holocaust Museum revealed Hitler won by 43% of the popular vote "
@@ -110,12 +119,12 @@ def test_annotate_table_trio():
         ]
     )
     annotated = annotate_corpus(corpus, LEX, GAZ)
-    assert annotated.subgroups_referenced("row1", "gender") == {"male"}
-    assert annotated.subgroups_referenced("row1", "religion") == {"islam"}
-    assert annotated.subgroups_referenced("row2", "religion") == {"christianity"}
-    assert annotated.subgroups_referenced("row2", "gender") == set()
-    assert annotated.subgroups_referenced("row3", "gender") == {"female"}
-    assert annotated.subgroups_referenced("row3", "religion") == set()
+    assert subgroups_referenced(annotated, "row1", "gender") == {"male"}
+    assert subgroups_referenced(annotated, "row1", "religion") == {"islam"}
+    assert subgroups_referenced(annotated, "row2", "religion") == {"christianity"}
+    assert subgroups_referenced(annotated, "row2", "gender") == set()
+    assert subgroups_referenced(annotated, "row3", "gender") == {"female"}
+    assert subgroups_referenced(annotated, "row3", "religion") == set()
 
 
 def test_annotate_empty_corpus():
@@ -126,7 +135,7 @@ def test_annotate_empty_corpus():
 def test_both_subgroups_retained():
     corpus = LabeledCorpus([Comment(id="1", text="he told her", label=0)])
     annotated = annotate_corpus(corpus, LEX, GAZ)
-    assert annotated.subgroups_referenced("1", "gender") == {"male", "female"}
+    assert subgroups_referenced(annotated, "1", "gender") == {"male", "female"}
 
 
 def test_lookup_gazetteer_dedup_by_span():
@@ -204,6 +213,59 @@ def test_multi_token_term_with_abbreviated_word():
     assert (row.hateful_n, row.nothateful_n) == (1, 0)
 
 
+# Strings JSON must escape, or must not: quotes, backslashes, control
+# characters, the line and paragraph separators, non-ASCII and astral text.
+json_strings = st.text(
+    st.one_of(
+        st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u2029é€\U0001d406'),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            json_strings,
+            st.lists(
+                st.tuples(json_strings, json_strings, st.lists(json_strings, min_size=1, max_size=3)),
+                max_size=3,
+            ),
+        ),
+        max_size=4,
+        unique_by=lambda comment: comment[0],
+    )
+)
+def test_annotations_jsonl_equals_json_dumps(comments):
+    corpus = LabeledCorpus([Comment(id=comment_id, text="x", label=0) for comment_id, _ in comments])
+    annotations = {
+        comment_id: tuple(
+            SubgroupRef(attribute, subgroup, tuple((t, TokenSpan(t, 0, 1)) for t in terms), method)
+            for (attribute, subgroup, terms), method in zip(refs, [METHOD_LOOKUP, METHOD_GAZETTEER] * 2)
+        )
+        for comment_id, refs in comments
+        if refs
+    }
+    expected = "".join(
+        json.dumps(
+            {
+                "id": comment_id,
+                "attribute": ref.attribute,
+                "subgroup": ref.subgroup,
+                "terms": [term for term, _ in ref.matched_terms],
+                "method": ref.method,
+            },
+            ensure_ascii=False,
+        )
+        + "\n"
+        for comment_id, refs in annotations.items()
+        for ref in refs
+    )
+    assert annotations_to_jsonl(AnnotatedCorpus(corpus, annotations, {})) == expected
+
+
 def test_annotations_jsonl_export(fixture_annotated):
     text = annotations_to_jsonl(fixture_annotated)
     lines = [line for line in text.splitlines() if line]
@@ -272,7 +334,16 @@ def reference_annotate_corpus(corpus, lexicon, gaz):
         if refs:
             refs.sort(key=lambda r: (r.attribute, r.subgroup, r.method != METHOD_LOOKUP))
             annotations[comment.id] = tuple(refs)
-    return AnnotatedCorpus(corpus=corpus, annotations=annotations)
+    return AnnotatedCorpus(corpus, annotations, reference_members(corpus, annotations))
+
+
+def reference_members(corpus, annotations):
+    """(attribute, subgroup) -> the comments with a reference to it, in corpus order."""
+    members = {}
+    for comment in corpus:
+        for key in {(ref.attribute, ref.subgroup) for ref in annotations.get(comment.id, ())}:
+            members.setdefault(key, []).append(comment)
+    return members
 
 
 def reference_identity_term_frequencies(corpus, terms):
@@ -365,6 +436,7 @@ def test_indexed_mining_matches_brute_force(inputs):
     annotated = annotate_corpus(corpus, lexicon, gaz, identity)
     expected = reference_annotate_corpus(corpus, lexicon, gaz)
     assert annotated.annotations == expected.annotations
+    assert annotated.members == expected.members
     assert annotations_to_jsonl(annotated) == annotations_to_jsonl(expected)
     lookup_only = annotate_corpus(corpus, lexicon, NO_GAZ)
     gazetteer_only = annotate_corpus(corpus, NO_LEX, gaz)

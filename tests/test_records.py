@@ -60,7 +60,7 @@ def test_record_is_immutable_and_plain_gives_a_dict(cls):
 MUTABLE_DEFAULTS = {
     (AuditConfig, "counterfactual_fills"): lambda: AuditConfig(),
     (FavorReport, "by_label"): lambda: FavorReport("gender", "male", "female", 0.5, 0.5, 0.0, 2, 4),
-    (AnnotatedCorpus, "identity_hits"): lambda: AnnotatedCorpus(LabeledCorpus([]), {}),
+    (AnnotatedCorpus, "identity_hits"): lambda: AnnotatedCorpus(LabeledCorpus([]), {}, {}),
 }
 
 
