@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DatasetError, read_text
-from .record import checked
 
 SPLITS = ("train", "test", "unsplit")
 
@@ -42,40 +41,24 @@ class TokenSpan(NamedTuple):
     end: int
 
 
-@checked
 class Comment(NamedTuple):
+    """One labeled comment. :func:`load_dataset` checks each field, naming the line."""
+
     id: str
     text: str
     label: int
     split: str = "unsplit"
 
-    def _check(self):
-        if self.label not in (0, 1):
-            raise DatasetError(f"comment {self.id!r}: label must be 0 or 1, got {self.label!r}")
-        if not self.text.strip():
-            raise DatasetError(f"comment {self.id!r}: text is empty after whitespace trim")
-        # JSON escapes can carry lone surrogates, which have no UTF-8 bytes:
-        # such text can neither be written to the outputs nor sent to a model.
-        try:
-            self.text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise DatasetError(
-                f"comment {self.id!r}: text is not valid Unicode ({exc.reason})"
-            ) from exc
-        if self.split not in SPLITS:
-            raise DatasetError(f"comment {self.id!r}: unknown split {self.split!r}")
-
 
 class LabeledCorpus:
-    """Ordered collection of labeled comments with cached per-label totals."""
+    """Ordered collection of labeled comments with cached per-label totals.
+
+    Ids are unique: :func:`load_dataset` rejects a repeated one, naming both lines.
+    """
 
     def __init__(self, comments: Iterable[Comment]):
         self.comments: list[Comment] = list(comments)
-        self._by_id: dict[str, Comment] = {}
-        for comment in self.comments:
-            if comment.id in self._by_id:
-                raise DatasetError(f"duplicate comment id {comment.id!r}")
-            self._by_id[comment.id] = comment
+        self._by_id: dict[str, Comment] = {comment.id: comment for comment in self.comments}
         self.counts: dict[int, int] = {
             0: sum(1 for c in self.comments if c.label == 0),
             1: sum(1 for c in self.comments if c.label == 1),
@@ -140,7 +123,16 @@ def _build_comment(record: dict, line: int, ordinal: int, has_ids: bool) -> Comm
         comment_id = str(comment_id)
     else:
         comment_id = f"row-{ordinal}"
-    return Comment(id=comment_id, text=text, label=label, split=split)
+    # JSON escapes can carry lone surrogates, which have no UTF-8 bytes:
+    # such text can neither be written to the outputs nor sent to a model.
+    for field, value in (("id", comment_id), ("text", text)):
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DatasetError(
+                f"comment {comment_id!r}: {field} is not valid Unicode ({exc.reason})", line
+            ) from exc
+    return Comment(comment_id, text, label, split)
 
 
 def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:

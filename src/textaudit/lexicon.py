@@ -117,19 +117,15 @@ def default_lexicon() -> AttributeLexicon:
     return _lexicon_from_obj(read_json(builtin_file("lexicon"), LexiconError))
 
 
-@checked
 class SwapTable(NamedTuple):
-    """Bidirectional aligned term pairs for one attribute: the partner of each term."""
+    """Bidirectional aligned term pairs for one attribute: the partner of each term.
+
+    No term is in two pairs, so ``partner`` is its own inverse:
+    :func:`aligned_swap_pairs` drops any pair that would reuse a term.
+    """
 
     attribute: str
     pairs: tuple[tuple[str, str], ...]
-
-    def _check(self):
-        seen: set[str] = set()
-        for a, b in self.pairs:
-            if a in seen or (b in seen and b != a):
-                raise LexiconError(f"term appears in more than one swap pair: {a!r}/{b!r}")
-            seen.update((a, b))
 
     def partner(self, term: str) -> str | None:
         return next((b if term == a else a for a, b in self.pairs if term in (a, b)), None)

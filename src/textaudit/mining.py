@@ -19,7 +19,6 @@ from typing import Hashable, Iterable, NamedTuple
 
 from .corpus import Comment, LabeledCorpus, TokenSpan, narrow, tokenize
 from .lexicon import AttributeLexicon, Gazetteer, IdentityTermList
-from .record import checked
 
 METHOD_LOOKUP = "lookup"
 METHOD_GAZETTEER = "gazetteer"
@@ -34,7 +33,6 @@ class SubgroupRef(NamedTuple):
     method: str
 
 
-@checked
 class AnnotatedCorpus(NamedTuple):
     """Corpus plus per-comment subgroup references (the join for all bias stats).
 
@@ -49,8 +47,8 @@ class AnnotatedCorpus(NamedTuple):
     corpus: LabeledCorpus
     annotations: dict[str, tuple[SubgroupRef, ...]]
     members: dict[tuple[str, str], list[Comment]]
-    identity_terms: IdentityTermList | None = None
-    identity_hits: dict[str, frozenset[str]] = {}
+    identity_terms: IdentityTermList | None
+    identity_hits: dict[str, frozenset[str]]
 
     def refs(self, comment_id: str) -> tuple[SubgroupRef, ...]:
         return self.annotations.get(comment_id, ())

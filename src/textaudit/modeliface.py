@@ -35,16 +35,11 @@ from .record import checked
 ADAPTER_KINDS = ("predictions_file", "subprocess", "http")
 
 
-@checked
 class PredictionRecord(NamedTuple):
+    """One comment's probability, range-checked by :func:`load_predictions` or :func:`predict_batch`."""
+
     comment_id: str
     p_hateful: float
-
-    def _check(self):
-        if not 0.0 <= self.p_hateful <= 1.0:
-            raise AdapterProtocolError(
-                f"probability for {self.comment_id!r} outside [0, 1]: {self.p_hateful!r}"
-            )
 
 
 @checked

@@ -102,12 +102,16 @@ def estimate_emissions(
     ):
         if value < 0:
             raise AuditError(f"{name} must be >= 0, got {value}")
+    co2eq_kg = power_draw_kw * hours * pue * carbon_intensity_kg_per_kwh
+    # finite factors can still overflow; the report holds finite numbers only
+    if not math.isfinite(co2eq_kg):
+        raise AuditError(f"co2eq_kg is not finite: {co2eq_kg}")
     return EmissionsEstimate(
         power_draw_kw=power_draw_kw,
         hours=hours,
         pue=pue,
         carbon_intensity_kg_per_kwh=carbon_intensity_kg_per_kwh,
-        co2eq_kg=power_draw_kw * hours * pue * carbon_intensity_kg_per_kwh,
+        co2eq_kg=co2eq_kg,
     )
 
 

@@ -112,13 +112,6 @@ def test_performance_coverage_gap():
         performance_report(corpus, preds)
 
 
-def test_performance_threshold_validation():
-    corpus = four_comment_corpus()
-    preds = records([("a", 0.9), ("b", 0.2), ("c", 0.1), ("d", 0.1)])
-    with pytest.raises(AuditError):
-        performance_report(corpus, preds, threshold=1.0)
-
-
 def test_performance_weighted_identity_and_trace():
     rng = random.Random(99)
     for _ in range(20):

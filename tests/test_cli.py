@@ -406,6 +406,35 @@ def test_lone_surrogate_flag_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lone_surrogate_dataset_id_exit_one(tmp_path, capsys):
+    dataset = tmp_path / "data.jsonl"
+    dataset.write_text('{"id": "a\\ud800", "text": "he is gay", "label": 0}\n')
+    out = tmp_path / "out"
+    argv = ["data-bias", "--dataset", str(dataset), "--dataset-format", "jsonl"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: dataset: line 1: comment 'a\\ud800': id is not valid Unicode "
+        "(surrogates not allowed)\n"
+    )
+    assert not out.exists()
+
+
+def test_overflowing_emissions_fail_that_section_only(tmp_path, capsys):
+    config = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
+    config["emissions"].update(power_draw_kw=1e200, hours=1e200, pue=1, carbon_intensity_kg_per_kwh=1)
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["audit", "--config", str(path), "--out", str(out)]) == 2
+    assert "emissions: failed (AuditError: co2eq_kg is not finite: inf)" in capsys.readouterr().out
+    sections = json.loads((out / "report.json").read_text())["sections"]
+    assert [name for name, section in sections.items() if section["status"] != "computed"] == ["emissions"]
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in GOLDEN_DIR.iterdir())
+    for golden in GOLDEN_DIR.iterdir():
+        if golden.stem != "report":  # the side files, which emissions does not feed
+            assert (out / golden.name).read_bytes() == golden.read_bytes()
+
+
 def test_dataset_format_flag_keeps_a_path_only_dataset(monkeypatch, tmp_path):
     config = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
     config["dataset"] = "comments.jsonl"

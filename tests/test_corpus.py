@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from textaudit.corpus import (
     _TOKEN,
-    Comment,
     TokenSpan,
     load_dataset,
     narrow,
@@ -110,6 +109,34 @@ def test_jsonl_lone_surrogate_rejected(tmp_path):
         load_dataset(path, "jsonl")
 
 
+@pytest.mark.parametrize(
+    "format, body, message",
+    [
+        ("jsonl", '{"id": "a", "text": "fine", "label": 0}\n{"id": "b", "text": "odd", "label": 2}\n',
+         "line 2: label must be 0 or 1, got 2"),
+        ("csv", 'id,text,label\na,fine,0\nb," \t ",1\n', "line 3: empty text"),
+        ("jsonl", '{"id": "a", "text": "fine", "label": 0}\n\n{"id": "b", "text": " \\n ", "label": 1}\n',
+         "line 3: empty text"),
+        ("csv", "id,text,label,split\na,fine,0,train\nb,odd,1,dev\n", "line 3: unknown split 'dev'"),
+        ("csv", "id,text,label\na,fine,0\nb,more,1\na,again,1\n",
+         "line 4: duplicate id 'a' (first seen at line 2)"),
+        ("jsonl", '{"id": "a", "text": "fine", "label": 0}\n{"id": "b", "text": "bad \\ud800", "label": 1}\n',
+         "line 2: comment 'b': text is not valid Unicode (surrogates not allowed)"),
+        ("jsonl", '{"id": "a\\udc80", "text": "fine", "label": 0}\n',
+         "line 1: comment 'a\\udc80': id is not valid Unicode (surrogates not allowed)"),
+    ],
+    ids=["jsonl-label-2", "csv-blank-text", "jsonl-blank-text", "unknown-split", "duplicate-id",
+         "text-surrogate", "id-surrogate"],
+)
+def test_loader_rejects_bad_record_naming_its_line(tmp_path, format, body, message):
+    path = tmp_path / f"data.{format}"
+    path.write_text(body, encoding="utf-8")
+    with pytest.raises(DatasetError) as excinfo:
+        load_dataset(path, format)
+    assert str(excinfo.value) == message
+    assert excinfo.value.line == int(message.split(":")[0].removeprefix("line "))
+
+
 def test_split_column_honored(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("id,text,label,split\n1,hello there,0,test\n2,more text,1,\n")
@@ -132,13 +159,6 @@ def test_load_deterministic(tmp_path):
     second = load_dataset(path, "csv")
     assert first.comments == second.comments
     assert first.counts == second.counts
-
-
-def test_comment_validation():
-    with pytest.raises(DatasetError):
-        Comment(id="x", text="hello", label=2)
-    with pytest.raises(DatasetError):
-        Comment(id="x", text="  ", label=0)
 
 
 def test_tokenize_lowercase_strip():

@@ -1,11 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textaudit import lexicon
 from textaudit.errors import LexiconError
 from textaudit.lexicon import (
-    SwapTable,
     aligned_swap_pairs,
     default_gazetteer,
     default_identity_terms,
@@ -113,9 +114,26 @@ def test_swap_length_mismatch_reports_both():
         aligned_swap_pairs(lex, "x", "a", "b")
 
 
-def test_swap_table_rejects_term_in_two_pairs():
-    with pytest.raises(LexiconError, match="more than one swap pair"):
-        SwapTable(attribute="x", pairs=(("a", "b"), ("b", "c")))
+@st.composite
+def swap_lexicons(draw):
+    """Two equally long term lists over a few words, so terms repeat, and the subgroup to pair with "a"."""
+    words = st.sampled_from(["he", "she", "man", "woman", "mr.", "ms.", "his"])
+    terms_a = draw(st.lists(words, min_size=1, max_size=8))
+    terms_b = draw(st.lists(words, min_size=len(terms_a), max_size=len(terms_a)))
+    return _lexicon_from_obj({"x": {"a": terms_a, "b": terms_b}}), draw(st.sampled_from("ab"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(swap_lexicons())
+def test_aligned_swap_pairs_pair_each_term_once(drawn):
+    lex, sub_b = drawn
+    table = aligned_swap_pairs(lex, "x", "a", sub_b)
+    assert set(table.pairs) <= set(zip(lex.terms("x", "a"), lex.terms("x", sub_b)))
+    # no term is in two pairs; a self-pair holds its term once
+    terms = [term for a, b in table.pairs for term in {a, b}]
+    assert len(terms) == len(set(terms))
+    for term in terms:
+        assert table.partner(table.partner(term)) == term
 
 
 def test_default_gazetteer_targets():

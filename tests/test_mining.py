@@ -263,7 +263,7 @@ def test_annotations_jsonl_equals_json_dumps(comments):
         for comment_id, refs in annotations.items()
         for ref in refs
     )
-    assert annotations_to_jsonl(AnnotatedCorpus(corpus, annotations, {})) == expected
+    assert annotations_to_jsonl(AnnotatedCorpus(corpus, annotations, {}, None, {})) == expected
 
 
 def test_annotations_jsonl_export(fixture_annotated):
@@ -334,7 +334,7 @@ def reference_annotate_corpus(corpus, lexicon, gaz):
         if refs:
             refs.sort(key=lambda r: (r.attribute, r.subgroup, r.method != METHOD_LOOKUP))
             annotations[comment.id] = tuple(refs)
-    return AnnotatedCorpus(corpus, annotations, reference_members(corpus, annotations))
+    return AnnotatedCorpus(corpus, annotations, reference_members(corpus, annotations), None, {})
 
 
 def reference_members(corpus, annotations):

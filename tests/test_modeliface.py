@@ -22,7 +22,6 @@ from textaudit.modeliface import (
     AdapterConfig,
     HttpAdapter,
     PredictionCache,
-    PredictionRecord,
     SubprocessAdapter,
     load_predictions,
     open_adapter,
@@ -439,11 +438,6 @@ def test_run_audit_closes_adapter_when_a_section_fails(canned_http, monkeypatch)
     report = run_audit(AuditConfig.from_dict(data))
     assert report.sections["performance"]["status"] == "failed"
     assert len(closed) == 1
-
-
-def test_prediction_record_range():
-    with pytest.raises(AdapterProtocolError):
-        PredictionRecord(comment_id="a", p_hateful=1.5)
 
 
 def _corpus():
