@@ -7,15 +7,13 @@ comment's subgroup references and identity terms in its one pass over the
 corpus, and the tables here tally what it found.
 """
 
-import io
-import csv
 from typing import NamedTuple
 
 from .corpus import LabeledCorpus
 from .errors import EmptyPartitionError
 from .lexicon import AttributeLexicon, Gazetteer, IdentityTermList
 from .mining import AnnotatedCorpus, annotate_corpus
-from .record import plain
+from .record import csv_text, plain
 
 
 class FrequencyRow(NamedTuple):
@@ -94,14 +92,13 @@ def subgroup_reference_frequencies(annotated: AnnotatedCorpus) -> list[Frequency
 
 def frequency_table_csv(rows: list[FrequencyRow]) -> str:
     """CSV with columns Term, Hateful %, Not-hateful %, Overall %."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["Term", "Hateful %", "Not-hateful %", "Overall %"])
-    for row in rows:
-        writer.writerow(
-            [row.key, f"{row.hateful_pct:.4f}", f"{row.nothateful_pct:.4f}", f"{row.overall_pct:.4f}"]
-        )
-    return out.getvalue()
+    return csv_text(
+        ("Term", "Hateful %", "Not-hateful %", "Overall %"),
+        (
+            (r.key, f"{r.hateful_pct:.4f}", f"{r.nothateful_pct:.4f}", f"{r.overall_pct:.4f}")
+            for r in rows
+        ),
+    )
 
 
 def frequency_table_json(rows: list[FrequencyRow]) -> list[dict]:

@@ -17,35 +17,15 @@ from typing import NamedTuple
 
 from .errors import EmbeddingError, read_text
 from .lexicon import AttributeLexicon, NeutralWordList
-from .record import plain
+from .record import csv_text, plain
 
 
-class EmbeddingTable:
-    """Term -> d-dimensional vector store loaded from a text embedding file.
+def load_embeddings(path: str | Path) -> dict[str, array]:
+    """Parse a "term v1 ... vd" per line embedding file (no header) into term -> vector.
 
     Each vector is an ``array("d")``: 8 bytes per component, as a file of
-    GloVe size needs.
-    """
-
-    def __init__(self, dimension: int, vectors: dict[str, array]):
-        self.dimension = dimension
-        self.vectors = vectors
-
-    def __contains__(self, term: str) -> bool:
-        return term in self.vectors
-
-    def __len__(self) -> int:
-        return len(self.vectors)
-
-    def get(self, term: str) -> array:
-        return self.vectors[term]
-
-
-def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Parse a "term v1 ... vd" per line embedding file (no header).
-
-    The dimension is inferred from the first line and must stay constant.
-    Duplicate terms keep their first vector with a warning.
+    GloVe size needs. The dimension is inferred from the first line and must
+    stay constant. Duplicate terms keep their first vector with a warning.
     """
     text = read_text(path, EmbeddingError, "embeddings")
     vectors: dict[str, array] = {}
@@ -74,14 +54,14 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             duplicates += 1
             continue
         vectors[term] = array("d", values)
-    if dimension is None:
+    if not vectors:
         raise EmbeddingError(f"embedding file {path} is empty")
     if duplicates:
         warnings.warn(f"{duplicates} duplicate embedding term(s) ignored (first kept)", stacklevel=2)
-    return EmbeddingTable(dimension=dimension, vectors=vectors)
+    return vectors
 
 
-def _usable(term: str, table: EmbeddingTable) -> bool:
+def _usable(term: str, table: dict[str, array]) -> bool:
     """Whether a subgroup term enters its profile: one token, in the table."""
     return " " not in term and term in table
 
@@ -97,7 +77,7 @@ class SimilarityProfile(NamedTuple):
 def subgroup_similarity_profile(
     neutrals: NeutralWordList,
     subgroup_terms: list[str] | tuple[str, ...],
-    table: EmbeddingTable,
+    table: dict[str, array],
     subgroup: str = "",
 ) -> SimilarityProfile:
     """Profile entry j = mean over in-vocabulary subgroup terms of cos(neutral_j, term).
@@ -115,20 +95,20 @@ def subgroup_similarity_profile(
     covered = [w for w in neutrals.words if w in table]
     if not covered:
         raise EmbeddingError("no neutral word has an embedding")
-    term_norms = [math.hypot(*table.get(t)) for t in usable_terms]
+    term_norms = [math.hypot(*table[t]) for t in usable_terms]
     if 0.0 in term_norms:
         bad = [t for t, n in zip(usable_terms, term_norms) if n == 0.0]
         raise EmbeddingError(f"zero-norm embedding for term(s): {bad}")
-    neutral_norms = [math.hypot(*table.get(w)) for w in covered]
+    neutral_norms = [math.hypot(*table[w]) for w in covered]
     if 0.0 in neutral_norms:
         bad = [w for w, n in zip(covered, neutral_norms) if n == 0.0]
         raise EmbeddingError(f"zero-norm embedding for neutral word(s): {bad}")
     # The mean of cos(n, t) over terms t is n/|n| . mean(t/|t|): one dot
     # product per neutral word instead of one per (word, term) pair.
-    units = [[v / n for v in table.get(t)] for t, n in zip(usable_terms, term_norms)]
+    units = [[v / n for v in table[t]] for t, n in zip(usable_terms, term_norms)]
     centroid = [sum(column) / len(units) for column in zip(*units)]
     x = tuple(
-        sum(map(mul, table.get(w), centroid)) / n for w, n in zip(covered, neutral_norms)
+        sum(map(mul, table[w], centroid)) / n for w, n in zip(covered, neutral_norms)
     )
     return SimilarityProfile(subgroup=subgroup, x=x, covered_neutral_terms=tuple(covered))
 
@@ -158,7 +138,7 @@ def embedding_bias(
     neutrals: NeutralWordList,
     lexicon: AttributeLexicon,
     attribute: str,
-    table: EmbeddingTable,
+    table: dict[str, array],
 ) -> EmbeddingBiasResult:
     """MAE/RMSE between subgroup similarity profiles plus their AMAE/ARMSE means.
 
@@ -216,9 +196,11 @@ def embedding_bias(
 
 def embedding_bias_csv(results: list[EmbeddingBiasResult]) -> str:
     """Flat CSV of pairwise and aggregate values, one attribute per block."""
-    lines = ["attribute,subgroup_a,subgroup_b,mae,rmse"]
+    rows = []
     for result in results:
-        for p in result.pairwise:
-            lines.append(f"{result.attribute},{p.subgroup_a},{p.subgroup_b},{p.mae:.6g},{p.rmse:.6g}")
-        lines.append(f"{result.attribute},ALL,ALL,{result.amae:.6g},{result.armse:.6g}")
-    return "\n".join(lines) + "\n"
+        rows += [
+            (result.attribute, p.subgroup_a, p.subgroup_b, f"{p.mae:.6g}", f"{p.rmse:.6g}")
+            for p in result.pairwise
+        ]
+        rows.append((result.attribute, "ALL", "ALL", f"{result.amae:.6g}", f"{result.armse:.6g}"))
+    return csv_text(("attribute", "subgroup_a", "subgroup_b", "mae", "rmse"), rows)

@@ -7,13 +7,10 @@ from pathlib import Path
 
 
 class AuditError(Exception):
-    """Base class for all audit-specific failures."""
+    """Base class for all audit-specific failures.
 
-
-class DatasetError(AuditError):
-    """Malformed or unreadable dataset input.
-
-    ``line`` is the 1-based physical line of the offending record when known.
+    ``line`` is the 1-based physical line of the offending input record when
+    known; the message then starts with "line <n>: ".
     """
 
     def __init__(self, message: str, line: int | None = None):
@@ -23,18 +20,16 @@ class DatasetError(AuditError):
         self.line = line
 
 
+class DatasetError(AuditError):
+    """Malformed or unreadable dataset input."""
+
+
 class LexiconError(AuditError):
     """Invalid word-resource file (lexicon, gazetteer, word list, templates)."""
 
 
 class EmbeddingError(AuditError):
     """Invalid embedding file or vector operation."""
-
-    def __init__(self, message: str, line: int | None = None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 class EmptyPartitionError(AuditError):

@@ -29,7 +29,7 @@ from typing import NamedTuple
 from .corpus import Comment, LabeledCorpus, TokenSpan, splice, tokenize
 from .errors import ExplainError
 from .modeliface import Adapter, PredictionCache, ScoringPlan, predict_batch
-from .record import plain
+from .record import csv_text, plain
 
 EXACT_SHAPLEY_MAX_TOKENS = 12
 
@@ -260,12 +260,13 @@ class GlobalImportance(NamedTuple):
     to_dict = plain
 
     def to_csv(self) -> str:
-        lines = ["token,mean_effect,mean_abs_effect,support"]
-        for row in self.rows:
-            lines.append(
-                f"{row.token},{row.mean_effect:.6g},{row.mean_abs_effect:.6g},{row.support}"
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(
+            ("token", "mean_effect", "mean_abs_effect", "support"),
+            (
+                (r.token, f"{r.mean_effect:.6g}", f"{r.mean_abs_effect:.6g}", r.support)
+                for r in self.rows
+            ),
+        )
 
 
 def _capped_tokens(text: str, max_tokens: int) -> tuple[list[str], list[tuple[int, TokenSpan]]]:

@@ -3,11 +3,14 @@
 Records are serialized only through :func:`plain`, which each result type
 binds as ``to_dict``: ``json.dumps`` of a record gives a list. ``_replace``
 and ``_make`` bypass :func:`checked`, so the package never calls them.
+Every CSV side file is written by :func:`csv_text`.
 """
 
 from __future__ import annotations
 
 import copy
+import csv
+import io
 
 
 def plain(value):
@@ -19,6 +22,15 @@ def plain(value):
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
     return value
+
+
+def csv_text(header, rows) -> str:
+    """``header`` then ``rows`` as CSV: each record ends in a line feed, a field is quoted where it must be."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def checked(cls):

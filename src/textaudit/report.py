@@ -699,10 +699,12 @@ def run_audit(config: AuditConfig) -> AuditReport:
 # ---------------------------------------------------------------------------
 
 def _md_table(headers: list[str], rows: list[list[str]]) -> list[str]:
-    lines = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
+    """GitHub-flavoured markdown table; a ``|`` inside a cell is escaped so it splits no cell."""
+
+    def line(cells: list[str]) -> str:
+        return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+
+    return [line(headers), "|" + "---|" * len(headers), *map(line, rows)]
 
 
 def _fmt(value, digits: int = 4) -> str:

@@ -26,7 +26,7 @@ from textaudit.classbias import (
 )
 from textaudit.corpus import Comment, LabeledCorpus, load_dataset, tokenize
 from textaudit.databias import identity_term_frequencies, subgroup_reference_frequencies
-from textaudit.embedbias import EmbeddingTable, embedding_bias
+from textaudit.embedbias import embedding_bias
 from textaudit.errors import AuditError
 from textaudit.explain import exact_shapley, global_importance, local_explain
 from textaudit.lexicon import (
@@ -199,9 +199,7 @@ def test_criterion_02_embedding_bias_properties():
             while np.linalg.norm(vec) < 1e-6:
                 vec = rng.normal(size=d)
             vectors[name] = vec
-        table = EmbeddingTable(
-            dimension=d, vectors={k: array("d", v) for k, v in vectors.items()}
-        )
+        table = {k: array("d", v) for k, v in vectors.items()}
 
         assignments = [term_names[i::n_subgroups] for i in range(n_subgroups)]
         lexicon = _lexicon_from_obj(
@@ -220,9 +218,7 @@ def test_criterion_02_embedding_bias_properties():
             assert result.armse == gap.rmse
 
         scale = float(rng.uniform(0.1, 50.0))
-        scaled_table = EmbeddingTable(
-            dimension=d, vectors={k: array("d", scale * v) for k, v in vectors.items()}
-        )
+        scaled_table = {k: array("d", scale * v) for k, v in vectors.items()}
         rescaled = embedding_bias(neutrals, lexicon, "attr", scaled_table)
         assert rescaled.amae == pytest.approx(result.amae, abs=1e-9)
         assert rescaled.armse == pytest.approx(result.armse, abs=1e-9)

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textaudit.embedbias import (
-    EmbeddingTable,
     embedding_bias,
     embedding_bias_csv,
     load_embeddings,
@@ -18,16 +17,14 @@ from textaudit.lexicon import NeutralWordList, _lexicon_from_obj
 
 
 def table_of(**vectors):
-    arrays = {k: array("d", v) for k, v in vectors.items()}
-    dim = len(next(iter(arrays.values())))
-    return EmbeddingTable(dimension=dim, vectors=arrays)
+    return {k: array("d", v) for k, v in vectors.items()}
 
 
 def test_load_embeddings_basic(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_text("a 1 0\nb 0 1\n")
     table = load_embeddings(path)
-    assert table.dimension == 2
+    assert {len(vector) for vector in table.values()} == {2}
     assert len(table) == 2
     assert list(table.get("a")) == [1.0, 0.0]
 

@@ -17,11 +17,6 @@ CORPUS = LabeledCorpus(
 )
 
 
-def _embeddings(path):
-    table = load_embeddings(path)
-    return table.dimension, {term: list(vector) for term, vector in table.vectors.items()}
-
-
 # kind -> (loader, its error class, a valid file of that kind)
 KINDS = {
     "dataset_csv": (
@@ -39,7 +34,7 @@ KINDS = {
         DatasetError,
         "id,p_hateful\na,0.25\nb,0.75\n",
     ),
-    "embeddings": (_embeddings, EmbeddingError, "he 0.5 1.0\nshe 1.0 -0.5\n"),
+    "embeddings": (load_embeddings, EmbeddingError, "he 0.5 1.0\nshe 1.0 -0.5\n"),
     "lexicon": (
         lexicon.load_lexicon,
         LexiconError,

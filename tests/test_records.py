@@ -1,14 +1,21 @@
+import csv
 import importlib
+import io
 import os
 import pkgutil
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REPO_ROOT
 
 import textaudit
+from textaudit.databias import FrequencyRow, frequency_table_csv
+from textaudit.embedbias import EmbeddingBiasResult, PairGap, embedding_bias_csv
+from textaudit.explain import GlobalImportance, ImportanceRow
 from textaudit.record import plain
 from textaudit.report import AuditConfig
 
@@ -115,3 +122,50 @@ def test_cli_import_builds_no_dataclass():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def _frequency_csv(names):
+    rows = [FrequencyRow(name, 50.0, 25.0, 100 / 3, 1, 1, 2) for name in names]
+    expected = [["Term", "Hateful %", "Not-hateful %", "Overall %"]]
+    expected += [[name, "50.0000", "25.0000", "33.3333"] for name in names]
+    return frequency_table_csv(rows), expected
+
+
+def _embedding_bias_csv(names):
+    attribute, *subgroups = names
+    pairwise = tuple(PairGap(a, b, 0.125, 1 / 3) for a, b in zip(subgroups, subgroups[1:]))
+    result = EmbeddingBiasResult(attribute, pairwise, 0.125, 1 / 3, ())
+    expected = [["attribute", "subgroup_a", "subgroup_b", "mae", "rmse"]]
+    expected += [[attribute, gap.subgroup_a, gap.subgroup_b, "0.125", "0.333333"] for gap in pairwise]
+    expected.append([attribute, "ALL", "ALL", "0.125", "0.333333"])
+    return embedding_bias_csv([result]), expected
+
+
+def _global_importance_csv(names):
+    rows = tuple(ImportanceRow(name, -0.5, 0.5, 2) for name in names)
+    expected = [["token", "mean_effect", "mean_abs_effect", "support"]]
+    expected += [[name, "-0.5", "0.5", "2"] for name in names]
+    return GlobalImportance(rows, "occlusion", 0).to_csv(), expected
+
+
+# A name as a lexicon, word list or corpus may give it. Left out: "\r", which
+# csv.writer leaves unquoted when the line terminator is "\n", and NUL, which
+# csv.reader refuses before Python 3.11.
+NAMES = st.lists(
+    st.text(
+        st.sampled_from(',"\n')
+        | st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\x00"),
+        max_size=6,
+    ),
+    min_size=3,
+    max_size=5,
+)
+
+
+@pytest.mark.parametrize("write", [_frequency_csv, _embedding_bias_csv, _global_importance_csv])
+@settings(max_examples=200, deadline=None)
+@given(names=NAMES)
+def test_csv_side_file_reads_back_to_its_fields(write, names):
+    text, expected = write(names)
+    assert text.endswith("\n")
+    assert list(csv.reader(io.StringIO(text, newline=""))) == expected

@@ -1,8 +1,10 @@
 import hashlib
 import json
 import math
+import re
 import shlex
 import sys
+from itertools import groupby
 from unittest import mock
 
 import pytest
@@ -780,3 +782,12 @@ def test_markdown_local_weights_rank_at_report_precision():
 def test_markdown_stats_table_shape(full_report):
     text = render_report(full_report, "markdown")
     assert "| Actual Comment Type | Subgroup | Avg. Predicted Probability | N |" in text
+    # Every row of every table has as many cells, split on unescaped pipes,
+    # as its delimiter row; otherwise GitHub renders no table at all.
+    blocks = groupby(text.splitlines(), lambda line: line.startswith("|"))
+    tables = [list(lines) for is_table, lines in blocks if is_table]
+    assert tables
+    for header, delimiter, *rows in tables:
+        assert set(delimiter) == {"|", "-"}
+        for row in (header, *rows):
+            assert len(re.split(r"(?<!\\)\|", row)) == len(delimiter.split("|")), row
