@@ -12,7 +12,7 @@ from typing import Iterable, NamedTuple
 
 from .corpus import LabeledCorpus, TokenSpan, splice
 from .errors import AuditError, CoverageError, LexiconError
-from .lexicon import IDENTITY_SLOT, AttributeLexicon, SwapTable, TemplateSet
+from .lexicon import IDENTITY_SLOT, AttributeLexicon, SwapTable
 from .mining import METHOD_LOOKUP, AnnotatedCorpus
 from .modeliface import Adapter, PredictionCache, PredictionRecord, ScoringPlan
 from .record import plain
@@ -330,7 +330,6 @@ class CounterfactualCorpus(NamedTuple):
     """Template realizations, grouped so each group spans all subgroups."""
 
     rows: tuple[CounterfactualRow, ...]
-    n_groups: int
 
     def groups(self) -> list[list[CounterfactualRow]]:
         grouped: dict[int, list[CounterfactualRow]] = {}
@@ -340,7 +339,7 @@ class CounterfactualCorpus(NamedTuple):
 
 
 def expand_templates(
-    templates: TemplateSet,
+    templates: tuple[tuple[str, int], ...],
     lexicon: AttributeLexicon,
     attribute: str,
     identity_terms_per_subgroup: dict[str, list[str]],
@@ -367,7 +366,7 @@ def expand_templates(
 
     rows: list[CounterfactualRow] = []
     group_index = 0
-    for template_index, (pattern, label) in enumerate(templates.templates):
+    for template_index, (pattern, label) in enumerate(templates):
         for slot in range(n_fills):
             for subgroup in subgroups:
                 term = identity_terms_per_subgroup[subgroup][slot]
@@ -382,7 +381,7 @@ def expand_templates(
                     )
                 )
             group_index += 1
-    return CounterfactualCorpus(rows=tuple(rows), n_groups=group_index)
+    return CounterfactualCorpus(rows=tuple(rows))
 
 
 class CBResult(NamedTuple):

@@ -123,15 +123,6 @@ def _build_comment(record: dict, line: int, ordinal: int, has_ids: bool) -> Comm
         comment_id = str(comment_id)
     else:
         comment_id = f"row-{ordinal}"
-    # JSON escapes can carry lone surrogates, which have no UTF-8 bytes:
-    # such text can neither be written to the outputs nor sent to a model.
-    for field, value in (("id", comment_id), ("text", text)):
-        try:
-            value.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            raise DatasetError(
-                f"comment {comment_id!r}: {field} is not valid Unicode ({exc.reason})", line
-            ) from exc
     return Comment(comment_id, text, label, split)
 
 
@@ -170,6 +161,17 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
             if not isinstance(record, dict):
                 raise DatasetError("record must be a JSON object", line)
             comment = _build_comment(record, line, ordinal, has_ids="id" in record)
+            # JSON escapes can carry lone surrogates, which have no UTF-8 bytes: such
+            # text can neither be written to the outputs nor sent to a model. A CSV
+            # row cannot hold one, since its file was decoded as strict UTF-8.
+            for field in ("id", "text"):
+                try:
+                    getattr(comment, field).encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise DatasetError(
+                        f"comment {comment.id!r}: {field} is not valid Unicode ({exc.reason})",
+                        line,
+                    ) from exc
             _check_duplicate(comment.id, seen_ids, line)
             comments.append(comment)
     return LabeledCorpus(comments)

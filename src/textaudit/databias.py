@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from .corpus import LabeledCorpus
 from .errors import EmptyPartitionError
-from .lexicon import AttributeLexicon, Gazetteer, IdentityTermList
+from .lexicon import AttributeLexicon
 from .mining import AnnotatedCorpus, annotate_corpus
 from .record import csv_text, plain
 
@@ -54,7 +54,7 @@ def _row(key: str, hateful_n: int, nothateful_n: int, n_h: int, n_nh: int) -> Fr
 
 
 def identity_term_frequencies(
-    corpus: LabeledCorpus | AnnotatedCorpus, terms: IdentityTermList
+    corpus: LabeledCorpus | AnnotatedCorpus, terms: tuple[str, ...]
 ) -> list[FrequencyRow]:
     """Per identity term, the share of comments containing it, per partition.
 
@@ -63,16 +63,16 @@ def identity_term_frequencies(
     plain corpus is annotated with ``terms`` alone.
     """
     if isinstance(corpus, LabeledCorpus):
-        corpus = annotate_corpus(corpus, AttributeLexicon({}), Gazetteer({}), terms)
+        corpus = annotate_corpus(corpus, AttributeLexicon({}), {}, terms)
     elif corpus.identity_terms != terms:
         raise ValueError("the corpus was annotated with other identity terms")
     n_h, n_nh = _check_partitions(corpus.corpus)
-    counts = {term: [0, 0] for term in terms.terms}  # [hateful, not-hateful]
+    counts = {term: [0, 0] for term in terms}  # [hateful, not-hateful]
     hits = corpus.identity_hits
     for comment in corpus.corpus:
         for term in hits.get(comment.id, ()):
             counts[term][0 if comment.label == 1 else 1] += 1
-    return [_row(term, counts[term][0], counts[term][1], n_h, n_nh) for term in terms.terms]
+    return [_row(term, counts[term][0], counts[term][1], n_h, n_nh) for term in terms]
 
 
 def subgroup_reference_frequencies(annotated: AnnotatedCorpus) -> list[FrequencyRow]:

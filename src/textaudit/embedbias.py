@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import EmbeddingError, read_text
-from .lexicon import AttributeLexicon, NeutralWordList
+from .lexicon import AttributeLexicon
 from .record import csv_text, plain
 
 
@@ -75,7 +75,7 @@ class SimilarityProfile(NamedTuple):
 
 
 def subgroup_similarity_profile(
-    neutrals: NeutralWordList,
+    neutrals: tuple[str, ...],
     subgroup_terms: list[str] | tuple[str, ...],
     table: dict[str, array],
     subgroup: str = "",
@@ -92,7 +92,7 @@ def subgroup_similarity_profile(
         raise EmbeddingError(
             f"no in-vocabulary subgroup terms for {subgroup or 'subgroup'}: {missing}"
         )
-    covered = [w for w in neutrals.words if w in table]
+    covered = [w for w in neutrals if w in table]
     if not covered:
         raise EmbeddingError("no neutral word has an embedding")
     term_norms = [math.hypot(*table[t]) for t in usable_terms]
@@ -135,7 +135,7 @@ class EmbeddingBiasResult(NamedTuple):
 
 
 def embedding_bias(
-    neutrals: NeutralWordList,
+    neutrals: tuple[str, ...],
     lexicon: AttributeLexicon,
     attribute: str,
     table: dict[str, array],
@@ -151,17 +151,16 @@ def embedding_bias(
     }
     if not attribute_terms:
         raise EmbeddingError(f"unknown attribute {attribute!r}")
-    clashing = [w for w in neutrals.words if w in attribute_terms]
+    clashing = [w for w in neutrals if w in attribute_terms]
     if clashing:
         warnings.warn(
             f"{len(clashing)} neutral word(s) overlap {attribute} subgroup terms and were excluded: "
             f"{clashing[:10]}",
             stacklevel=2,
         )
-    usable_neutrals = [w for w in neutrals.words if w not in attribute_terms]
+    usable_neutrals = tuple(w for w in neutrals if w not in attribute_terms)
     if not usable_neutrals:
         raise EmbeddingError("no usable neutral words after removing subgroup-term overlaps")
-    filtered = NeutralWordList(words=tuple(usable_neutrals))
 
     skipped: list[str] = []
     profiles: dict[str, SimilarityProfile] = {}
@@ -169,7 +168,7 @@ def embedding_bias(
         terms = lexicon.terms(attribute, subgroup)
         skipped.extend(t for t in dict.fromkeys(terms) if not _usable(t, table))
         if any(_usable(t, table) for t in terms):
-            profiles[subgroup] = subgroup_similarity_profile(filtered, terms, table, subgroup)
+            profiles[subgroup] = subgroup_similarity_profile(usable_neutrals, terms, table, subgroup)
     if len(profiles) < 2:
         raise EmbeddingError(
             f"attribute {attribute!r}: need at least 2 subgroups with in-vocabulary terms, "

@@ -1,9 +1,13 @@
 """Word resources: subgroup term lists, swap pairs, gazetteer, counterfactual templates.
 
-All resources are immutable after load and safe to share across threads.
-File formats: lexicon is JSON ``{attribute: {subgroup: [terms]}}``, the
-gazetteer is JSON ``{term: [attribute, subgroup]}``, templates are a JSON
-list of ``{pattern, label}``, and word lists are one term per line with
+Each loader returns a plain value and is the one place its file is checked:
+the lexicon is an :class:`AttributeLexicon`, the gazetteer a ``dict`` of term
+to ``(attribute, subgroup)``, the identity terms and the neutral words
+tuples of terms, and the templates a tuple of ``(pattern, label)`` pairs.
+Nothing modifies a resource after load, so all are safe to share across
+threads. File formats: lexicon is JSON ``{attribute: {subgroup: [terms]}}``,
+the gazetteer is JSON ``{term: [attribute, subgroup]}``, templates are a
+JSON list of ``{pattern, label}``, and word lists are one term per line with
 ``#`` comments. Built-in defaults ship with the package.
 """
 
@@ -12,7 +16,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import LexiconError, read_json, read_text
-from .record import checked
 
 IDENTITY_SLOT = "[Identity]"
 
@@ -35,38 +38,33 @@ def builtin_file(name: str) -> Path:
 def _clean_term(raw: str) -> str:
     """A term as the file loaders store it: lowercase, words joined by one space.
 
-    The lexicon types accept only terms equal to their cleaned form. Terms
-    match token by token, so any other whitespace would leave a one-token term
-    unmatchable and let a multi-token term match under another name.
+    Every loader stores each term in this form. Terms match token by token,
+    so any other whitespace would leave a one-token term unmatchable and let
+    a multi-token term match under another name.
     """
     return " ".join(raw.split()).lower()
 
 
-@checked
+def _name(value: str, error: str) -> str:
+    """``value``, an attribute or subgroup name, if it is one non-empty line, else ``error``.
+
+    Names are cells of the CSV side files and of the report's tables, where
+    a line break would split a row.
+    """
+    if value.splitlines() != [value]:
+        raise LexiconError(f"{error} {value!r}")
+    return value
+
+
 class AttributeLexicon(NamedTuple):
     """Protected attribute -> subgroup -> ordered term list.
 
     Term lists keep their file order and duplicates: swap-pair alignment is
-    positional. Every attribute must have at least two non-empty subgroups
-    and terms are stored lowercase, their words separated by single spaces.
+    positional. :func:`load_lexicon` gives every attribute at least two
+    subgroups, each with at least one term in :func:`_clean_term` form.
     """
 
     attributes: dict[str, dict[str, tuple[str, ...]]]
-
-    def _check(self):
-        for attribute, subgroups in self.attributes.items():
-            if len(subgroups) < 2:
-                raise LexiconError(
-                    f"attribute {attribute!r} needs at least 2 subgroups, has {len(subgroups)}"
-                )
-            for subgroup, terms in subgroups.items():
-                if not terms:
-                    raise LexiconError(f"subgroup {attribute}.{subgroup} has no terms")
-                for term in terms:
-                    if not term or term != _clean_term(term):
-                        raise LexiconError(
-                            f"subgroup {attribute}.{subgroup}: invalid term {term!r}"
-                        )
 
     def subgroups(self, attribute: str) -> list[str]:
         if attribute not in self.attributes:
@@ -98,13 +96,23 @@ def _lexicon_from_obj(obj) -> AttributeLexicon:
         raise LexiconError("lexicon must be a JSON object {attribute: {subgroup: [terms]}}")
     attributes: dict[str, dict[str, tuple[str, ...]]] = {}
     for attribute, subgroups in obj.items():
+        _name(attribute, "invalid attribute name")
         if not isinstance(subgroups, dict):
             raise LexiconError(f"attribute {attribute!r} must map to an object of subgroups")
         parsed: dict[str, tuple[str, ...]] = {}
         for subgroup, terms in subgroups.items():
+            _name(subgroup, f"attribute {attribute!r}: invalid subgroup name")
             if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
                 raise LexiconError(f"subgroup {attribute}.{subgroup} must be a list of strings")
-            parsed[subgroup] = tuple(_clean_term(t) for t in terms)
+            if not terms:
+                raise LexiconError(f"subgroup {attribute}.{subgroup} has no terms")
+            parsed[subgroup] = tuple(map(_clean_term, terms))
+            if "" in parsed[subgroup]:
+                raise LexiconError(f"subgroup {attribute}.{subgroup}: invalid term ''")
+        if len(parsed) < 2:
+            raise LexiconError(
+                f"attribute {attribute!r} needs at least 2 subgroups, has {len(parsed)}"
+            )
         attributes[attribute] = parsed
     return AttributeLexicon(attributes=attributes)
 
@@ -161,132 +169,92 @@ def aligned_swap_pairs(
     return SwapTable(attribute=attribute, pairs=tuple(pairs))
 
 
-@checked
-class NeutralWordList(NamedTuple):
-    words: tuple[str, ...]
-
-    def _check(self):
-        if not self.words:
-            raise LexiconError("neutral word list is empty")
-        for word in self.words:
-            if not word or word != word.lower():
-                raise LexiconError(f"invalid neutral word {word!r}")
-
-
-@checked
-class IdentityTermList(NamedTuple):
-    terms: tuple[str, ...]
-
-    def _check(self):
-        if not self.terms:
-            raise LexiconError("identity term list is empty")
-        if len(set(self.terms)) != len(self.terms):
-            raise LexiconError("identity term list contains duplicates")
-        for term in self.terms:
-            if not term or term != _clean_term(term):
-                raise LexiconError(f"invalid identity term {term!r}")
-
-
-def _word_list(text: str) -> tuple[str, ...]:
+def _word_list(text: str, name: str) -> tuple[str, ...]:
     words = (_clean_term(line.split("#", 1)[0]) for line in text.splitlines())
-    return tuple(word for word in words if word)
+    found = tuple(word for word in words if word)
+    if not found:
+        raise LexiconError(f"{name} list is empty")
+    return found
 
 
-def _neutral_words(text: str) -> NeutralWordList:
+def _neutral_words(text: str) -> tuple[str, ...]:
     # Duplicates stay: the embedding profile averages over every listed word.
-    return NeutralWordList(words=_word_list(text))
+    return _word_list(text, "neutral word")
 
 
-def _identity_terms(text: str) -> IdentityTermList:
-    return IdentityTermList(terms=tuple(dict.fromkeys(_word_list(text))))
+def _identity_terms(text: str) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(_word_list(text, "identity term")))
 
 
-def load_neutral_words(path: str | Path) -> NeutralWordList:
+def load_neutral_words(path: str | Path) -> tuple[str, ...]:
     return _neutral_words(read_text(path, LexiconError))
 
 
-def default_neutral_words() -> NeutralWordList:
+def default_neutral_words() -> tuple[str, ...]:
     return _neutral_words(read_text(builtin_file("neutral_words"), LexiconError))
 
 
-def load_identity_terms(path: str | Path) -> IdentityTermList:
+def load_identity_terms(path: str | Path) -> tuple[str, ...]:
     return _identity_terms(read_text(path, LexiconError))
 
 
-def default_identity_terms() -> IdentityTermList:
+def default_identity_terms() -> tuple[str, ...]:
     return _identity_terms(read_text(builtin_file("identity_terms"), LexiconError))
 
 
-@checked
-class Gazetteer(NamedTuple):
-    """Deterministic term -> (attribute, subgroup) map standing in for NER.
+def _gazetteer_from_obj(obj) -> dict[str, tuple[str, str]]:
+    """Term -> (attribute, subgroup): the deterministic stand-in for NER.
 
     Covers nationality/religion/political group (NORP) mentions.
     """
-
-    entries: dict[str, tuple[str, str]]
-
-    def _check(self):
-        for term, target in self.entries.items():
-            if not term or term != _clean_term(term):
-                raise LexiconError(f"invalid gazetteer term {term!r}")
-            if len(target) != 2:
-                raise LexiconError(f"gazetteer entry {term!r} must map to [attribute, subgroup]")
-
-
-def _gazetteer_from_obj(obj) -> Gazetteer:
     if not isinstance(obj, dict):
         raise LexiconError("gazetteer must be a JSON object {term: [attribute, subgroup]}")
     entries: dict[str, tuple[str, str]] = {}
     for term, target in obj.items():
         if not isinstance(target, list) or len(target) != 2:
             raise LexiconError(f"gazetteer entry {term!r} must map to [attribute, subgroup]")
-        entries[_clean_term(term)] = (str(target[0]), str(target[1]))
-    return Gazetteer(entries=entries)
+        cleaned = _clean_term(term)
+        if not cleaned:
+            raise LexiconError("invalid gazetteer term ''")
+        entries[cleaned] = (
+            _name(str(target[0]), f"gazetteer entry {term!r}: invalid attribute name"),
+            _name(str(target[1]), f"gazetteer entry {term!r}: invalid subgroup name"),
+        )
+    return entries
 
 
-def load_gazetteer(path: str | Path) -> Gazetteer:
+def load_gazetteer(path: str | Path) -> dict[str, tuple[str, str]]:
     return _gazetteer_from_obj(read_json(path, LexiconError))
 
 
-def default_gazetteer() -> Gazetteer:
+def default_gazetteer() -> dict[str, tuple[str, str]]:
     return _gazetteer_from_obj(read_json(builtin_file("gazetteer"), LexiconError))
 
 
-@checked
-class TemplateSet(NamedTuple):
+def _templates_from_obj(obj) -> tuple[tuple[str, int], ...]:
     """Counterfactual sentence templates, each with one identity slot and a label."""
-
-    templates: tuple[tuple[str, int], ...]
-
-    def _check(self):
-        if not self.templates:
-            raise LexiconError("template set is empty")
-        for pattern, label in self.templates:
-            if pattern.count(IDENTITY_SLOT) != 1:
-                raise LexiconError(
-                    f"template must contain {IDENTITY_SLOT} exactly once: {pattern!r}"
-                )
-            if label not in (0, 1):
-                raise LexiconError(f"template label must be 0 or 1: {pattern!r}")
-
-
-def _templates_from_obj(obj) -> TemplateSet:
     if not isinstance(obj, list):
         raise LexiconError("template file must be a JSON list of {pattern, label}")
+    if not obj:
+        raise LexiconError("template set is empty")
     templates: list[tuple[str, int]] = []
     for item in obj:
         if not isinstance(item, dict) or "pattern" not in item or "label" not in item:
             raise LexiconError(f"template entry must have pattern and label: {item!r}")
-        if type(item["label"]) is not int:  # not a bool, a float or a string
+        pattern, label = str(item["pattern"]), item["label"]
+        if type(label) is not int:  # not a bool, a float or a string
             raise LexiconError(f"template label must be the JSON integer 0 or 1: {item!r}")
-        templates.append((str(item["pattern"]), item["label"]))
-    return TemplateSet(templates=tuple(templates))
+        if pattern.count(IDENTITY_SLOT) != 1:
+            raise LexiconError(f"template must contain {IDENTITY_SLOT} exactly once: {pattern!r}")
+        if label not in (0, 1):
+            raise LexiconError(f"template label must be 0 or 1: {pattern!r}")
+        templates.append((pattern, label))
+    return tuple(templates)
 
 
-def load_templates(path: str | Path) -> TemplateSet:
+def load_templates(path: str | Path) -> tuple[tuple[str, int], ...]:
     return _templates_from_obj(read_json(path, LexiconError))
 
 
-def default_templates() -> TemplateSet:
+def default_templates() -> tuple[tuple[str, int], ...]:
     return _templates_from_obj(read_json(builtin_file("templates"), LexiconError))

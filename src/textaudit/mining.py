@@ -18,7 +18,7 @@ from json.encoder import encode_basestring
 from typing import Hashable, Iterable, NamedTuple
 
 from .corpus import Comment, LabeledCorpus, TokenSpan, narrow, tokenize
-from .lexicon import AttributeLexicon, Gazetteer, IdentityTermList
+from .lexicon import AttributeLexicon
 
 METHOD_LOOKUP = "lookup"
 METHOD_GAZETTEER = "gazetteer"
@@ -47,7 +47,7 @@ class AnnotatedCorpus(NamedTuple):
     corpus: LabeledCorpus
     annotations: dict[str, tuple[SubgroupRef, ...]]
     members: dict[tuple[str, str], list[Comment]]
-    identity_terms: IdentityTermList | None
+    identity_terms: tuple[str, ...] | None
     identity_hits: dict[str, frozenset[str]]
 
     def refs(self, comment_id: str) -> tuple[SubgroupRef, ...]:
@@ -143,8 +143,8 @@ _METHODS = (METHOD_LOOKUP, METHOD_GAZETTEER)  # by role
 def annotate_corpus(
     corpus: LabeledCorpus,
     lexicon: AttributeLexicon,
-    gaz: Gazetteer,
-    identity_terms: IdentityTermList | None = None,
+    gaz: dict[str, tuple[str, str]],
+    identity_terms: tuple[str, ...] | None = None,
 ) -> AnnotatedCorpus:
     """Union of look-up and gazetteer references per comment, and identity hits.
 
@@ -160,8 +160,8 @@ def annotate_corpus(
             for subgroup, terms in subgroups.items()
             for term in dict.fromkeys(terms)
         ),
-        gaz.entries.items(),
-        ((term, term) for term in identity_terms.terms) if identity_terms is not None else (),
+        gaz.items(),
+        ((term, term) for term in identity_terms or ()),
     )
     matches, union = index.matches, index.union
     annotations: dict[str, tuple[SubgroupRef, ...]] = {}

@@ -25,7 +25,13 @@ def plain(value):
 
 
 def csv_text(header, rows) -> str:
-    """``header`` then ``rows`` as CSV: each record ends in a line feed, a field is quoted where it must be."""
+    """``header`` then ``rows`` as CSV: each record ends in a line feed, a field is quoted where it must be.
+
+    No field may hold a lone ``"\\r"``: the writer leaves it unquoted under
+    the line-feed terminator, so a reader would split its row there. None
+    can: the lexicon loaders reject a name holding any line break, terms
+    are cleaned to single spaces, and tokens hold no whitespace.
+    """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(header)

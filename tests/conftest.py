@@ -14,16 +14,14 @@ from stub_model import keyword_probability  # noqa: E402
 
 from textaudit.classbias import swap_text  # noqa: E402
 from textaudit.corpus import Comment, LabeledCorpus, load_dataset  # noqa: E402
-from textaudit.lexicon import Gazetteer, default_gazetteer, default_lexicon  # noqa: E402
+from textaudit.lexicon import default_gazetteer, default_lexicon  # noqa: E402
 from textaudit.mining import annotate_corpus  # noqa: E402
 from textaudit.modeliface import AdapterConfig  # noqa: E402
 
 
 def annotate_and_swap(text, table, lexicon):
     """``text`` swapped as the audit swaps it: over its look-up matches of the table's attribute."""
-    refs = annotate_corpus(
-        LabeledCorpus([Comment(id="c", text=text, label=0)]), lexicon, Gazetteer(entries={})
-    ).refs("c")
+    refs = annotate_corpus(LabeledCorpus([Comment(id="c", text=text, label=0)]), lexicon, {}).refs("c")
     return swap_text(text, [m for r in refs if r.attribute == table.attribute for m in r.matched_terms], table)
 
 

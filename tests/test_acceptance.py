@@ -30,9 +30,6 @@ from textaudit.embedbias import embedding_bias
 from textaudit.errors import AuditError
 from textaudit.explain import exact_shapley, global_importance, local_explain
 from textaudit.lexicon import (
-    Gazetteer,
-    IdentityTermList,
-    NeutralWordList,
     aligned_swap_pairs,
     default_gazetteer,
     default_identity_terms,
@@ -44,7 +41,7 @@ from textaudit.mining import annotate_corpus
 from textaudit.modeliface import PredictionRecord
 from textaudit.report import estimate_emissions
 
-EMPTY_GAZ = Gazetteer(entries={})
+EMPTY_GAZ = {}
 MINI_LEX = _lexicon_from_obj({"grp": {"ref": ["refword"], "prot": ["protword"]}})
 
 
@@ -205,7 +202,7 @@ def test_criterion_02_embedding_bias_properties():
         lexicon = _lexicon_from_obj(
             {"attr": {f"s{i}": assignments[i] for i in range(n_subgroups)}}
         )
-        neutrals = NeutralWordList(words=tuple(neutral_names))
+        neutrals = tuple(neutral_names)
         result = embedding_bias(neutrals, lexicon, "attr", table)
 
         for gap in result.pairwise:
@@ -269,7 +266,7 @@ def test_criterion_03_cb_metric():
         group_rows, group_probs = _cb_group(index, label, entries)
         rows.extend(group_rows)
         probs.extend(group_probs)
-    corpus = CounterfactualCorpus(rows=tuple(rows), n_groups=3)
+    corpus = CounterfactualCorpus(rows=tuple(rows))
     result = counterfactual_bias(corpus, probs, "ref")
     assert result.cb_total == pytest.approx(0.4, abs=1e-9)
     assert result.cb_mean == pytest.approx(0.4 / 3.0, abs=1e-9)
@@ -285,7 +282,7 @@ def test_criterion_03_cb_metric():
             )
             rows.extend(group_rows)
             probs.extend(group_probs)
-        corpus = CounterfactualCorpus(rows=tuple(rows), n_groups=n_groups)
+        corpus = CounterfactualCorpus(rows=tuple(rows))
         cb_a = counterfactual_bias(corpus, probs, "a").cb_total
         cb_b = counterfactual_bias(corpus, probs, "b").cb_total
         assert cb_a == -cb_b  # role exchange negates CB exactly
@@ -296,7 +293,7 @@ def test_criterion_03_cb_metric():
         group_rows, group_probs = _cb_group(g, g % 2, [("a", p), ("b", p)])
         rows.extend(group_rows)
         probs.extend(group_probs)
-    corpus = CounterfactualCorpus(rows=tuple(rows), n_groups=5)
+    corpus = CounterfactualCorpus(rows=tuple(rows))
     assert counterfactual_bias(corpus, probs, "a").cb_total == 0.0
     print("\nACCEPTANCE 3 PASS - CB fixture 0.4 total / 0.1333 mean, antisymmetry, O=X -> 0")
 
@@ -416,7 +413,7 @@ def test_criterion_06_frequency_tables():
 
     rng = random.Random(20240906)
     words = ["gay", "white", "calm", "sky", "muslim", "tree", "queer"]
-    terms = IdentityTermList(terms=("gay", "muslim", "queer"))
+    terms = ("gay", "muslim", "queer")
     for _ in range(100):
         comments = [
             Comment(id="h0", text=" ".join(rng.choices(words, k=5)), label=1),

@@ -27,8 +27,6 @@ from textaudit.corpus import Comment, LabeledCorpus, tokenize
 from textaudit.errors import AuditError, CoverageError, LexiconError
 from textaudit.lexicon import (
     AttributeLexicon,
-    Gazetteer,
-    TemplateSet,
     aligned_swap_pairs,
     default_lexicon,
     default_templates,
@@ -38,7 +36,7 @@ from textaudit.mining import annotate_corpus
 from textaudit.modeliface import PredictionRecord
 
 LEX = default_lexicon()
-EMPTY_GAZ = Gazetteer(entries={})
+EMPTY_GAZ = {}
 
 
 def gender_swap_table():
@@ -411,17 +409,15 @@ def test_expand_templates_reference_rows():
         "Muslim people are gross and universally terrible",
     ]
     assert [row.label for row in corpus.rows] == [0, 0, 1, 1]
-    assert corpus.n_groups == 2
+    assert len(corpus.groups()) == 2
 
 
 def test_expand_templates_counts():
-    templates = TemplateSet(
-        templates=(("[Identity] one", 0), ("two [Identity]", 1), ("three [Identity] x", 0))
-    )
+    templates = (("[Identity] one", 0), ("two [Identity]", 1), ("three [Identity] x", 0))
     fills = {"christianity": ["Christian"], "islam": ["Muslim"]}
     corpus = expand_templates(templates, LEX, "religion", fills)
     assert len(corpus.rows) == 6
-    assert corpus.n_groups == 3
+    assert len(corpus.groups()) == 3
     for group in corpus.groups():
         assert {row.subgroup for row in group} == {"christianity", "islam"}
         assert len({row.label for row in group}) == 1
@@ -453,7 +449,7 @@ def group_rows(group_index, label, entries):
 
 def test_cb_single_hateful_group():
     rows = group_rows(0, 1, ["ref", "oth"])
-    corpus = CounterfactualCorpus(rows=tuple(rows), n_groups=1)
+    corpus = CounterfactualCorpus(rows=tuple(rows))
     result = counterfactual_bias(corpus, [0.9, 0.7], "ref")
     assert result.cb_total == pytest.approx(0.2, abs=1e-12)
     assert result.cb_mean == pytest.approx(0.2, abs=1e-12)
@@ -461,28 +457,28 @@ def test_cb_single_hateful_group():
 
 def test_cb_single_nothateful_group():
     rows = group_rows(0, 0, ["ref", "oth"])
-    corpus = CounterfactualCorpus(rows=tuple(rows), n_groups=1)
+    corpus = CounterfactualCorpus(rows=tuple(rows))
     result = counterfactual_bias(corpus, [0.1, 0.3], "ref")
     assert result.cb_total == pytest.approx(0.2, abs=1e-12)
 
 
 def test_cb_equal_probabilities_zero():
     rows = group_rows(0, 1, ["ref", "oth"]) + group_rows(1, 0, ["ref", "oth"])
-    corpus = CounterfactualCorpus(rows=tuple(rows), n_groups=2)
+    corpus = CounterfactualCorpus(rows=tuple(rows))
     result = counterfactual_bias(corpus, [0.6, 0.6, 0.2, 0.2], "ref")
     assert result.cb_total == 0.0
 
 
 def test_cb_counterfactual_mean_within_group():
     rows = group_rows(0, 1, ["ref", "x", "y"])
-    corpus = CounterfactualCorpus(rows=tuple(rows), n_groups=1)
+    corpus = CounterfactualCorpus(rows=tuple(rows))
     result = counterfactual_bias(corpus, [0.9, 0.5, 0.3], "ref")
     assert result.cb_total == pytest.approx(0.9 - 0.4, abs=1e-12)
 
 
 def test_cb_missing_reference_realization():
     rows = group_rows(0, 1, ["x", "y"])
-    corpus = CounterfactualCorpus(rows=tuple(rows), n_groups=1)
+    corpus = CounterfactualCorpus(rows=tuple(rows))
     with pytest.raises(AuditError, match="exactly one 'ref'"):
         counterfactual_bias(corpus, [0.9, 0.5], "ref")
 
@@ -497,7 +493,7 @@ def test_cb_antisymmetry_random():
             label = rng.randrange(2)
             rows.extend(group_rows(g, label, ["a", "b"]))
             probs.extend([rng.random(), rng.random()])
-        corpus = CounterfactualCorpus(rows=tuple(rows), n_groups=n_groups)
+        corpus = CounterfactualCorpus(rows=tuple(rows))
         cb_a = counterfactual_bias(corpus, probs, "a").cb_total
         cb_b = counterfactual_bias(corpus, probs, "b").cb_total
         assert cb_a == -cb_b
@@ -506,18 +502,16 @@ def test_cb_antisymmetry_random():
 def test_cb_invariant_to_flat_group():
     rows = group_rows(0, 1, ["a", "b"])
     probs = [0.8, 0.3]
-    base = counterfactual_bias(CounterfactualCorpus(rows=tuple(rows), n_groups=1), probs, "a")
+    base = counterfactual_bias(CounterfactualCorpus(rows=tuple(rows)), probs, "a")
     extended = rows + group_rows(1, 0, ["a", "b"])
-    grown = counterfactual_bias(
-        CounterfactualCorpus(rows=tuple(extended), n_groups=2), probs + [0.4, 0.4], "a"
-    )
+    grown = counterfactual_bias(CounterfactualCorpus(rows=tuple(extended)), probs + [0.4, 0.4], "a")
     assert grown.cb_total == pytest.approx(base.cb_total, abs=1e-12)
     assert grown.n_examples == 2
 
 
 def test_counterfactual_probability_stats():
     rows = group_rows(0, 1, ["a", "b"]) + group_rows(1, 0, ["a", "b"])
-    corpus = CounterfactualCorpus(rows=tuple(rows), n_groups=2)
+    corpus = CounterfactualCorpus(rows=tuple(rows))
     stats = counterfactual_probability_stats(corpus, [0.9, 0.7, 0.2, 0.4])
     by_cell = {(r.actual, r.subgroup): r for r in stats}
     assert by_cell[("hateful", "a")].mean_p_hateful == pytest.approx(0.9)

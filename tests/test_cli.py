@@ -419,6 +419,19 @@ def test_lone_surrogate_dataset_id_exit_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_lexicon_name_with_line_break_exit_one(tmp_path, capsys):
+    # A subgroup name is a cell of embedding_bias.csv and of report.md's tables.
+    lexicon = tmp_path / "lexicon.json"
+    lexicon.write_text(json.dumps({"gender": {"fe\nmale": ["she"], "male": ["he"]}}))
+    out = tmp_path / "out"
+    argv = ["audit", "--config", str(FIXTURES_DIR / "audit_config.json"), "--lexicon", str(lexicon)]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: attribute 'gender': invalid subgroup name 'fe\\nmale'\n"
+    )
+    assert not out.exists()
+
+
 def test_overflowing_emissions_fail_that_section_only(tmp_path, capsys):
     config = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
     config["emissions"].update(power_draw_kw=1e200, hours=1e200, pue=1, carbon_intensity_kg_per_kwh=1)

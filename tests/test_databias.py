@@ -9,7 +9,7 @@ from textaudit.databias import (
     subgroup_reference_frequencies,
 )
 from textaudit.errors import EmptyPartitionError
-from textaudit.lexicon import IdentityTermList, default_gazetteer, default_lexicon
+from textaudit.lexicon import default_gazetteer, default_lexicon
 from textaudit.mining import annotate_corpus
 
 
@@ -21,7 +21,7 @@ def corpus_of(*rows):
 
 def test_identity_frequencies_hand_count():
     corpus = corpus_of(("gay people bad", 1), ("white noise", 1), ("gay pride", 0))
-    rows = identity_term_frequencies(corpus, IdentityTermList(terms=("gay",)))
+    rows = identity_term_frequencies(corpus, ("gay",))
     row = rows[0]
     assert row.key == "gay"
     assert row.hateful_pct == pytest.approx(50.0, abs=1e-9)
@@ -32,42 +32,42 @@ def test_identity_frequencies_hand_count():
 
 def test_identity_absent_term_zero():
     corpus = corpus_of(("nothing here", 1), ("still nothing", 0))
-    row = identity_term_frequencies(corpus, IdentityTermList(terms=("gay",)))[0]
+    row = identity_term_frequencies(corpus, ("gay",))[0]
     assert row.hateful_pct == row.nothateful_pct == row.overall_pct == 0.0
 
 
 def test_identity_everywhere_hundred():
     corpus = corpus_of(("gay rights", 1), ("gay pride", 0))
-    row = identity_term_frequencies(corpus, IdentityTermList(terms=("gay",)))[0]
+    row = identity_term_frequencies(corpus, ("gay",))[0]
     assert row.hateful_pct == row.nothateful_pct == row.overall_pct == 100.0
 
 
 def test_identity_terms_with_trailing_period():
     corpus = corpus_of(("we saw Dr. Jones today", 1), ("nothing here", 0))
-    row = identity_term_frequencies(corpus, IdentityTermList(terms=("dr.",)))[0]
+    row = identity_term_frequencies(corpus, ("dr.",))[0]
     assert row.hateful_n == 1
 
 
 def test_presence_counted_once_per_comment():
     corpus = corpus_of(("gay gay gay", 1), ("none", 0))
-    row = identity_term_frequencies(corpus, IdentityTermList(terms=("gay",)))[0]
+    row = identity_term_frequencies(corpus, ("gay",))[0]
     assert row.hateful_n == 1
 
 
 def test_empty_partition_structured_error():
     corpus = corpus_of(("all hateful", 1))
     with pytest.raises(EmptyPartitionError) as excinfo:
-        identity_term_frequencies(corpus, IdentityTermList(terms=("gay",)))
+        identity_term_frequencies(corpus, ("gay",))
     assert excinfo.value.partition == "not-hateful"
 
 
 def test_identity_frequencies_tally_the_annotate_pass():
     corpus = corpus_of(("gay people", 1), ("he is muslim", 0))
-    terms = IdentityTermList(terms=("gay", "muslim"))
+    terms = ("gay", "muslim")
     annotated = annotate_corpus(corpus, default_lexicon(), default_gazetteer(), terms)
     assert annotated.identity_hits == {"0": {"gay"}, "1": {"muslim"}}
     assert identity_term_frequencies(annotated, terms) == identity_term_frequencies(corpus, terms)
-    for other in (None, IdentityTermList(terms=("gay",))):
+    for other in (None, ("gay",)):
         stale = annotate_corpus(corpus, default_lexicon(), default_gazetteer(), other)
         with pytest.raises(ValueError, match="other identity terms"):
             identity_term_frequencies(stale, terms)
@@ -75,7 +75,7 @@ def test_identity_frequencies_tally_the_annotate_pass():
 
 def test_row_order_follows_input_terms():
     corpus = corpus_of(("gay white muslim", 1), ("none", 0))
-    terms = IdentityTermList(terms=("white", "gay", "muslim"))
+    terms = ("white", "gay", "muslim")
     rows = identity_term_frequencies(corpus, terms)
     assert [r.key for r in rows] == ["white", "gay", "muslim"]
 
@@ -119,7 +119,7 @@ def test_weighted_mean_identity_random():
             rows.append((" ".join(rng.choices(words, k=4)), rng.randrange(2)))
         corpus = corpus_of(*rows)
         n_h, n_nh = corpus.counts[1], corpus.counts[0]
-        table = identity_term_frequencies(corpus, IdentityTermList(terms=("gay", "muslim")))
+        table = identity_term_frequencies(corpus, ("gay", "muslim"))
         for row in table:
             lhs = row.overall_pct * (n_h + n_nh)
             rhs = row.hateful_pct * n_h + row.nothateful_pct * n_nh
@@ -134,15 +134,15 @@ def test_weighted_mean_identity_random():
 def test_monotonic_numerator_under_insertion():
     base = [("gay parade", 1), ("quiet day", 0)]
     corpus = corpus_of(*base)
-    before = identity_term_frequencies(corpus, IdentityTermList(terms=("gay",)))[0]
+    before = identity_term_frequencies(corpus, ("gay",))[0]
     grown = corpus_of(*base, ("gay again", 1))
-    after = identity_term_frequencies(grown, IdentityTermList(terms=("gay",)))[0]
+    after = identity_term_frequencies(grown, ("gay",))[0]
     assert after.hateful_n >= before.hateful_n
 
 
 def test_csv_layout():
     corpus = corpus_of(("gay people", 1), ("fine day", 0))
-    rows = identity_term_frequencies(corpus, IdentityTermList(terms=("gay",)))
+    rows = identity_term_frequencies(corpus, ("gay",))
     csv_text = frequency_table_csv(rows)
     header = csv_text.splitlines()[0]
     assert header == "Term,Hateful %,Not-hateful %,Overall %"

@@ -13,7 +13,7 @@ from textaudit.embedbias import (
     subgroup_similarity_profile,
 )
 from textaudit.errors import EmbeddingError
-from textaudit.lexicon import NeutralWordList, _lexicon_from_obj
+from textaudit.lexicon import _lexicon_from_obj
 
 
 def table_of(**vectors):
@@ -68,12 +68,12 @@ def test_load_embeddings_bad_number(tmp_path):
 
 def test_cosine_closed_form():
     table = table_of(n=[1, 1], t=[1, 0])
-    profile = subgroup_similarity_profile(NeutralWordList(words=("n",)), ["t"], table, "s")
+    profile = subgroup_similarity_profile(("n",), ["t"], table, "s")
     assert profile.x == pytest.approx((1 / math.sqrt(2),), abs=1e-9)
 
 
 def test_cosine_zero_norm_rejected():
-    neutrals = NeutralWordList(words=("n",))
+    neutrals = ("n",)
     with pytest.raises(EmbeddingError, match=r"zero-norm embedding for term\(s\): \['z'\]"):
         subgroup_similarity_profile(neutrals, ["z", "t"], table_of(n=[1, 0], t=[1, 0], z=[0, 0]))
     with pytest.raises(EmbeddingError, match=r"zero-norm embedding for neutral word\(s\): \['n'\]"):
@@ -82,14 +82,14 @@ def test_cosine_zero_norm_rejected():
 
 def test_profile_identical_vector():
     table = table_of(n=[0.3, 0.4], t=[0.3, 0.4])
-    profile = subgroup_similarity_profile(NeutralWordList(words=("n",)), ["t"], table, "s")
+    profile = subgroup_similarity_profile(("n",), ["t"], table, "s")
     assert profile.x == pytest.approx((1.0,), abs=1e-12)
 
 
 def test_profile_hand_average():
     # cos(n, t1) = 1, cos(n, t2) = 0 -> mean 0.5
     table = table_of(n=[1, 0], t1=[2, 0], t2=[0, 5])
-    profile = subgroup_similarity_profile(NeutralWordList(words=("n",)), ["t1", "t2"], table, "s")
+    profile = subgroup_similarity_profile(("n",), ["t1", "t2"], table, "s")
     assert profile.x[0] == pytest.approx(0.5, abs=1e-12)
 
 
@@ -105,9 +105,7 @@ def test_profile_equals_brute_force_mean_of_cosines(seed, dimension, n_terms, n_
     terms = [f"t{i}" for i in range(n_terms)]
     neutrals = [f"n{i}" for i in range(n_neutrals)]
     vectors = {name: rng.normal(size=dimension) for name in terms + neutrals}
-    profile = subgroup_similarity_profile(
-        NeutralWordList(words=tuple(neutrals)), terms, table_of(**vectors), "s"
-    )
+    profile = subgroup_similarity_profile(tuple(neutrals), terms, table_of(**vectors), "s")
 
     def cosine(u, v):
         return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
@@ -121,14 +119,12 @@ def test_profile_equals_brute_force_mean_of_cosines(seed, dimension, n_terms, n_
 def test_profile_all_oov_error():
     table = table_of(n=[1, 0])
     with pytest.raises(EmbeddingError, match="no in-vocabulary subgroup terms"):
-        subgroup_similarity_profile(NeutralWordList(words=("n",)), ["ghost", "void"], table, "s")
+        subgroup_similarity_profile(("n",), ["ghost", "void"], table, "s")
 
 
 def test_profile_oov_neutral_dropped():
     table = table_of(n1=[1, 0], t=[1, 0])
-    profile = subgroup_similarity_profile(
-        NeutralWordList(words=("n1", "missing")), ["t"], table, "s"
-    )
+    profile = subgroup_similarity_profile(("n1", "missing"), ["t"], table, "s")
     assert profile.covered_neutral_terms == ("n1",)
 
 
@@ -146,7 +142,7 @@ def test_embedding_bias_hand_case():
         tb=list(_unit(0.3, 0.5, math.sqrt(1 - 0.3**2 - 0.5**2))),
     )
     lexicon = _lexicon_from_obj({"attr": {"a": ["ta"], "b": ["tb"]}})
-    result = embedding_bias(NeutralWordList(words=("n1", "n2")), lexicon, "attr", table)
+    result = embedding_bias(("n1", "n2"), lexicon, "attr", table)
     assert result.amae == pytest.approx(0.3, abs=1e-9)
     assert result.armse == pytest.approx(math.sqrt(0.1), abs=1e-9)
     (gap,) = result.pairwise
@@ -158,7 +154,7 @@ def test_embedding_bias_hand_case():
 def test_embedding_bias_identical_term_sets_zero():
     table = table_of(n1=[1, 0], n2=[0.4, 0.6], t1=[0.2, 0.9], t2=[0.8, 0.1])
     lexicon = _lexicon_from_obj({"attr": {"a": ["t1", "t2"], "b": ["t1", "t2"]}})
-    result = embedding_bias(NeutralWordList(words=("n1", "n2")), lexicon, "attr", table)
+    result = embedding_bias(("n1", "n2"), lexicon, "attr", table)
     assert result.amae == 0.0
     assert result.armse == 0.0
 
@@ -168,7 +164,7 @@ def test_embedding_bias_two_subgroups_amae_equals_mae():
     names = [f"t{i}" for i in range(6)] + ["n1", "n2", "n3"]
     table = table_of(**{name: rng.normal(size=4) for name in names})
     lexicon = _lexicon_from_obj({"attr": {"a": ["t0", "t1", "t2"], "b": ["t3", "t4", "t5"]}})
-    result = embedding_bias(NeutralWordList(words=("n1", "n2", "n3")), lexicon, "attr", table)
+    result = embedding_bias(("n1", "n2", "n3"), lexicon, "attr", table)
     (gap,) = result.pairwise
     assert (gap.subgroup_a, gap.subgroup_b) == ("a", "b")
     assert result.amae == gap.mae
@@ -181,7 +177,7 @@ def test_embedding_bias_multi_token_and_oov_skipped():
     lexicon = _lexicon_from_obj(
         {"attr": {"a": ["t1", "old man"], "b": ["t2", "ghost"]}}
     )
-    result = embedding_bias(NeutralWordList(words=("n",)), lexicon, "attr", table)
+    result = embedding_bias(("n",), lexicon, "attr", table)
     assert set(result.skipped_terms) == {"old man", "ghost"}
 
 
@@ -189,7 +185,7 @@ def test_embedding_bias_fewer_than_two_subgroups():
     table = table_of(n=[1, 0], t1=[0.5, 0.5])
     lexicon = _lexicon_from_obj({"attr": {"a": ["t1"], "b": ["ghost"]}})
     with pytest.raises(EmbeddingError, match="at least 2 subgroups"):
-        embedding_bias(NeutralWordList(words=("n",)), lexicon, "attr", table)
+        embedding_bias(("n",), lexicon, "attr", table)
 
 
 def test_embedding_bias_zero_vector_term_fails_instead_of_dropping_subgroup():
@@ -197,21 +193,21 @@ def test_embedding_bias_zero_vector_term_fails_instead_of_dropping_subgroup():
     table = table_of(n=[1, 0], t1=[0.5, 0.5], t2=[0.1, 0.9], t3=[0, 0])
     lexicon = _lexicon_from_obj({"attr": {"a": ["t1"], "b": ["t2"], "c": ["t3"]}})
     with pytest.raises(EmbeddingError, match=r"zero-norm embedding for term\(s\): \['t3'\]"):
-        embedding_bias(NeutralWordList(words=("n",)), lexicon, "attr", table)
+        embedding_bias(("n",), lexicon, "attr", table)
 
 
 def test_embedding_bias_no_neutral_embedding_keeps_its_message():
     table = table_of(t1=[0.5, 0.5], t2=[0.1, 0.9])
     lexicon = _lexicon_from_obj({"attr": {"a": ["t1"], "b": ["t2"]}})
     with pytest.raises(EmbeddingError, match="no neutral word has an embedding"):
-        embedding_bias(NeutralWordList(words=("ghost",)), lexicon, "attr", table)
+        embedding_bias(("ghost",), lexicon, "attr", table)
 
 
 def test_embedding_bias_neutral_overlap_excluded():
     table = table_of(n=[1, 0], t1=[0.5, 0.5], t2=[0.1, 0.9])
     lexicon = _lexicon_from_obj({"attr": {"a": ["t1"], "b": ["t2"]}})
     with pytest.warns(UserWarning, match="overlap"):
-        result = embedding_bias(NeutralWordList(words=("n", "t1")), lexicon, "attr", table)
+        result = embedding_bias(("n", "t1"), lexicon, "attr", table)
     assert result.amae >= 0.0
 
 
@@ -220,7 +216,7 @@ def test_embedding_bias_scale_invariance():
     names = [f"t{i}" for i in range(4)] + ["n1", "n2"]
     base = {name: rng.normal(size=3) for name in names}
     lexicon = _lexicon_from_obj({"attr": {"a": ["t0", "t1"], "b": ["t2", "t3"]}})
-    neutrals = NeutralWordList(words=("n1", "n2"))
+    neutrals = ("n1", "n2")
     r1 = embedding_bias(neutrals, lexicon, "attr", table_of(**base))
     scaled = {k: 17.5 * v for k, v in base.items()}
     r2 = embedding_bias(neutrals, lexicon, "attr", table_of(**scaled))
@@ -232,7 +228,7 @@ def test_embedding_bias_subgroup_permutation_invariant():
     rng = np.random.default_rng(23)
     names = [f"t{i}" for i in range(6)] + ["n1", "n2"]
     vectors = {name: rng.normal(size=3) for name in names}
-    neutrals = NeutralWordList(words=("n1", "n2"))
+    neutrals = ("n1", "n2")
     lex_fwd = _lexicon_from_obj(
         {"attr": {"a": ["t0", "t1"], "b": ["t2", "t3"], "c": ["t4", "t5"]}}
     )
@@ -249,7 +245,7 @@ def test_embedding_bias_subgroup_permutation_invariant():
 def test_csv_emission():
     table = table_of(n=[1, 0], t1=[0.5, 0.5], t2=[0.1, 0.9])
     lexicon = _lexicon_from_obj({"attr": {"a": ["t1"], "b": ["t2"]}})
-    result = embedding_bias(NeutralWordList(words=("n",)), lexicon, "attr", table)
+    result = embedding_bias(("n",), lexicon, "attr", table)
     text = embedding_bias_csv([result])
     assert text.splitlines()[0] == "attribute,subgroup_a,subgroup_b,mae,rmse"
     assert "attr,ALL,ALL," in text

@@ -18,6 +18,7 @@ from textaudit.lexicon import (
     load_lexicon,
     load_neutral_words,
     load_templates,
+    _gazetteer_from_obj,
     _lexicon_from_obj,
 )
 
@@ -138,33 +139,33 @@ def test_aligned_swap_pairs_pair_each_term_once(drawn):
 
 def test_default_gazetteer_targets():
     gaz = default_gazetteer()
-    assert gaz.entries["muslims"] == ("religion", "islam")
-    assert gaz.entries["catholic"] == ("religion", "christianity")
+    assert gaz["muslims"] == ("religion", "islam")
+    assert gaz["catholic"] == ("religion", "christianity")
     for term in ("muslim", "muslims", "islamic", "christian", "christians",
                  "catholic", "catholics", "jewish", "hindu", "buddhist",
                  "atheist", "atheists"):
-        assert term in gaz.entries
+        assert term in gaz
 
 
 def test_gazetteer_load(tmp_path):
     path = tmp_path / "gaz.json"
     path.write_text(json.dumps({"dutch": ["nationality", "dutch"]}))
     gaz = load_gazetteer(path)
-    assert gaz.entries["dutch"] == ("nationality", "dutch")
+    assert gaz["dutch"] == ("nationality", "dutch")
 
 
 def test_identity_terms_default():
     terms = default_identity_terms()
-    assert len(terms.terms) == 12
-    assert terms.terms[0] == "atheist"
-    assert terms.terms[-1] == "muslim"
+    assert len(terms) == 12
+    assert terms[0] == "atheist"
+    assert terms[-1] == "muslim"
 
 
 def test_word_list_comments_and_dedup(tmp_path):
     path = tmp_path / "words.txt"
     path.write_text("# heading\nalpha\nbeta # trailing note\n\nalpha\n")
-    assert load_identity_terms(path).terms == ("alpha", "beta")
-    assert load_neutral_words(path).words == ("alpha", "beta", "alpha")
+    assert load_identity_terms(path) == ("alpha", "beta")
+    assert load_neutral_words(path) == ("alpha", "beta", "alpha")
 
 
 def test_built_in_word_lists_parsed_as_files(tmp_path, monkeypatch):
@@ -177,14 +178,14 @@ def test_built_in_word_lists_parsed_as_files(tmp_path, monkeypatch):
 
 def test_default_neutral_words():
     words = default_neutral_words()
-    assert len(words.words) >= 100
+    assert len(words) >= 100
     for expected in ("admirable", "miserable", "nice", "crazy"):
-        assert expected in words.words
+        assert expected in words
 
 
 def test_templates_default_and_validation(tmp_path):
     templates = default_templates()
-    assert templates.templates == (
+    assert templates == (
         ("I am a [Identity] person, ask me anything", 0),
         ("[Identity] people are gross and universally terrible", 1),
     )
@@ -213,3 +214,65 @@ def test_template_label_must_be_json_integer(tmp_path, label):
     message = r"template label must be the JSON integer 0 or 1: .*'\[Identity\] people'"
     with pytest.raises(LexiconError, match=message):
         load_templates(path)
+
+
+# Each check runs once, in the loader that reads the file, with the message it had.
+@pytest.mark.parametrize(
+    "load, content, message",
+    [
+        (load_neutral_words, "# only a comment\n\n   \n", "neutral word list is empty"),
+        (load_identity_terms, "", "identity term list is empty"),
+        (load_gazetteer, {"  ": ["religion", "islam"]}, "invalid gazetteer term ''"),
+        (load_templates, [], "template set is empty"),
+        (
+            load_templates,
+            [{"pattern": "[Identity] people", "label": 2}],
+            "template label must be 0 or 1: '[Identity] people'",
+        ),
+        (
+            load_lexicon,
+            {"age": {"young": ["kid", " \t "], "old": ["elder"]}},
+            "subgroup age.young: invalid term ''",
+        ),
+    ],
+    ids=[
+        "neutral-empty", "identity-empty", "gazetteer-blank-term", "templates-empty",
+        "template-label-2", "lexicon-blank-term",
+    ],
+)
+def test_loader_rejects_file_with_its_message(tmp_path, load, content, message):
+    path = tmp_path / "resource"
+    path.write_text(content if isinstance(content, str) else json.dumps(content))
+    with pytest.raises(LexiconError) as caught:
+        load(path)
+    assert str(caught.value) == message
+
+
+LINE_BREAKS = ["\n", "\r", "\r\n", "\u2028"]
+
+
+@pytest.mark.parametrize("name", ["", *(f"fe{b}male" for b in LINE_BREAKS), *LINE_BREAKS])
+def test_lexicon_name_with_line_break_rejected(name):
+    # A name is a cell of the CSV side files and of report.md's tables.
+    with pytest.raises(LexiconError) as caught:
+        _lexicon_from_obj({name: {"a": ["x"], "b": ["y"]}})
+    assert str(caught.value) == f"invalid attribute name {name!r}"
+    with pytest.raises(LexiconError) as caught:
+        _lexicon_from_obj({"g": {name: ["x"], "b": ["y"]}})
+    assert str(caught.value) == f"attribute 'g': invalid subgroup name {name!r}"
+
+
+@pytest.mark.parametrize("name", ["", *(f"orig{b}in" for b in LINE_BREAKS), *LINE_BREAKS])
+def test_gazetteer_target_with_line_break_rejected(name):
+    with pytest.raises(LexiconError) as caught:
+        _gazetteer_from_obj({"texan": [name, "t"]})
+    assert str(caught.value) == f"gazetteer entry 'texan': invalid attribute name {name!r}"
+    with pytest.raises(LexiconError) as caught:
+        _gazetteer_from_obj({"texan": ["origin", name]})
+    assert str(caught.value) == f"gazetteer entry 'texan': invalid subgroup name {name!r}"
+
+
+def test_names_with_spaces_load():
+    lexicon = _lexicon_from_obj({"home town": {"new york": ["x"], "texas": ["y"]}})
+    assert lexicon.subgroups("home town") == ["new york", "texas"]
+    assert _gazetteer_from_obj({"texan": ["home town", "texas"]}) == {"texan": ("home town", "texas")}

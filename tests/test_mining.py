@@ -1,5 +1,4 @@
 import json
-import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,8 +16,6 @@ from textaudit.databias import (
 from textaudit.errors import LexiconError
 from textaudit.lexicon import (
     AttributeLexicon,
-    Gazetteer,
-    IdentityTermList,
     default_gazetteer,
     default_identity_terms,
     default_lexicon,
@@ -40,7 +37,7 @@ from textaudit.report import AuditConfig, run_audit
 LEX = default_lexicon()
 GAZ = default_gazetteer()
 NO_LEX = AttributeLexicon(attributes={})
-NO_GAZ = Gazetteer(entries={})
+NO_GAZ = {}
 
 
 def mine(text, lexicon, gaz):
@@ -209,7 +206,7 @@ def test_multi_token_term_with_abbreviated_word():
     corpus = LabeledCorpus(
         [Comment(id="h", text=text, label=1), Comment(id="n", text="A visitor", label=0)]
     )
-    (row,) = identity_term_frequencies(corpus, IdentityTermList(terms=("u.s. citizen",)))
+    (row,) = identity_term_frequencies(corpus, ("u.s. citizen",))
     assert (row.hateful_n, row.nothateful_n) == (1, 0)
 
 
@@ -309,8 +306,8 @@ def reference_lookup(comment, lexicon):
 
 
 def reference_gazetteer(comment, gaz):
-    abbreviations = frozenset(w for t in gaz.entries for w in t.split() if w.endswith("."))
-    targets = [(attribute, subgroup, term) for term, (attribute, subgroup) in gaz.entries.items()]
+    abbreviations = frozenset(w for t in gaz for w in t.split() if w.endswith("."))
+    targets = [(attribute, subgroup, term) for term, (attribute, subgroup) in gaz.items()]
     return reference_mine(tokenize(comment.text, abbreviations), targets, METHOD_GAZETTEER)
 
 
@@ -347,23 +344,23 @@ def reference_members(corpus, annotations):
 
 
 def reference_identity_term_frequencies(corpus, terms):
-    abbreviations = frozenset(w for t in terms.terms for w in t.split() if w.endswith("."))
-    counts = {term: [0, 0] for term in terms.terms}
+    abbreviations = frozenset(w for t in terms for w in t.split() if w.endswith("."))
+    counts = {term: [0, 0] for term in terms}
     for comment in corpus:
         tokens = tokenize(comment.text, abbreviations)
-        for term in terms.terms:
+        for term in terms:
             if term_occurrences(tokens, term):
                 counts[term][0 if comment.label == 1 else 1] += 1
     n_h, n_nh = corpus.counts[1], corpus.counts[0]
-    return [_row(term, counts[term][0], counts[term][1], n_h, n_nh) for term in terms.terms]
+    return [_row(term, counts[term][0], counts[term][1], n_h, n_nh) for term in terms]
 
 
 def reference_identity_hits(corpus, terms):
-    abbreviations = frozenset(w for t in terms.terms for w in t.split() if w.endswith("."))
+    abbreviations = frozenset(w for t in terms for w in t.split() if w.endswith("."))
     hits = {}
     for comment in corpus:
         tokens = tokenize(comment.text, abbreviations)
-        found = frozenset(term for term in terms.terms if term_occurrences(tokens, term))
+        found = frozenset(term for term in terms if term_occurrences(tokens, term))
         if found:
             hits[comment.id] = found
     return hits
@@ -390,12 +387,8 @@ def mining_inputs(draw):
             "b": {"x": tuple(draw(term_lists)), "z": tuple(draw(term_lists))},
         }
     )
-    gaz = Gazetteer(
-        entries=draw(st.dictionaries(st.sampled_from(TERMS), st.sampled_from(SUBGROUPS), max_size=6))
-    )
-    identity = IdentityTermList(
-        terms=tuple(draw(st.lists(st.sampled_from(TERMS), min_size=1, max_size=6, unique=True)))
-    )
+    gaz = draw(st.dictionaries(st.sampled_from(TERMS), st.sampled_from(SUBGROUPS), max_size=6))
+    identity = tuple(draw(st.lists(st.sampled_from(TERMS), min_size=1, max_size=6, unique=True)))
     word = st.tuples(
         st.sampled_from(["", "", "'", "("]),
         st.sampled_from(TERMS + ["ok", "smith"]),
@@ -424,7 +417,7 @@ def _period_word_example(lexicon_term, identity_term):
     corpus = LabeledCorpus(
         [Comment(id=f"c{i}", text=text, label=i % 2) for i, text in enumerate(texts)]
     )
-    return lexicon, NO_GAZ, IdentityTermList(terms=(identity_term, "he")), corpus
+    return lexicon, NO_GAZ, (identity_term, "he"), corpus
 
 
 @settings(max_examples=300, deadline=None)
@@ -450,32 +443,42 @@ def test_indexed_mining_matches_brute_force(inputs):
 
 
 @pytest.mark.parametrize("term", ["he ", " he", "new  york", "new\tyork", "new york\n", "  "])
-def test_terms_with_stray_whitespace_rejected(term):
+def test_terms_with_stray_whitespace_rejected(tmp_path, term):
     # Matching is token by token: "he " could never match, "new  york" would
-    # match "new york" under another name.
-    named = re.escape(repr(term))
-    with pytest.raises(LexiconError, match=named):
-        AttributeLexicon(attributes={"a": {"x": (term,), "y": ("she",)}})
-    with pytest.raises(LexiconError, match=named):
-        Gazetteer(entries={term: ("a", "x")})
-    with pytest.raises(LexiconError, match=named):
-        IdentityTermList(terms=(term,))
+    # match "new york" under another name. So no loader keeps such a term as
+    # written: each stores the cleaned term, or rejects a term that cleans to "".
+    path = tmp_path / "identity.txt"
+    path.write_text(f"{term}\n")
+    loads = [
+        lambda: _lexicon_from_obj({"a": {"x": [term], "y": ["she"]}}).terms("a", "x"),
+        lambda: tuple(_gazetteer_from_obj({term: ["a", "x"]})),
+        lambda: load_identity_terms(path),
+    ]
+    cleaned = " ".join(term.split())
+    if cleaned:
+        assert [load() for load in loads] == [(cleaned,)] * 3
+        return
+    messages = ["subgroup a.x: invalid term ''", "invalid gazetteer term ''", "identity term list is empty"]
+    for load, message in zip(loads, messages):
+        with pytest.raises(LexiconError) as caught:
+            load()
+        assert str(caught.value) == message
 
 
 def test_loaders_collapse_whitespace_in_terms(tmp_path):
     lexicon = _lexicon_from_obj({"a": {"x": [" New  York "], "y": ["he\t"]}})
     assert lexicon.terms("a", "x") == ("new york",)
     assert lexicon.terms("a", "y") == ("he",)
-    assert _gazetteer_from_obj({"St.\n Louis": ["a", "x"]}).entries == {"st. louis": ("a", "x")}
+    assert _gazetteer_from_obj({"St.\n Louis": ["a", "x"]}) == {"st. louis": ("a", "x")}
     path = tmp_path / "identity.txt"
     path.write_text("New   York  # a city\n\the\n")
-    assert load_identity_terms(path).terms == ("new york", "he")
+    assert load_identity_terms(path) == ("new york", "he")
 
 
 def test_gazetteer_keeps_its_own_tokens_next_to_lexicon_abbreviation():
     # The lexicon keeps the period of "mr."; the gazetteer entry "mr" must still match.
     lexicon = AttributeLexicon(attributes={"a": {"x": ("mr.",), "y": ("she",)}})
-    gaz = Gazetteer(entries={"mr": ("a", "y")})
+    gaz = {"mr": ("a", "y")}
     text = "Hello Mr.. and mr'. and 'MR.'"
     corpus = LabeledCorpus([Comment(id="1", text=text, label=0)])
     refs = annotate_corpus(corpus, lexicon, gaz).refs("1")

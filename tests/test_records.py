@@ -64,11 +64,6 @@ def test_record_is_immutable_and_plain_gives_a_dict(cls):
 def test_only_records_that_code_or_config_builds_check_themselves():
     # a record built from a loaded file or a model's answer is checked by its reader, naming the line
     assert {name for name, cls in RECORDS.items() if hasattr(cls, "_check")} == {
-        "lexicon.AttributeLexicon",
-        "lexicon.Gazetteer",
-        "lexicon.IdentityTermList",
-        "lexicon.NeutralWordList",
-        "lexicon.TemplateSet",
         "modeliface.AdapterConfig",
         "report.AuditConfig",
         "report.ExplanationSpec",
