@@ -211,14 +211,20 @@ def _gazetteer_from_obj(obj) -> dict[str, tuple[str, str]]:
         raise LexiconError("gazetteer must be a JSON object {term: [attribute, subgroup]}")
     entries: dict[str, tuple[str, str]] = {}
     for term, target in obj.items():
-        if not isinstance(target, list) or len(target) != 2:
-            raise LexiconError(f"gazetteer entry {term!r} must map to [attribute, subgroup]")
+        if (
+            not isinstance(target, list)
+            or len(target) != 2
+            or not all(isinstance(name, str) for name in target)
+        ):
+            raise LexiconError(
+                f"gazetteer entry {term!r} must map to two strings [attribute, subgroup], got {target!r}"
+            )
         cleaned = _clean_term(term)
         if not cleaned:
             raise LexiconError("invalid gazetteer term ''")
         entries[cleaned] = (
-            _name(str(target[0]), f"gazetteer entry {term!r}: invalid attribute name"),
-            _name(str(target[1]), f"gazetteer entry {term!r}: invalid subgroup name"),
+            _name(target[0], f"gazetteer entry {term!r}: invalid attribute name"),
+            _name(target[1], f"gazetteer entry {term!r}: invalid subgroup name"),
         )
     return entries
 
@@ -241,7 +247,9 @@ def _templates_from_obj(obj) -> tuple[tuple[str, int], ...]:
     for item in obj:
         if not isinstance(item, dict) or "pattern" not in item or "label" not in item:
             raise LexiconError(f"template entry must have pattern and label: {item!r}")
-        pattern, label = str(item["pattern"]), item["label"]
+        pattern, label = item["pattern"], item["label"]
+        if not isinstance(pattern, str):
+            raise LexiconError(f"template pattern must be a string: {item!r}")
         if type(label) is not int:  # not a bool, a float or a string
             raise LexiconError(f"template label must be the JSON integer 0 or 1: {item!r}")
         if pattern.count(IDENTITY_SLOT) != 1:

@@ -4,11 +4,12 @@ The auditor never loads the model itself. It reads an offline predictions
 file (per-comment probabilities, :func:`load_predictions`), or it talks to
 the model through one of two adapters: a subprocess speaking a line protocol
 (one JSON-encoded text in, one decimal probability out), or an HTTP endpoint
-(POST /predict over one kept-alive standard-library connection per adapter).
-Every adapter has one lifecycle: it is opened by :func:`open_adapter`,
-scores batches, and is closed with ``close()`` or by leaving a ``with``
-block, and imports its own transport (``subprocess`` and ``shlex``, or
-``http.client`` and ``ssl``), so an audit loads only the one it uses. A
+(POST /predict over one kept-alive HTTP/1.1 connection per adapter, spoken
+by a small client on ``socket``). Every adapter has one lifecycle: it is
+opened by :func:`open_adapter`, scores batches, and is closed with
+``close()`` or by leaving a ``with`` block, and imports its own transport
+(``subprocess`` and ``shlex``, or ``socket``, plus ``ssl`` only when an
+``https://`` connection is opened), so an audit loads only the one it uses. A
 normalized-text cache keeps swap/counterfactual/explanation workloads
 affordable. Probabilities outside [0, 1] are rejected, never
 clamped: they signal a broken adapter and clamping would corrupt every
@@ -186,70 +187,186 @@ class SubprocessAdapter(_AdapterLifecycle):
         return probabilities
 
 
+_MAX_LINE = 65536  # bytes in one status or header line, as http.client allows
+_MAX_HEADERS = 100
+
+
+def _line(reader) -> bytes:
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise ValueError(f"answer line longer than {_MAX_LINE} bytes")
+    if not line:
+        raise ConnectionError("connection closed in the middle of the answer")
+    return line
+
+
+def _header_section(reader) -> dict[bytes, bytes]:
+    """Lower-cased header names to values, up to the blank line that ends them."""
+    headers: dict[bytes, bytes] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = _line(reader)
+        if line in (b"\r\n", b"\n"):
+            return headers
+        name, _, value = line.partition(b":")
+        headers[name.strip().lower()] = value.strip()
+    raise ValueError(f"answer has more than {_MAX_HEADERS} headers")
+
+
+def _exactly(reader, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise ConnectionError(f"connection closed after {len(data)} of {size} body bytes")
+    return data
+
+
+def _body(reader, headers: dict[bytes, bytes]) -> tuple[bytes, bool]:
+    """The body framed by chunked coding, Content-Length or the close; and whether it closed."""
+    if headers.get(b"transfer-encoding", b"").lower() == b"chunked":
+        chunks = []
+        while True:
+            line = _line(reader)
+            try:
+                size = int(line.split(b";", 1)[0], 16)
+            except ValueError:
+                size = -1
+            if size < 0:
+                raise ValueError(f"bad chunk size line {line[:80]!r}")
+            if size == 0:
+                break
+            chunks.append(_exactly(reader, size))
+            _line(reader)  # the line break that ends the chunk
+        _header_section(reader)  # trailer
+        return b"".join(chunks), False
+    length = headers.get(b"content-length")
+    if length is not None:
+        if not length.isdigit():
+            raise ValueError(f"bad Content-Length {length[:80]!r}")
+        return _exactly(reader, int(length)), False
+    return reader.read(), True
+
+
 class HttpAdapter(_AdapterLifecycle):
     """POSTs {"texts": [...]} to <location>/predict and reads {"probabilities": [...]}.
 
-    Every batch goes over one kept-alive ``http.client`` connection. HTTPS
-    verifies the server against the system CA store; proxy environment
-    variables are not honoured. A transport failure closes the connection,
-    so the next attempt opens a fresh one.
+    Every batch goes over one kept-alive HTTP/1.1 connection on a plain
+    socket. ``https://`` wraps that socket in TLS verified against the system
+    CA store, and only then imports ``ssl``. Proxy environment variables are
+    not honoured. A transport failure or a malformed answer drops the
+    connection, so the next attempt opens a fresh one.
     """
 
     def __init__(self, config: AdapterConfig):
-        import http.client
-        import ssl
-
         self.config = config
-        self._url = config.location.rstrip("/") + "/predict"
-        parts = urlsplit(self._url)
+        location = config.location
+        parts = urlsplit(location)
         if parts.scheme not in ("http", "https") or not parts.hostname:
             raise AdapterError(
-                f"http adapter needs an http:// or https:// URL with a host, got {config.location!r}"
+                f"http adapter needs an http:// or https:// URL with a host, got {location!r}"
             )
         if parts.username is not None:
             raise AdapterError("http adapter location must not carry credentials")
+        if "#" in location:
+            raise AdapterError(f"http adapter location {location!r} must not carry a fragment")
         try:
             port = parts.port
         except ValueError as exc:
-            raise AdapterError(f"http adapter location {config.location!r}: {exc}") from exc
-        self._target = parts.path + (f"?{parts.query}" if parts.query else "")
-        if parts.scheme == "https":
-            self._conn = http.client.HTTPSConnection(
-                parts.hostname, port, timeout=config.timeout, context=ssl.create_default_context()
+            raise AdapterError(f"http adapter location {location!r}: {exc}") from exc
+        target = parts.path.rstrip("/") + "/predict" + (f"?{parts.query}" if parts.query else "")
+        if not all(" " < c < "\x7f" for c in parts.netloc + target):
+            raise AdapterError(
+                f"http adapter location {location!r} must be printable ASCII "
+                "(percent-encode the path and query, punycode the host)"
             )
-        else:
-            self._conn = http.client.HTTPConnection(parts.hostname, port, timeout=config.timeout)
+        self._url = f"{parts.scheme}://{parts.netloc}{target}"
+        self._head = (
+            f"POST {target} HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+            "Content-Type: application/json\r\nContent-Length: "
+        ).encode("ascii")
+        self._tls = parts.scheme == "https"
+        self._address = (parts.hostname, port or (443 if self._tls else 80))
+        self._tls_context = None
+        self._sock = self._reader = None
 
     def close(self) -> None:
-        self._conn.close()
+        self._drop()
 
-    def _send(self, body: bytes) -> "http.client.HTTPResponse":
-        self._conn.request("POST", self._target, body, {"Content-Type": "application/json"})
-        return self._conn.getresponse()
+    def _drop(self) -> None:
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
-    def score_batch(self, texts: Sequence[str]) -> list[float]:
-        import http.client
+    def _connect(self) -> None:
+        import socket
 
-        payload = json.dumps({"texts": list(texts)}).encode("utf-8")
+        if self._tls and self._tls_context is None:
+            import ssl
+
+            self._tls_context = ssl.create_default_context()
+        sock = socket.create_connection(self._address, self.config.timeout)
         try:
-            reused = self._conn.sock is not None
+            # A request is one write: send its last segment without waiting for an ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if self._tls:
+                sock = self._tls_context.wrap_socket(sock, server_hostname=self._address[0])
+        except Exception:
+            sock.close()
+            raise
+        self._sock, self._reader = sock, sock.makefile("rb")
+
+    def _send(self, request: bytes) -> None:
+        """Write the request and wait for the first byte of the answer."""
+        self._sock.sendall(request)
+        if not self._reader.peek(1):
+            raise ConnectionResetError("connection closed before any answer")
+
+    def _exchange(self, request: bytes) -> tuple[int, bytes]:
+        """The status of the answer to ``request``, and its body if the status is 200."""
+        if self._sock is None:
+            self._connect()
+            self._send(request)
+        else:
             try:
-                response = self._send(payload)
+                self._send(request)
             except (ConnectionResetError, BrokenPipeError):
                 # The server closed an idle kept-alive connection before
-                # answering (http.client.RemoteDisconnected is a
-                # ConnectionResetError): send once more on a fresh one. This
-                # is not a failed attempt, so it is not counted as a retry.
-                if not reused:
-                    raise
-                self._conn.close()
-                response = self._send(payload)
-            data = response.read()
-        except (OSError, http.client.HTTPException) as exc:
-            self._conn.close()
+                # answering: send once more on a fresh one. This is not a
+                # failed attempt, so it is not counted as a retry.
+                self._drop()
+                self._connect()
+                self._send(request)
+        reader = self._reader
+        while True:  # an informational (1xx) answer comes before the real one
+            line = _line(reader)
+            fields = line.split(None, 2)
+            if (
+                len(fields) < 2
+                or not fields[0].startswith(b"HTTP/")
+                or not (len(fields[1]) == 3 and fields[1].isdigit())
+            ):
+                raise ValueError(f"bad status line {line[:80]!r}")
+            status = int(fields[1])
+            headers = _header_section(reader)
+            if not 100 <= status < 200:
+                break
+        if status != 200:
+            self._drop()
+            return status, b""
+        body, closed = _body(reader, headers)
+        connection = {t.strip() for t in headers.get(b"connection", b"").lower().split(b",")}
+        if closed or fields[0] == b"HTTP/1.0" or b"close" in connection:
+            self._drop()
+        return status, body
+
+    def score_batch(self, texts: Sequence[str]) -> list[float]:
+        payload = json.dumps({"texts": list(texts)}).encode("utf-8")
+        try:
+            status, data = self._exchange(self._head + b"%d\r\n\r\n" % len(payload) + payload)
+        except (OSError, ValueError) as exc:
+            self._drop()
             raise AdapterUnavailableError(f"cannot reach {self._url}: {exc}") from exc
-        if response.status != 200:
-            raise AdapterUnavailableError(f"{self._url} answered with status {response.status}")
+        if status != 200:
+            raise AdapterUnavailableError(f"{self._url} answered with status {status}")
         try:
             body = json.loads(data)
         except ValueError as exc:

@@ -225,6 +225,21 @@ def test_template_label_must_be_json_integer(tmp_path, label):
         (load_gazetteer, {"  ": ["religion", "islam"]}, "invalid gazetteer term ''"),
         (load_templates, [], "template set is empty"),
         (
+            load_gazetteer,
+            {"texan": [None, 1]},
+            "gazetteer entry 'texan' must map to two strings [attribute, subgroup], got [None, 1]",
+        ),
+        (
+            load_gazetteer,
+            {"texan": ["origin", ["texas"]]},
+            "gazetteer entry 'texan' must map to two strings [attribute, subgroup], got ['origin', ['texas']]",
+        ),
+        (
+            load_templates,
+            [{"pattern": ["[Identity] people"], "label": 0}],
+            "template pattern must be a string: {'pattern': ['[Identity] people'], 'label': 0}",
+        ),
+        (
             load_templates,
             [{"pattern": "[Identity] people", "label": 2}],
             "template label must be 0 or 1: '[Identity] people'",
@@ -237,6 +252,7 @@ def test_template_label_must_be_json_integer(tmp_path, label):
     ],
     ids=[
         "neutral-empty", "identity-empty", "gazetteer-blank-term", "templates-empty",
+        "gazetteer-target-not-strings", "gazetteer-subgroup-not-string", "template-pattern-not-string",
         "template-label-2", "lexicon-blank-term",
     ],
 )

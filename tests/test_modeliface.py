@@ -1,8 +1,11 @@
 import json
 import os
+import re
+import socket
 import subprocess
 import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -239,7 +242,7 @@ def test_subprocess_adapter_rejects_lone_surrogate_before_spawning(tmp_path):
 
 
 class _StubHTTPHandler(BaseHTTPRequestHandler):
-    """HTTP/1.1 keyword stub that records connections and request bodies."""
+    """HTTP/1.1 keyword stub that records connections, request targets and bodies."""
 
     protocol_version = "HTTP/1.1"
 
@@ -250,7 +253,8 @@ class _StubHTTPHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         raw = self.rfile.read(int(self.headers["Content-Length"]))
         self.server.requests.append((self.headers["Content-Type"], raw))
-        if self.path != "/predict":
+        self.server.paths.append(self.path)
+        if self.path.partition("?")[0] != "/predict":
             self.send_response(404)
             self.send_header("Content-Length", "0")
             self.end_headers()
@@ -275,6 +279,7 @@ def http_stub():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHTTPHandler)
     server.connections = 0
     server.requests = []
+    server.paths = []
     server.drop_after_answer = False
     server.url = f"http://127.0.0.1:{server.server_address[1]}"
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -353,11 +358,35 @@ def test_http_adapter_unreachable():
 
 @pytest.mark.parametrize(
     "location",
-    ["localhost:8000", "ftp://example.org", "http://", "http://host:port", "http://u:p@host"],
+    [
+        "localhost:8000", "ftp://example.org", "http://", "http://host:port", "http://u:p@host",
+        "http://host/a b", "http://host/café",
+    ],
 )
 def test_http_adapter_rejects_bad_location(location):
     with pytest.raises(AdapterError, match="http adapter"):
         HttpAdapter(AdapterConfig(kind="http", location=location))
+
+
+@pytest.mark.parametrize("location", ["http://h/x#f", "http://h/x?k=v#f", "http://h/x#"])
+def test_http_adapter_rejects_a_fragment_naming_the_location(location):
+    with pytest.raises(AdapterError, match=re.escape(f"http adapter location '{location}' must not carry a fragment")):
+        HttpAdapter(AdapterConfig(kind="http", location=location))
+
+
+@pytest.mark.parametrize("suffix", ["?k=v", "/?k=v"])
+def test_http_adapter_puts_predict_on_the_path_before_the_query(http_stub, suffix):
+    with HttpAdapter(AdapterConfig(kind="http", location=http_stub.url + suffix, timeout=5)) as adapter:
+        assert adapter.score_batch(["filthy"]) == [keyword_probability("filthy")]
+    assert http_stub.paths == ["/predict?k=v"]
+
+
+def test_http_adapter_puts_predict_after_the_path_of_a_location_with_a_query(http_stub):
+    location = http_stub.url + "/x?k=v"
+    with HttpAdapter(AdapterConfig(kind="http", location=location, timeout=5)) as adapter:
+        with pytest.raises(AdapterUnavailableError, match=re.escape("/x/predict?k=v answered with status 404")):
+            adapter.score_batch(["x"])
+    assert http_stub.paths == ["/x/predict?k=v"]
 
 
 FIVE_TEXTS = ["nice day", "filthy", "a", "b", "c"]
@@ -399,6 +428,7 @@ def test_http_adapter_status_other_than_200_is_unavailable(http_stub):
     with HttpAdapter(AdapterConfig(kind="http", location=location, timeout=5)) as adapter:
         with pytest.raises(AdapterUnavailableError, match="v1/predict answered with status 404"):
             adapter.score_batch(["x"])
+    assert http_stub.paths == ["/v1/predict"]
 
 
 def test_https_location_speaks_tls(http_stub):
@@ -407,6 +437,202 @@ def test_https_location_speaks_tls(http_stub):
     adapter = HttpAdapter(AdapterConfig(kind="http", location=location, timeout=5, max_retries=0))
     with pytest.raises(AdapterUnavailableError, match="cannot reach"):
         predict_batch(["x"], adapter)
+
+
+class _ThenClose(bytes):
+    """An answer after which the raw server closes the connection."""
+
+
+class _RawHTTPServer:
+    """Loopback server that reads each request and writes back the next canned answer as is.
+
+    An answer of ``None`` is never sent: the server holds the connection
+    silent. After an answer that says ``Connection: close`` or is HTTP/1.0,
+    the server also holds the connection silent, open but unread, so a
+    client that sent on it again would wait for an answer. After a
+    :class:`_ThenClose` answer it closes the connection.
+    """
+
+    def __init__(self, answers, host):
+        self.answers = list(answers)
+        self.connections = 0
+        self.targets = []
+        self.stopped = threading.Event()
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self.listener = socket.create_server((host, 0), family=family)
+        self.listener.settimeout(0.05)
+        port = self.listener.getsockname()[1]
+        self.url = f"http://[{host}]:{port}" if ":" in host else f"http://{host}:{port}"
+        self.thread = threading.Thread(target=self._accept, daemon=True)
+        self.thread.start()
+
+    def _accept(self):
+        with self.listener:
+            while not self.stopped.is_set():
+                try:
+                    conn, _ = self.listener.accept()
+                except TimeoutError:
+                    continue
+                self.connections += 1
+                threading.Thread(target=self._serve, args=(conn,), daemon=True).start()
+
+    def _serve(self, conn):
+        with conn, conn.makefile("rb") as reader:
+            conn.settimeout(10)
+            while True:
+                request_line = reader.readline()
+                if not request_line:
+                    return
+                self.targets.append(request_line.split()[1].decode())
+                length = 0
+                for line in iter(reader.readline, b"\r\n"):
+                    name, _, value = line.partition(b":")
+                    if name.lower() == b"content-length":
+                        length = int(value)
+                reader.read(length)
+                answer = self.answers.pop(0)
+                if answer is not None:
+                    conn.sendall(answer)
+                if isinstance(answer, _ThenClose):
+                    return
+                if answer is None or b"Connection: close" in answer or answer.startswith(b"HTTP/1.0"):
+                    self.stopped.wait()
+                    return
+
+    def stop(self):
+        self.stopped.set()
+        self.thread.join(timeout=5)
+        assert not self.thread.is_alive()
+
+
+@pytest.fixture
+def raw_http():
+    servers = []
+
+    def start(answers, host="127.0.0.1"):
+        servers.append(_RawHTTPServer(answers, host))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.stop()
+
+
+def _ok(probabilities, head=b"HTTP/1.1 200 OK", headers=b""):
+    body = json.dumps({"probabilities": probabilities}).encode()
+    return b"%s\r\n%sContent-Length: %d\r\n\r\n%s" % (head, headers, len(body), body)
+
+
+def _raw_adapter(server, timeout=5.0):
+    return HttpAdapter(AdapterConfig(kind="http", location=server.url, timeout=timeout, max_retries=0))
+
+
+def test_http_adapter_gives_up_on_a_server_that_never_answers(raw_http):
+    server = raw_http([None])
+    start = time.perf_counter()
+    with _raw_adapter(server, timeout=0.5) as adapter:
+        with pytest.raises(AdapterUnavailableError, match="timed out"):
+            predict_batch(["x"], adapter)
+    assert time.perf_counter() - start < 0.5 + 2.0
+
+
+def test_http_adapter_rejects_a_truncated_body(raw_http):
+    server = raw_http([_ThenClose(_ok([0.5])[:-3])])
+    with _raw_adapter(server) as adapter:
+        with pytest.raises(AdapterUnavailableError, match="connection closed after 21 of 24 body bytes"):
+            predict_batch(["x"], adapter)
+
+
+@pytest.mark.parametrize(
+    "headers, message",
+    [
+        (b"X-A: 1\r\n" * 101, "more than 100 headers"),
+        (b"X-A: " + b"a" * 65530 + b"\r\n", "answer line longer than 65536 bytes"),
+    ],
+)
+def test_http_adapter_bounds_the_header_section(raw_http, headers, message):
+    server = raw_http([_ok([0.5], headers=headers)])
+    with _raw_adapter(server) as adapter:
+        with pytest.raises(AdapterUnavailableError, match=message):
+            predict_batch(["x"], adapter)
+
+
+def test_http_adapter_takes_a_header_section_at_its_bounds(raw_http):
+    # 100 headers in all, one of them a line of exactly 65536 bytes
+    headers = b"X-A: 1\r\n" * 98 + b"X-B: " + b"b" * 65529 + b"\r\n"
+    server = raw_http([_ok([0.5], headers=headers)])
+    with _raw_adapter(server) as adapter:
+        assert adapter.score_batch(["x"]) == [0.5]
+
+
+def test_http_adapter_decodes_a_chunked_body_and_keeps_the_connection(raw_http):
+    body = b'{"probabilities": [0.25, 1]}'
+    chunked = b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+    chunked += b"5;ext=1\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: t\r\n\r\n" % (body[:5], len(body) - 5, body[5:])
+    server = raw_http([chunked, _ok([0.75])])
+    with _raw_adapter(server) as adapter:
+        assert adapter.score_batch(["x", "y"]) == [0.25, 1.0]
+        assert adapter.score_batch(["z"]) == [0.75]
+    assert server.connections == 1
+
+
+@pytest.mark.parametrize(
+    "first", [_ok([0.25], headers=b"Connection: close\r\n"), _ok([0.25], head=b"HTTP/1.0 200 OK")]
+)
+def test_http_adapter_opens_a_fresh_connection_after_the_server_says_it_closes(raw_http, first):
+    # The server leaves the first connection open but never reads it again,
+    # so sending the second batch on it would wait out the timeout.
+    server = raw_http([first, _ok([0.75])])
+    with _raw_adapter(server, timeout=2) as adapter:
+        assert adapter.score_batch(["x"]) == [0.25]
+        assert adapter.score_batch(["y"]) == [0.75]
+    assert server.connections == 2
+
+
+def test_http_adapter_skips_informational_answers(raw_http):
+    early = b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 103 Early Hints\r\nLink: </a>\r\n\r\n"
+    server = raw_http([early + _ok([0.25]), _ok([0.75])])
+    with _raw_adapter(server) as adapter:
+        assert adapter.score_batch(["x"]) == [0.25]
+        assert adapter.score_batch(["y"]) == [0.75]
+    assert server.connections == 1
+
+
+def test_http_adapter_reaches_an_ipv6_literal(raw_http):
+    server = raw_http([_ok([0.25])], host="::1")
+    assert server.url.startswith("http://[::1]:")
+    with _raw_adapter(server) as adapter:
+        assert adapter.score_batch(["x"]) == [0.25]
+    assert server.targets == ["/predict"]
+
+
+def test_http_scoring_loads_no_http_client_email_or_ssl(http_stub):
+    # The adapter speaks HTTP/1.1 on a plain socket: http.client and the
+    # email parser it reads headers with cost every audit over HTTP about
+    # 20 ms of imports, and ssl is needed only for https://. Only modules
+    # added beyond a bare interpreter count, so a site hook cannot matter.
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    https = http_stub.url.replace("http://", "https://")
+    probe = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "from textaudit.errors import AdapterUnavailableError\n"
+        "from textaudit.modeliface import AdapterConfig, HttpAdapter\n"
+        f"with HttpAdapter(AdapterConfig(kind='http', location={http_stub.url!r}, timeout=5)) as a:\n"
+        "    print(a.score_batch(['filthy']))\n"
+        "print(sorted({'http.client', 'email.parser', 'ssl'} & (set(sys.modules) - bare)))\n"
+        f"a = HttpAdapter(AdapterConfig(kind='http', location={https!r}, timeout=5))\n"
+        "try:\n"
+        "    a.score_batch(['x'])\n"
+        "except AdapterUnavailableError:\n"
+        "    print('ssl' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [str([keyword_probability("filthy")]), "[]", "True"]
 
 
 def test_adapters_close_more_than_once(http_stub):
