@@ -104,23 +104,28 @@ def _parse_split(raw, line: int) -> str:
     return value
 
 
-def _build_comment(record: dict, line: int, ordinal: int, has_ids: bool) -> Comment:
-    text = record.get("text")
+def _build_comment(
+    comment_id, text, label, split, line: int, ordinal: int, has_ids: bool
+) -> Comment:
+    """The comment of one record's fields, each ``None`` where the record lacks it.
+
+    An id is stripped, as :func:`~textaudit.modeliface.load_predictions`
+    strips the ids it reads, so " a1 " and "a1" are one id.
+    """
     if text is None:
         raise DatasetError("missing text field", line)
     if not isinstance(text, str):
         raise DatasetError(f"text must be a string, got {type(text).__name__}", line)
     if not text.strip():
         raise DatasetError("empty text", line)
-    if "label" not in record or record["label"] is None:
+    if label is None:
         raise DatasetError("missing label field", line)
-    label = _parse_label(record["label"], line)
-    split = _parse_split(record.get("split"), line)
+    label = _parse_label(label, line)
+    split = _parse_split(split, line)
     if has_ids:
-        comment_id = record.get("id")
-        if comment_id is None or str(comment_id).strip() == "":
+        comment_id = "" if comment_id is None else str(comment_id).strip()
+        if not comment_id:
             raise DatasetError("missing id value", line)
-        comment_id = str(comment_id)
     else:
         comment_id = f"row-{ordinal}"
     return Comment(comment_id, text, label, split)
@@ -142,10 +147,18 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
     seen_ids: dict[str, int] = {}
     if format == "csv":
         columns, rows = csv_rows(path, ("text", "label"), "dataset")
-        has_ids = "id" in columns
-        fields = [(key, columns[key]) for key in ("id", "text", "label", "split") if key in columns]
+        id_column, split_column = columns.get("id"), columns.get("split")
+        text_column, label_column = columns["text"], columns["label"]
         for ordinal, (line, row) in enumerate(rows, start=1):
-            comment = _build_comment({key: row[i] for key, i in fields}, line, ordinal, has_ids)
+            comment = _build_comment(
+                None if id_column is None else row[id_column],
+                row[text_column],
+                row[label_column],
+                None if split_column is None else row[split_column],
+                line,
+                ordinal,
+                id_column is not None,
+            )
             _check_duplicate(comment.id, seen_ids, line)
             comments.append(comment)
     else:
@@ -160,7 +173,10 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
                 raise DatasetError(f"invalid JSON: {exc.msg}", line) from exc
             if not isinstance(record, dict):
                 raise DatasetError("record must be a JSON object", line)
-            comment = _build_comment(record, line, ordinal, has_ids="id" in record)
+            comment = _build_comment(
+                record.get("id"), record.get("text"), record.get("label"), record.get("split"),
+                line, ordinal, "id" in record,
+            )
             # JSON escapes can carry lone surrogates, which have no UTF-8 bytes: such
             # text can neither be written to the outputs nor sent to a model. A CSV
             # row cannot hold one, since its file was decoded as strict UTF-8.
@@ -216,7 +232,11 @@ def _check_duplicate(comment_id: str, seen: dict[str, int], line: int) -> None:
     seen[comment_id] = line
 
 
-def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[TokenSpan]:
+def tokenize(
+    text: str,
+    abbreviations: frozenset[str] | None = None,
+    vocabulary: frozenset[str] | None = None,
+) -> list[TokenSpan]:
     """Segment text into lowercased word tokens with character spans.
 
     A token is one match of ``_TOKEN``: a letter or digit, then any further
@@ -228,7 +248,9 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Tok
     their case too.
 
     Spans are offsets into ``text`` itself: the token is ``text[start:end]``,
-    NFKC-normalized, then lowercased.
+    NFKC-normalized, then lowercased. Given a ``vocabulary``, only the
+    tokens in it are kept: the result is the unfiltered one with every other
+    token left out.
     """
     if abbreviations is None:
         abbreviations = DEFAULT_ABBREVIATIONS
@@ -237,10 +259,14 @@ def tokenize(text: str, abbreviations: frozenset[str] | None = None) -> list[Tok
     spans: list[TokenSpan] = []
     append = spans.append
     for match in _TOKEN.finditer(text):
-        start, end = match.span(1)
-        if "." in match[2]:
-            end = _kept_end(text, start, end, match.end(), abbreviations)
-        append(new(TokenSpan, (normalize("NFKC", text[start:end]).lower(), start, end)))
+        word, run = match.groups()
+        if "." in run:
+            start, end = match.span(1)
+            word = text[start : _kept_end(text, start, end, match.end(), abbreviations)]
+        token = normalize("NFKC", word).lower()
+        if vocabulary is None or token in vocabulary:
+            start = match.start()  # group 1 opens the match
+            append(new(TokenSpan, (token, start, start + len(word))))
     return spans
 
 

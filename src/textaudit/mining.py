@@ -8,12 +8,13 @@ contiguous token runs); "gayety" never matches "gay".
 Both extractors and the identity-term counts of :mod:`textaudit.databias`
 are roles of one :class:`TermIndex` that keys every term on its first token.
 :func:`annotate_corpus` is the one pass that tokenizes and matches: it
-tokenizes each comment once, keeping the periods of every role's terms,
-and each role then sees the tokens its own terms alone would give. A
-comment's identity terms are kept as a set, its tokens are not; identity
-swapping replaces the look-up spans.
+tokenizes each comment once, keeping the periods of every role's terms and
+only the tokens some term could use, and each role then sees the tokens its
+own terms alone would give. A comment's identity terms are kept as a set,
+its tokens are not; identity swapping replaces the look-up spans.
 """
 
+import re
 from json.encoder import encode_basestring
 from typing import Hashable, Iterable, NamedTuple
 
@@ -22,6 +23,10 @@ from .lexicon import AttributeLexicon
 
 METHOD_LOOKUP = "lookup"
 METHOD_GAZETTEER = "gazetteer"
+
+# A letter or digit, as in the tokenizer's pattern: every token holds one, and
+# the text between two tokens holds one only where a token lies between them.
+_WORD_CHAR = re.compile(r"[^\W_]")
 
 
 class SubgroupRef(NamedTuple):
@@ -87,18 +92,22 @@ class TermIndex:
     Each set is ``(term, target)`` pairs, its terms words separated by single
     spaces as :mod:`textaudit.lexicon` checks them to be; its position is its
     role. ``abbreviations[role]`` are the words of that role's terms that end
-    in a period ("u.s." of "u.s. citizen"); ``union`` holds them all. Matching
-    a comment costs one dict lookup per token, plus one comparison per
+    in a period ("u.s." of "u.s. citizen"); ``union`` holds them all.
+    ``vocabulary`` holds every token a match can use: each first word, each
+    word of ``union`` and each later word of a multi-word term. Matching a
+    comment costs one dict lookup per token, plus one comparison per
     multi-token candidate, however many terms there are.
     """
 
     def __init__(self, *term_sets: Iterable[tuple[str, Hashable]]):
         self._by_first: dict[str, list[tuple[int, tuple[str, ...], str, Hashable]]] = {}
         kept: list[set[str]] = [set() for _ in term_sets]
+        later: set[str] = set()
         for role, pairs in enumerate(term_sets):
             for term, target in pairs:
                 words = term.split()
                 kept[role].update(w for w in words if w.endswith("."))
+                later.update(words[1:])
                 self._by_first.setdefault(words[0], []).append((role, tuple(words[1:]), term, target))
         self.abbreviations = tuple(map(frozenset, kept))
         self.union = frozenset().union(*kept)
@@ -106,14 +115,20 @@ class TermIndex:
         # role, trimmed or not, and is skipped after one lookup.
         for word in self.union:
             self._by_first.setdefault(word, [])
+        # A token keeps a trailing period only as a word of ``union``, so any other
+        # token is its own narrowed form: outside this set, it matches no word of a term.
+        self.vocabulary = frozenset(self._by_first).union(later)
 
     def matches(self, text: str, tokens: list[TokenSpan]) -> list[tuple]:
         """``(role, target, term, span)`` per occurrence, in token order, then set and pair order.
 
-        ``tokens`` are ``tokenize(text, self.union)``; each role sees them as
-        its own abbreviations alone would give them, as :func:`narrow` does.
+        ``tokens`` are ``tokenize(text, self.union)``, or only those of them
+        in ``self.vocabulary``; each role sees them as its own abbreviations
+        alone would give them, as :func:`narrow` does. A multi-token term
+        matches only where no left-out token lies between its tokens.
         """
         get, kept, union = self._by_first.get, self.abbreviations, self.union
+        search = _WORD_CHAR.search
         found = []
         for i, first in enumerate(tokens):
             entries = get(first[0])
@@ -131,8 +146,11 @@ class TermIndex:
                 if not rest:
                     found.append((role, target, term, narrow(text, first, kept[role]) if period else first))
                     continue
-                view = [narrow(text, span, kept[role]) for span in tokens[i + 1 : i + 1 + len(rest)]]
-                if tuple(span.token for span in view) == rest:
+                run = tokens[i : i + 1 + len(rest)]
+                view = [narrow(text, span, kept[role]) for span in run[1:]]
+                if tuple(span.token for span in view) == rest and not any(
+                    search(text, a.end, b.start) for a, b in zip(run, run[1:])
+                ):
                     found.append((role, target, term, TokenSpan(term, first.start, view[-1].end)))
         return found
 
@@ -151,7 +169,8 @@ def annotate_corpus(
     Matches are deduplicated on (attribute, subgroup, span) with the look-up
     path taking precedence; output order is deterministic. One
     :class:`TermIndex` holds the lexicon's, the gazetteer's and the identity
-    terms; each comment is tokenized and matched against it once.
+    terms; each comment is tokenized and matched against it once, and only
+    its tokens in the index's vocabulary are kept.
     """
     index = TermIndex(
         (
@@ -163,7 +182,7 @@ def annotate_corpus(
         gaz.items(),
         ((term, term) for term in identity_terms or ()),
     )
-    matches, union = index.matches, index.union
+    matches, union, vocabulary = index.matches, index.union, index.vocabulary
     annotations: dict[str, tuple[SubgroupRef, ...]] = {}
     identity_hits: dict[str, frozenset[str]] = {}
     members: dict[tuple[str, str], list[Comment]] = {}
@@ -172,7 +191,7 @@ def annotate_corpus(
         # (target, role) -> {(start, end): (term, span)}; the first term found keeps a span.
         grouped: dict = {}
         identity = []
-        for role, target, term, span in matches(text, tokenize(text, union)):
+        for role, target, term, span in matches(text, tokenize(text, union, vocabulary)):
             if role == 2:
                 identity.append(target)
             else:

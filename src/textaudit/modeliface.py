@@ -382,11 +382,18 @@ class HttpAdapter(_AdapterLifecycle):
             raise AdapterProtocolError(
                 f"response count mismatch: sent {len(texts)} texts, got {len(probabilities)}"
             )
+        scores = []
         for p in probabilities:
             # bool is an int subclass, but JSON true/false is not a probability
             if isinstance(p, bool) or not isinstance(p, (int, float)):
                 raise AdapterProtocolError(f"non-numeric probability in response: {p!r}")
-        return [float(p) for p in probabilities]
+            try:
+                scores.append(float(p))
+            except OverflowError as exc:  # a JSON integer beyond every float
+                raise AdapterProtocolError(
+                    f"probability too large for a float in response: {p!r}"
+                ) from exc
+        return scores
 
 
 def open_adapter(config: AdapterConfig):

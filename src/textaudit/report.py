@@ -43,7 +43,6 @@ from .databias import (
 )
 from .embedbias import embedding_bias, embedding_bias_csv, load_embeddings
 from .errors import AdapterError, AuditError, ConfigError
-from .explain import plan_global_importance, plan_local_explain
 from .lexicon import aligned_swap_pairs
 from .mining import annotate_corpus, annotations_to_jsonl
 from .modeliface import (
@@ -552,6 +551,9 @@ class _AuditRun:
 
     def section_explanations(self) -> ScoringPlan:
         self.require_live()
+        # Imported here, so an audit with no live adapter never loads the explainers.
+        from .explain import plan_global_importance, plan_local_explain
+
         spec = self.config.explanation
         plans = []
         if spec.mode in ("local", "both"):

@@ -111,6 +111,40 @@ def test_cli_import_loads_no_third_party_http_client():
     assert result.stdout.strip() == "[]"
 
 
+def test_audit_without_a_live_adapter_never_imports_explain(tmp_path):
+    # Only the explanations section, which needs a live adapter, uses the
+    # explainers: neither importing the CLI nor an audit over a predictions
+    # file loads them.
+    paths = [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    predictions = tmp_path / "predictions.csv"
+    rows = (FIXTURES_DIR / "comments.csv").read_text(encoding="utf-8").splitlines()[1:]
+    predictions.write_text(
+        "id,p_hateful\n" + "".join(f"{row.split(',', 1)[0]},0.5\n" for row in rows), encoding="utf-8"
+    )
+    config = json.loads((FIXTURES_DIR / "audit_config.json").read_text(encoding="utf-8"))
+    config["adapter"] = {"kind": "predictions_file", "location": str(predictions)}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    probe = (
+        "import sys\n"
+        "import textaudit.cli\n"
+        "print('textaudit.explain' in sys.modules)\n"
+        f"argv = ['audit', '--config', {str(config_path)!r}, '--out', {str(tmp_path / 'out')!r}]\n"
+        "code = textaudit.cli.main(argv)\n"
+        "print(code, 'textaudit.explain' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, cwd=REPO_ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "0 False")
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    assert report["sections"]["explanations"]["status"] == "skipped"
+
+
 def test_fixture_audit_imports_no_numpy(tmp_path):
     # The audit's math is pure Python; numpy would cost every audit about
     # 0.1 s of start-up.

@@ -13,6 +13,7 @@ from textaudit.corpus import (
     tokenize,
 )
 from textaudit.errors import DatasetError
+from textaudit.modeliface import PredictionRecord, load_predictions
 
 
 def test_load_csv_basic(tmp_path):
@@ -120,13 +121,17 @@ def test_jsonl_lone_surrogate_rejected(tmp_path):
         ("csv", "id,text,label,split\na,fine,0,train\nb,odd,1,dev\n", "line 3: unknown split 'dev'"),
         ("csv", "id,text,label\na,fine,0\nb,more,1\na,again,1\n",
          "line 4: duplicate id 'a' (first seen at line 2)"),
+        ("csv", "id,text,label\n a1 ,first,0\na1,second,1\n",
+         "line 3: duplicate id 'a1' (first seen at line 2)"),
+        ("jsonl", '{"id": " a1 ", "text": "first", "label": 0}\n{"id": "a1", "text": "second", "label": 1}\n',
+         "line 2: duplicate id 'a1' (first seen at line 1)"),
         ("jsonl", '{"id": "a", "text": "fine", "label": 0}\n{"id": "b", "text": "bad \\ud800", "label": 1}\n',
          "line 2: comment 'b': text is not valid Unicode (surrogates not allowed)"),
         ("jsonl", '{"id": "a\\udc80", "text": "fine", "label": 0}\n',
          "line 1: comment 'a\\udc80': id is not valid Unicode (surrogates not allowed)"),
     ],
     ids=["jsonl-label-2", "csv-blank-text", "jsonl-blank-text", "unknown-split", "duplicate-id",
-         "text-surrogate", "id-surrogate"],
+         "csv-padded-duplicate-id", "jsonl-padded-duplicate-id", "text-surrogate", "id-surrogate"],
 )
 def test_loader_rejects_bad_record_naming_its_line(tmp_path, format, body, message):
     path = tmp_path / f"data.{format}"
@@ -135,6 +140,24 @@ def test_loader_rejects_bad_record_naming_its_line(tmp_path, format, body, messa
         load_dataset(path, format)
     assert str(excinfo.value) == message
     assert excinfo.value.line == int(message.split(":")[0].removeprefix("line "))
+
+
+@pytest.mark.parametrize(
+    "format, body",
+    [("csv", "id,text,label\n a1 ,the gay people,1\n"),
+     ("jsonl", '{"id": " a1 ", "text": "the gay people", "label": 1}\n')],
+)
+def test_padded_id_is_the_id_a_predictions_file_names(tmp_path, format, body):
+    # Both loaders strip an id, so a predictions file that repeats the padded id
+    # exactly, or gives it bare, names the same comment.
+    path = tmp_path / f"data.{format}"
+    path.write_text(body, encoding="utf-8")
+    corpus = load_dataset(path, format)
+    assert [c.id for c in corpus] == ["a1"]
+    for id_field in (" a1 ", "a1"):
+        predictions = tmp_path / "predictions.csv"
+        predictions.write_text(f"id,p_hateful\n{id_field},0.9\n", encoding="utf-8")
+        assert load_predictions(predictions, corpus) == [PredictionRecord("a1", 0.9)]
 
 
 def test_split_column_honored(tmp_path):
@@ -308,6 +331,31 @@ def test_span_slices_normalize_to_token(text, abbreviations):
     for span in tokenize(text, abbreviations):
         piece = text[span.start : span.end]
         assert unicodedata.normalize("NFKC", piece).lower() == span.token
+
+
+# Words whose tokens NFKC changes (accented, fullwidth, ligature, styled) or
+# that end in a run of periods, for the vocabulary filter.
+FILTER_WORDS = ["café", "cafe\u0301", "Ｍｒ.", "ＭＲ", "ﬁne", "ﬁ..", "U.S...", "a....", "𝐀b.", "Ok"]
+FILTER_VOCABULARY = [
+    "café", "mr", "mr.", "fine", "fi", "fi.", "u.s", "u.s.", "a", "a.", "a..", "ab", "ok", "ß", "σ", "1",
+]
+filter_texts = st.lists(
+    st.one_of(soup, words, st.lists(st.sampled_from(FILTER_WORDS), max_size=5).map(" ".join)),
+    min_size=1,
+    max_size=3,
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(filter_texts, abbreviation_sets, st.data())
+def test_tokenize_with_vocabulary_keeps_exactly_the_tokens_in_it(text, abbreviations, data):
+    tokens = tokenize(text, abbreviations)
+    assert tokens == reference_tokenize(text, abbreviations)
+    # Some tokens the text holds, and some words it may or may not hold.
+    vocabulary = data.draw(st.frozensets(st.sampled_from(FILTER_VOCABULARY)))
+    if tokens:
+        vocabulary |= data.draw(st.frozensets(st.sampled_from([s.token for s in tokens])))
+    assert tokenize(text, abbreviations, vocabulary) == [s for s in tokens if s.token in vocabulary]
 
 
 def test_narrow_abbreviations_trims_the_raw_text():

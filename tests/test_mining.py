@@ -420,8 +420,19 @@ def _period_word_example(lexicon_term, identity_term):
     return lexicon, NO_GAZ, (identity_term, "he"), corpus
 
 
+def _gap_example():
+    """A word of no term sits between the words of a multi-word term, which must not match."""
+    lexicon = AttributeLexicon(attributes={"a": {"x": ("new york",), "y": ("he",)}})
+    texts = ["New ok York", "new york, ok", "New. York", "new_york", "ok new 1 york he"]
+    corpus = LabeledCorpus(
+        [Comment(id=f"c{i}", text=text, label=i % 2) for i, text in enumerate(texts)]
+    )
+    return lexicon, {"new york": ("b", "z")}, ("new york",), corpus
+
+
 @settings(max_examples=300, deadline=None)
 @given(mining_inputs())
+@example(_gap_example())
 @example(_period_word_example("dr", "dr."))  # a period only the identity list keeps
 @example(_period_word_example("dr.", "dr"))  # a period only the lexicon keeps
 def test_indexed_mining_matches_brute_force(inputs):

@@ -336,6 +336,9 @@ def canned_http():
         (b'{"probabilities": [false]}', "non-numeric probability in response: False"),
         (b'{"probabilities": ["0.5"]}', "non-numeric probability in response: '0.5'"),
         (b'{"probabilities": [null]}', "non-numeric probability in response: None"),
+        # float() of an integer beyond every float raises OverflowError, which must not escape.
+        (b'{"probabilities": [1%s]}' % (b"0" * 400),
+         "too large for a float in response: 1%s$" % ("0" * 400)),
     ],
 )
 def test_http_adapter_rejects_malformed_response(canned_http, body, message):
