@@ -11,17 +11,28 @@ score needs no threshold at all.
 from typing import Iterable, NamedTuple
 
 from .corpus import LabeledCorpus, TokenSpan, splice
-from .errors import AuditError, CoverageError, LexiconError
+from .errors import AuditError, LexiconError
 from .lexicon import IDENTITY_SLOT, AttributeLexicon, SwapTable
 from .mining import METHOD_LOOKUP, AnnotatedCorpus
-from .modeliface import Adapter, PredictionCache, PredictionRecord, ScoringPlan
+from .modeliface import (
+    Adapter,
+    PredictionCache,
+    PredictionRecord,
+    ScoringPlan,
+    comment_probabilities,
+)
 from .record import plain
 
 CLASS_NAMES = {0: "not-hateful", 1: "hateful"}
 
 
-def predictions_by_id(preds: list[PredictionRecord]) -> dict[str, float]:
-    return {record.comment_id: record.p_hateful for record in preds}
+def _confusion(labels: list[int], probs: list[float], threshold: float) -> dict:
+    """Comments per (actual, predicted) class, with predicted class 1 iff p >= threshold."""
+    confusion = {(actual, predicted): 0 for actual in (0, 1) for predicted in (0, 1)}
+    for label, p in zip(labels, probs):
+        predicted = 1 if p >= threshold else 0
+        confusion[(label, predicted)] += 1
+    return confusion
 
 
 # ---------------------------------------------------------------------------
@@ -64,15 +75,8 @@ def performance_report(
     averages are support-weighted. Zero-denominator metrics come back as 0
     and are named in ``zero_division_flags``.
     """
-    p_by_id = predictions_by_id(preds)
-    missing = [c.id for c in corpus if c.id not in p_by_id]
-    if missing:
-        raise CoverageError(f"predictions missing for {len(missing)} comment(s): {missing}")
-
-    confusion = {(actual, predicted): 0 for actual in (0, 1) for predicted in (0, 1)}
-    for comment in corpus:
-        predicted = 1 if p_by_id[comment.id] >= threshold else 0
-        confusion[(comment.label, predicted)] += 1
+    probs = comment_probabilities(preds, corpus.comments)
+    confusion = _confusion([c.label for c in corpus], probs, threshold)
 
     total = len(corpus)
     flags: list[str] = []
@@ -159,16 +163,12 @@ def subgroup_probability_stats(
     Comments referencing several subgroups contribute to each. Empty cells
     carry a None mean, never 0.
     """
-    p_by_id = predictions_by_id(preds)
     groups = [(sub, members) for (attr, sub), members in annotated.members.items() if attr == attribute]
-    missing = [comment for _, members in groups for comment in members if comment.id not in p_by_id]
-    if missing:
-        first = min(missing, key=annotated.corpus.comments.index)
-        raise CoverageError(f"prediction missing for annotated comment {first.id!r}")
+    references = [(subgroup, comment) for subgroup, members in groups for comment in members]
+    probs = comment_probabilities(preds, [comment for _, comment in references])
     cells: dict[tuple[int, str], list[float]] = {}
-    for subgroup, members in groups:
-        for comment in members:
-            cells.setdefault((comment.label, subgroup), []).append(p_by_id[comment.id])
+    for (subgroup, comment), p in zip(references, probs):
+        cells.setdefault((comment.label, subgroup), []).append(p)
     return SubgroupProbabilityStats(attribute=attribute, rows=tuple(_stats_rows(cells)))
 
 
@@ -242,6 +242,8 @@ def plan_swap_favor(
     rounding_decimals: int = 4,
 ) -> ScoringPlan:
     """The original and swapped texts :func:`swap_favor_analysis` scores, and the tally."""
+    if sub_a == sub_b:
+        raise AuditError(f"a swap needs two subgroups, got {attribute}.{sub_a} twice")
     eligible: list[tuple[str, int, str]] = []  # (comment id, label, referenced subgroup)
     originals, swapped = [], []
     for comment in annotated.corpus:
@@ -491,17 +493,9 @@ class FairnessMetrics(NamedTuple):
 
 
 def _group_components(labels: list[int], probs: list[float], threshold: float) -> dict:
-    tp = fp = fn = tn = 0
-    for y, p in zip(labels, probs):
-        predicted = 1 if p >= threshold else 0
-        if predicted == 1 and y == 1:
-            tp += 1
-        elif predicted == 1 and y == 0:
-            fp += 1
-        elif predicted == 0 and y == 1:
-            fn += 1
-        else:
-            tn += 1
+    confusion = _confusion(labels, probs, threshold)
+    tp, fp = confusion[(1, 1)], confusion[(0, 1)]
+    fn, tn = confusion[(1, 0)], confusion[(0, 0)]
     n = len(labels)
     positives_predicted = [p for p in probs if p >= threshold]
     out: dict[str, float | None] = {}
@@ -534,33 +528,25 @@ def fairness_metrics(
     threshold: float = 0.5,
 ) -> FairnessMetrics:
     """The seven bias metrics over comments referencing each subgroup."""
-    p_by_id = predictions_by_id(preds)
-    groups: dict[str, tuple[list[int], list[float]]] = {}
+    if reference == protected:
+        raise AuditError(f"fairness metrics need two subgroups, got {attribute}.{reference} twice")
+    parts: dict[str, dict] = {}
     for name in (reference, protected):
         members = annotated.comments_referencing(attribute, name)
         if not members:
             raise AuditError(f"no annotated comment references {attribute}.{name}")
-        missing = [c.id for c in members if c.id not in p_by_id]
-        if missing:
-            raise CoverageError(f"predictions missing for {len(missing)} comment(s): {missing}")
-        groups[name] = ([c.label for c in members], [p_by_id[c.id] for c in members])
+        probs = comment_probabilities(preds, members)
+        parts[name] = _group_components([c.label for c in members], probs, threshold)
 
-    ref_parts = _group_components(*groups[reference], threshold)
-    prot_parts = _group_components(*groups[protected], threshold)
     values: dict[str, float | None] = {}
     not_computable: dict[str, str] = {}
     for name in FAIRNESS_METRIC_NAMES:
-        r, p = ref_parts[name], prot_parts[name]
-        if r is None or p is None:
-            sides = []
-            if r is None:
-                sides.append(f"{reference}: {_NC_REASONS[name]}")
-            if p is None:
-                sides.append(f"{protected}: {_NC_REASONS[name]}")
+        undefined = [group for group in (reference, protected) if parts[group][name] is None]
+        if undefined:
             values[name] = None
-            not_computable[name] = "; ".join(sides)
+            not_computable[name] = "; ".join(f"{group}: {_NC_REASONS[name]}" for group in undefined)
         else:
-            values[name] = r - p
+            values[name] = parts[reference][name] - parts[protected][name]
     return FairnessMetrics(
         attribute=attribute,
         reference=reference,

@@ -445,8 +445,6 @@ def exact_shapley(
             f"exact Shapley enumeration is limited to {EXACT_SHAPLEY_MAX_TOKENS} unique tokens, "
             f"comment {comment.id!r} has {k}"
         )
-    if cache is None:
-        cache = PredictionCache()
     texts = []
     for bits in range(2**k):
         mask = [(bits >> j) & 1 for j in range(k)]

@@ -9,21 +9,22 @@ by a small client on ``socket``). Every adapter has one lifecycle: it is
 opened by :func:`open_adapter`, scores batches, and is closed with
 ``close()`` or by leaving a ``with`` block, and imports its own transport
 (``subprocess`` and ``shlex``, or ``socket``, plus ``ssl`` only when an
-``https://`` connection is opened), so an audit loads only the one it uses. A
-normalized-text cache keeps swap/counterfactual/explanation workloads
-affordable. Probabilities outside [0, 1] are rejected, never
-clamped: they signal a broken adapter and clamping would corrupt every
-downstream metric.
+``https://`` connection is opened), so an audit loads only the one it uses.
+Adapters only parse answers: :func:`predict_batch` checks their count and
+range, and always scores through a normalized-text cache, which keeps
+swap/counterfactual/explanation workloads affordable. Probabilities outside
+[0, 1] are rejected, never clamped: they signal a broken adapter and clamping
+would corrupt every downstream metric.
 """
 
 import json
 import math
 import unicodedata
 from pathlib import Path
-from typing import Callable, NamedTuple, Protocol, Sequence
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
 from urllib.parse import urlsplit
 
-from .corpus import LabeledCorpus, csv_rows
+from .corpus import Comment, LabeledCorpus, csv_rows
 from .errors import (
     AdapterError,
     AdapterProtocolError,
@@ -174,10 +175,6 @@ class SubprocessAdapter(_AdapterLifecycle):
                 f"scoring command exited with {proc.returncode}: {stderr.strip()[:500]}"
             )
         lines = [line for line in stdout.splitlines() if line.strip()]
-        if len(lines) != len(texts):
-            raise AdapterProtocolError(
-                f"response count mismatch: sent {len(texts)} texts, got {len(lines)} lines"
-            )
         probabilities = []
         for line in lines:
             try:
@@ -378,10 +375,6 @@ class HttpAdapter(_AdapterLifecycle):
         probabilities = body.get("probabilities")
         if not isinstance(probabilities, list):
             raise AdapterProtocolError('response is missing the "probabilities" array')
-        if len(probabilities) != len(texts):
-            raise AdapterProtocolError(
-                f"response count mismatch: sent {len(texts)} texts, got {len(probabilities)}"
-            )
         scores = []
         for p in probabilities:
             # bool is an int subclass, but JSON true/false is not a probability
@@ -428,47 +421,35 @@ def predict_batch(
 ) -> list[float]:
     """Probabilities for ``texts``, in input order.
 
-    The cache is consulted first; duplicate texts trigger a single adapter
-    call. Requests go out in batches of at most ``batch_size``, each retried
-    up to ``max_retries`` times on transport failures. Protocol violations
-    (count mismatch, non-numeric lines, probabilities outside [0, 1]) fail
-    immediately.
+    Each distinct normalized text is looked up once in the cache (a fresh one
+    if none is given); misses go out once each, in first-seen order, in batches
+    of at most ``batch_size``, each retried up to ``max_retries`` times on
+    transport failures. Here alone an answer is checked against its batch: a
+    count mismatch or a probability outside [0, 1] fails at once.
     """
-    if not texts:
-        return []
-    keys = [PredictionCache.key(t) for t in texts]
-    resolved: dict[str, float] = {}
-    pending: list[tuple[str, str]] = []  # (key, original text)
-    seen: set[str] = set()
+    if cache is None:
+        cache = PredictionCache()
+    keys = [PredictionCache.key(text) for text in texts]
+    first_text: dict[str, str] = {}  # distinct key -> the first text with that key
     for key, text in zip(keys, texts):
-        if key in seen:
-            continue
-        seen.add(key)
-        if cache is not None:
-            hit = cache.lookup(text)
-            if hit is not None:
-                resolved[key] = hit
-                continue
-        pending.append((key, text))
+        first_text.setdefault(key, text)
+    pending = [text for text in first_text.values() if cache.lookup(text) is None]
 
     batch_size = adapter.config.batch_size
     for start in range(0, len(pending), batch_size):
         batch = pending[start : start + batch_size]
-        batch_texts = [text for _, text in batch]
-        probabilities = _score_with_retry(adapter, batch_texts)
-        if len(probabilities) != len(batch_texts):
+        probabilities = _score_with_retry(adapter, batch)
+        if len(probabilities) != len(batch):
             raise AdapterProtocolError(
-                f"response count mismatch: sent {len(batch_texts)}, got {len(probabilities)}"
+                f"response count mismatch: sent {len(batch)}, got {len(probabilities)}"
             )
-        for index, ((key, text), p) in enumerate(zip(batch, probabilities)):
+        for index, (text, p) in enumerate(zip(batch, probabilities)):
             if not 0.0 <= p <= 1.0:
                 raise AdapterProtocolError(
                     f"probability outside [0, 1] at batch index {index} for text {text!r}: {p!r}"
                 )
-            resolved[key] = p
-            if cache is not None:
-                cache.store(text, p)
-    return [resolved[key] for key in keys]
+            cache.store(text, p)
+    return [cache._store[key] for key in keys]  # read, not looked up: hits count once
 
 
 class ScoringPlan(NamedTuple):
@@ -526,7 +507,16 @@ def load_predictions(path: str | Path, corpus: LabeledCorpus) -> list[Prediction
         if not 0.0 <= p <= 1.0:
             raise DatasetError(f"probability outside [0, 1] for id {comment_id!r}: {p}", line)
         by_id[comment_id] = p
-    missing = [c.id for c in corpus if c.id not in by_id]
+    probabilities = comment_probabilities(by_id.items(), corpus.comments)
+    return [PredictionRecord(comment_id=c.id, p_hateful=p) for c, p in zip(corpus, probabilities)]
+
+
+def comment_probabilities(
+    preds: Iterable[tuple[str, float]], comments: Sequence[Comment]
+) -> list[float]:
+    """Each comment's probability in the order given, or one error naming each missing id once."""
+    by_id = dict(preds)
+    missing = list(dict.fromkeys(c.id for c in comments if c.id not in by_id))
     if missing:
         raise CoverageError(f"predictions missing for {len(missing)} comment(s): {missing}")
-    return [PredictionRecord(comment_id=c.id, p_hateful=by_id[c.id]) for c in corpus]
+    return [by_id[c.id] for c in comments]

@@ -26,7 +26,7 @@ def annotate_and_swap(text, table, lexicon):
 
 
 class CallableAdapter:
-    """In-process adapter wrapping a plain scoring function; counts calls, records texts."""
+    """In-process adapter wrapping a plain scoring function; counts calls, records batches."""
 
     def __init__(self, fn, batch_size=64, max_retries=0):
         self.config = AdapterConfig(
@@ -39,11 +39,13 @@ class CallableAdapter:
         self.calls = 0
         self.texts_scored = 0
         self.sent = []
+        self.batches = []
 
     def score_batch(self, texts):
         self.calls += 1
         self.texts_scored += len(texts)
         self.sent.extend(texts)
+        self.batches.append(list(texts))
         return [self.fn(t) for t in texts]
 
     def close(self):

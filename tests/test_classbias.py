@@ -1,4 +1,5 @@
 import random
+import re
 import warnings
 
 import pytest
@@ -172,6 +173,21 @@ def test_subgroup_stats_multi_reference_contributes_to_each():
     by_cell = {(r.actual, r.subgroup): r for r in stats.rows}
     assert by_cell[("hateful", "male")].mean_p_hateful == pytest.approx(0.7)
     assert by_cell[("hateful", "female")].mean_p_hateful == pytest.approx(0.7)
+
+
+def test_subgroup_stats_name_each_missing_prediction_once():
+    # "x" references both subgroups, so it is asked for twice; it is named once.
+    corpus = LabeledCorpus(
+        [
+            Comment(id="x", text="he told her", label=1),
+            Comment(id="m", text="he is around", label=0),
+            Comment(id="f", text="she is around", label=0),
+        ]
+    )
+    annotated = annotate_corpus(corpus, LEX, EMPTY_GAZ)
+    message = re.escape("predictions missing for 2 comment(s): ['x', 'm']")
+    with pytest.raises(CoverageError, match=f"^{message}$"):
+        subgroup_probability_stats(annotated, records([("f", 0.2)]), "gender")
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +398,12 @@ def test_favor_rounding_collapses_tiny_gaps():
         rounding_decimals=5,
     )
     assert finer.fraction_no_change == 0.0
+
+
+def test_swap_pair_naming_one_subgroup_twice_is_rejected():
+    annotated = annotated_gender_corpus()
+    with pytest.raises(AuditError, match=re.escape("got gender.male twice")):
+        plan_swap_favor(annotated, gender_swap_table(), "gender", "male", "male")
 
 
 def test_favor_requires_eligible_comments():
@@ -601,6 +623,81 @@ def test_fairness_positive_class_balance():
     annotated, preds = fairness_fixture(ref, prot)
     metrics = fairness_metrics(annotated, preds, "grp", "ref", "prot", 0.5)
     assert metrics.values["positive_class_balance"] == pytest.approx(0.2, abs=1e-9)
+
+
+def test_fairness_pair_naming_one_subgroup_twice_is_rejected():
+    annotated, preds = fairness_fixture([(1, 0.9), (0, 0.2)], [(1, 0.4)])
+    with pytest.raises(AuditError, match=re.escape("got grp.ref twice")):
+        fairness_metrics(annotated, preds, "grp", "ref", "ref", 0.5)
+
+
+def test_fairness_names_each_missing_prediction_once():
+    annotated, preds = fairness_fixture([(1, 0.9), (0, 0.2), (1, 0.4)], [(1, 0.4)])
+    kept = [record for record in preds if record.comment_id not in ("r0", "r2")]
+    message = re.escape("predictions missing for 2 comment(s): ['r0', 'r2']")
+    with pytest.raises(CoverageError, match=f"^{message}$"):
+        fairness_metrics(annotated, kept, "grp", "ref", "prot", 0.5)
+
+
+def _brute_force_counts(items, threshold):
+    """(tp, fp, fn, tn) of (label, p) items, predicting hateful iff p >= threshold."""
+    tp = fp = fn = tn = 0
+    for label, p in items:
+        if p >= threshold:
+            if label == 1:
+                tp += 1
+            else:
+                fp += 1
+        elif label == 1:
+            fn += 1
+        else:
+            tn += 1
+    return tp, fp, fn, tn
+
+
+@st.composite
+def scored_groups(draw):
+    """A threshold and two non-empty groups of (label, p); some p equal the threshold."""
+    threshold = draw(st.floats(0.0, 1.0))
+    p = st.one_of(st.just(threshold), st.floats(0.0, 1.0))
+    group = st.lists(st.tuples(st.integers(0, 1), p), min_size=1, max_size=8)
+    return threshold, draw(group), draw(group)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_groups())
+def test_confusion_counts_match_a_brute_force_loop(case):
+    threshold, ref, prot = case
+    annotated, preds = fairness_fixture(ref, prot)
+
+    report = performance_report(annotated.corpus, preds, threshold)
+    tp, fp, fn, tn = _brute_force_counts(ref + prot, threshold)
+    assert report.accuracy == (tp + tn) / (tp + fp + fn + tn)
+    assert report.per_class["hateful"].support == tp + fn
+    assert report.per_class["not-hateful"].support == tn + fp
+    assert report.per_class["hateful"].precision == (tp / (tp + fp) if tp + fp else 0.0)
+    assert report.per_class["not-hateful"].precision == (tn / (tn + fn) if tn + fn else 0.0)
+    assert report.per_class["hateful"].recall == (tp / (tp + fn) if tp + fn else 0.0)
+    assert report.per_class["not-hateful"].recall == (tn / (tn + fp) if tn + fp else 0.0)
+
+    metrics = fairness_metrics(annotated, preds, "grp", "ref", "prot", threshold)
+    rates = {}
+    for name, items in (("ref", ref), ("prot", prot)):
+        tp, fp, fn, tn = _brute_force_counts(items, threshold)
+        predicted_positive = [p for _, p in items if p >= threshold]
+        rates[name] = {
+            "positive_class_balance": (
+                sum(predicted_positive) / len(predicted_positive) if predicted_positive else None
+            ),
+            "statistical_parity": (tp + fp) / len(items),
+            "overall_accuracy_equality": (tp + tn) / len(items),
+            "equal_opportunity": tp / (tp + fn) if tp + fn else None,
+            "positive_predictive_value": tp / (tp + fp) if tp + fp else None,
+            "normalized_treatment_equality": fn / (fn + fp) if fn + fp else None,
+        }
+    for name in rates["ref"]:
+        r, p = rates["ref"][name], rates["prot"][name]
+        assert metrics.values[name] == (None if r is None or p is None else r - p), name
 
 
 def test_gini_properties():

@@ -252,6 +252,22 @@ def test_swap_subcommand(tmp_path):
     assert data["fraction_favor_a"] + data["fraction_favor_b"] + data["fraction_no_change"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize(
+    "argv, section, error",
+    [
+        (["swap", "--swap-a", "male", "--swap-b", "male"], "swap_favor",
+         "AuditError: a swap needs two subgroups, got gender.male twice"),
+        (["class-bias", "--reference", "male", "--protected", "male"], "fairness_metrics",
+         "AuditError: fairness metrics need two subgroups, got gender.male twice"),
+    ],
+    ids=["swap", "fairness"],
+)
+def test_a_pair_naming_one_subgroup_twice_fails_its_section(tmp_path, argv, section, error):
+    main([*argv, "--config", str(FIXTURES_DIR / "audit_config.json"), "--out", str(tmp_path)])
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["sections"][section] == {"status": "failed", "error": error}
+
+
 # ---------------------------------------------------------------------------
 # every flag overrides exactly one config field
 # ---------------------------------------------------------------------------

@@ -78,6 +78,24 @@ def test_cache_transparency(keyword_adapter):
     assert cache.hits > 0
 
 
+def test_predict_batch_sends_each_distinct_key_once_in_first_seen_order():
+    composed, decomposed = "caf\u00e9", "cafe\u0301"  # one NFC key
+    texts = ["b", composed, "a", "b", decomposed, "c", "d", "a", "e"]
+    fresh = CallableAdapter(keyword_probability, batch_size=2)
+    probs = predict_batch(texts, fresh)
+    assert fresh.batches == [["b", composed], ["a", "c"], ["d", "e"]]
+    assert probs == [keyword_probability(PredictionCache.key(t)) for t in texts]
+
+    # A shared cache that already holds some keys: the same list, only the
+    # misses sent, and one lookup per distinct key of the call.
+    cache = PredictionCache()
+    predict_batch(["a", "d", decomposed], CallableAdapter(keyword_probability), cache)
+    shared = CallableAdapter(keyword_probability, batch_size=2)
+    assert predict_batch(texts, shared, cache) == probs
+    assert shared.batches == [["b", "c"], ["e"]]
+    assert (cache.hits, cache.misses) == (3, 3 + 3)
+
+
 def test_out_of_range_probability_rejected():
     adapter = CallableAdapter(lambda text: 1.2)
     with pytest.raises(AdapterProtocolError, match=r"outside \[0, 1\].*index 0"):
@@ -176,6 +194,18 @@ def test_subprocess_adapter_non_numeric_line(tmp_path):
     )
     with pytest.raises(AdapterProtocolError, match="non-numeric"):
         adapter.score_batch(["x"])
+
+
+def test_a_short_subprocess_answer_fails_in_predict_batch(tmp_path):
+    script = tmp_path / "short.py"
+    script.write_text("import sys\nfor line in sys.stdin.readlines()[1:]:\n    print('0.5')\n")
+    adapter = SubprocessAdapter(
+        AdapterConfig(kind="subprocess", location=f"{sys.executable} {script}", max_retries=0)
+    )
+    assert adapter.score_batch(["x", "y"]) == [0.5]  # the adapter only parses
+    with pytest.raises(AdapterProtocolError, match="^response count mismatch: sent 2, got 1$") as info:
+        predict_batch(["x", "y"], adapter)
+    assert info.traceback[-1].name == "predict_batch"
 
 
 def test_subprocess_protocol_is_utf8_under_an_ascii_locale(tmp_path):
@@ -345,6 +375,14 @@ def test_http_adapter_rejects_malformed_response(canned_http, body, message):
     adapter = canned_http(body)
     with pytest.raises(AdapterProtocolError, match=message):
         predict_batch(["x"], adapter)
+
+
+def test_a_short_http_answer_fails_in_predict_batch(canned_http):
+    adapter = canned_http(b'{"probabilities": [0.5]}')
+    assert adapter.score_batch(["x", "y"]) == [0.5]  # the adapter only parses
+    with pytest.raises(AdapterProtocolError, match="^response count mismatch: sent 2, got 1$") as info:
+        predict_batch(["x", "y"], adapter)
+    assert info.traceback[-1].name == "predict_batch"
 
 
 def test_http_adapter_accepts_integer_probabilities(canned_http):
