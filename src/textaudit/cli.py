@@ -14,11 +14,11 @@ import sys
 
 from .errors import ConfigError
 from .modeliface import ADAPTER_KINDS
-from .report import SECTIONS, AuditConfig, read_json, run_audit, set_path
+from .report import AuditConfig, read_json, run_audit, set_path
 
-# Each subcommand's sections and help text.
+# Each subcommand's sections and help text; audit runs the config's sections.
 COMMANDS = {
-    "audit": (list(SECTIONS), "run every assessment and write the full report"),
+    "audit": (None, "run the config's sections (by default every assessment)"),
     "perf": (["performance"], "technical performance report"),
     "data-bias": (["data_bias"], "identity-term and subgroup-reference frequency tables"),
     "embed-bias": (["embedding_bias"], "embedding-bias AMAE/ARMSE"),
@@ -95,7 +95,9 @@ def build_config(args: argparse.Namespace) -> AuditConfig:
         value = getattr(args, options.get("dest", flag[2:].replace("-", "_")))
         if value is not None:
             set_path(data, key, value)
-    data["sections"] = COMMANDS[args.command][0]
+    sections = COMMANDS[args.command][0]
+    if sections is not None:
+        data["sections"] = sections
     if args.command.startswith("explain-"):
         set_path(data, "explanation.mode", args.command.removeprefix("explain-"))
     return AuditConfig.from_dict(data)

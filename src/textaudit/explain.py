@@ -21,7 +21,6 @@ back; an audit scores the texts of every plan together first.
 import hashlib
 import math
 import random
-from array import array
 from itertools import compress
 from operator import mul
 from typing import NamedTuple
@@ -49,9 +48,9 @@ def _unique_tokens(text: str) -> tuple[list[str], list[tuple[int, TokenSpan]]]:
     return list(index), spans
 
 
-def _realize_mask(text: str, spans: list[tuple[int, TokenSpan]], mask) -> str:
-    """``text`` with every occurrence of each token whose mask entry is 0 deleted."""
-    doomed = [(span, "") for j, span in spans if not mask[j]]
+def _realize_mask(text: str, spans: list[tuple[int, TokenSpan]], bits: int) -> str:
+    """``text`` with every occurrence of each token whose bit in ``bits`` is 0 deleted."""
+    doomed = [(span, "") for j, span in spans if not bits >> j & 1]
     if not doomed:
         return text
     return " ".join(splice(text, doomed).split())
@@ -72,61 +71,49 @@ class LocalExplanation(NamedTuple):
     to_dict = plain
 
 
-def _mask_weights(masks: list[list[int]], kernel_width: float) -> list[float]:
+def _mask_weights(masks: range | list[int], k: int, kernel_width: float) -> list[float]:
     # Cosine distance between each binary mask and the all-ones mask is
     # 1 - sqrt(kept fraction); the empty mask gets the maximum distance 1.
     weights = []
     for mask in masks:
-        kept = sum(mask)
-        distance = 1.0 - math.sqrt(kept / len(mask)) if kept else 1.0
+        kept = mask.bit_count()
+        distance = 1.0 - math.sqrt(kept / k) if kept else 1.0
         weights.append(math.exp(-(distance**2) / (kernel_width**2)))
     return weights
 
 
 def _ridge_coefficients(
-    masks: list[list[int]], weights: list[float], y: list[float], l2_lambda: float
+    masks: range | list[int], k: int, weights: list[float], y: list[float], l2_lambda: float
 ) -> list[float]:
-    """Weighted ridge fit of y on each mask plus an intercept, which comes last.
+    """Weighted ridge fit of y on each mask's k bits plus an intercept, which comes last.
 
     The intercept is not penalized. Raises ``ZeroDivisionError`` when the
     normal equations are exactly singular.
     """
-    size = len(masks[0]) + 1
+    size = k + 1
     # The kernel gives every mask with the same number of kept tokens the same
     # weight, so a comment has few distinct weights however many masks it has.
-    # Masks of one weight are counted as integers: each mask, with the
-    # intercept's 1 appended, is packed into one integer with a field per
-    # column, and the sum of the packed masks that keep column i holds in
-    # field j the number that keep both i and j. A Gram entry is then a sum
-    # over weights, not over masks.
-    groups: dict[float, list[list[int]]] = {}
+    # For each weight, column i is one integer whose bit r says whether that
+    # weight's r-th mask keeps column i (the intercept, bit k, is always kept),
+    # so the masks of that weight keeping both i and j number the popcount of
+    # the two columns' AND. A Gram entry is then a sum over weights, not masks.
+    groups: dict[float, list[int]] = {}
     for mask, w in zip(masks, weights):
-        groups.setdefault(w, []).append(mask + [1])
-    group_weights = list(groups)
-    largest = max(map(len, groups.values()))
-    code = next(c for c in "BHL" if largest < 256 ** array(c).itemsize)
-    field_bytes = array(code).itemsize
-    packed = [
-        [int.from_bytes(array(code, row).tobytes(), "little") for row in rows]
+        groups.setdefault(w, []).append(mask | 1 << k)
+    columns = [
+        [sum(1 << r for r, mask in enumerate(rows) if mask >> i & 1) for i in range(size)]
         for rows in groups.values()
     ]
-    columns = [list(zip(*rows)) for rows in groups.values()]
     gram = [[0.0] * size for _ in range(size)]  # upper triangle only; _solve reads no more
     for i in range(size):
-        # counts[g][j - i]: masks of the g-th weight that keep columns i and j >= i
-        counts = [
-            memoryview(
-                (sum(compress(rows, cols[i])) >> (8 * field_bytes * i)).to_bytes(
-                    field_bytes * (size - i), "little"
-                )
-            ).cast(code)
-            for rows, cols in zip(packed, columns)
+        gram[i][i:] = [
+            sum(w * (cols[i] & cols[j]).bit_count() for w, cols in zip(groups, columns))
+            for j in range(i, size)
         ]
-        gram[i][i:] = [sum(map(mul, group_weights, per_weight)) for per_weight in zip(*counts)]
-    for j in range(size - 1):
+    for j in range(k):
         gram[j][j] += l2_lambda
     weighted_y = list(map(mul, weights, y))
-    rhs = [sum(compress(weighted_y, column)) for column in zip(*masks)]
+    rhs = [sum(compress(weighted_y, (mask >> i & 1 for mask in masks))) for i in range(k)]
     rhs.append(sum(weighted_y))
     return _solve(gram, rhs)
 
@@ -182,24 +169,27 @@ def plan_local_explain(
             f"n_samples must be at least unique tokens + 1 ({k + 1}), got {n_samples}"
         )
 
+    # Bit j of a mask keeps token j.
     if k <= 20 and 2**k <= n_samples:
-        masks = [[(i >> j) & 1 for j in range(k)] for i in range(2**k)]
+        masks: range | list[int] = range(2**k)
     else:
         rng = _comment_rng(rng_seed, comment.id)
-        masks = [[1] * k]
-        masks += [[rng.getrandbits(1) for _ in range(k)] for _ in range(n_samples - 1)]
+        masks = [(1 << k) - 1]
+        masks += [sum(rng.getrandbits(1) << j for j in range(k)) for _ in range(n_samples - 1)]
 
     texts = [_realize_mask(comment.text, spans, mask) for mask in masks]
 
     def finish(y: list[float]) -> LocalExplanation:
-        w = _mask_weights(masks, kernel_width)
+        w = _mask_weights(masks, k, kernel_width)
         try:
-            beta = _ridge_coefficients(masks, w, y, l2_lambda)
+            beta = _ridge_coefficients(masks, k, w, y, l2_lambda)
         except ZeroDivisionError as exc:
             raise ExplainError(f"degenerate design matrix for comment {comment.id!r}") from exc
 
         intercept = beta[k]
-        fitted = [intercept + sum(compress(beta, mask)) for mask in masks]
+        fitted = [
+            intercept + sum(compress(beta, (mask >> j & 1 for j in range(k)))) for mask in masks
+        ]
         ss_res = sum(wi * (yi - fi) ** 2 for wi, yi, fi in zip(w, y, fitted))
         y_bar = sum(wi * yi for wi, yi in zip(w, y)) / sum(w)
         ss_tot = sum(wi * (yi - y_bar) ** 2 for wi, yi in zip(w, y))
@@ -286,9 +276,9 @@ def _plan_occlusion(
     for comment in corpus:
         tokens, spans = _capped_tokens(comment.text, max_tokens_per_comment)
         full_texts.append(comment.text)
+        every = (1 << len(tokens)) - 1
         deletion_texts.extend(
-            _realize_mask(comment.text, spans, [j != t for j in range(len(tokens))])
-            for t in range(len(tokens))
+            _realize_mask(comment.text, spans, every ^ 1 << t) for t in range(len(tokens))
         )
         token_lists.append(tokens)
 
@@ -319,12 +309,17 @@ def _plan_sampled_shapley(
             continue
         rng = _comment_rng(rng_seed, comment.id)
         orders = [rng.sample(range(k), k) for _ in range(m_permutations)]
-        slot_of: dict[int, int] = {}  # coalition bitset -> index into texts
-        for bits in _prefix_bitsets(orders):
-            if bits not in slot_of:
-                slot_of[bits] = len(texts)
-                mask = [(bits >> j) & 1 for j in range(k)]
-                texts.append(_realize_mask(comment.text, spans, mask))
+        # coalition bitset -> index into texts: the empty coalition, then
+        # every prefix of every order, in draw order
+        slot_of = {0: len(texts)}
+        texts.append(_realize_mask(comment.text, spans, 0))
+        for order in orders:
+            bits = 0
+            for j in order:
+                bits |= 1 << j
+                if bits not in slot_of:
+                    slot_of[bits] = len(texts)
+                    texts.append(_realize_mask(comment.text, spans, bits))
         plans.append((tokens, orders, slot_of))
 
     def finish(values: list[float]) -> dict[str, list[float]]:
@@ -345,16 +340,6 @@ def _plan_sampled_shapley(
         return effects
 
     return ScoringPlan(texts, finish)
-
-
-def _prefix_bitsets(orders: list[list[int]]):
-    """The empty coalition, then every prefix of every order, in draw order."""
-    yield 0
-    for order in orders:
-        bits = 0
-        for j in order:
-            bits |= 1 << j
-            yield bits
 
 
 def plan_global_importance(
@@ -445,10 +430,7 @@ def exact_shapley(
             f"exact Shapley enumeration is limited to {EXACT_SHAPLEY_MAX_TOKENS} unique tokens, "
             f"comment {comment.id!r} has {k}"
         )
-    texts = []
-    for bits in range(2**k):
-        mask = [(bits >> j) & 1 for j in range(k)]
-        texts.append(_realize_mask(comment.text, spans, mask))
+    texts = [_realize_mask(comment.text, spans, bits) for bits in range(2**k)]
     values = predict_batch(texts, adapter, cache)
 
     size_weight = [
@@ -456,7 +438,7 @@ def exact_shapley(
     ]
     shapley = [0.0] * k
     for bits in range(2**k):
-        size = bin(bits).count("1")
+        size = bits.bit_count()
         for j in range(k):
             if bits & (1 << j):
                 continue

@@ -193,6 +193,17 @@ def test_perf_subcommand_runs_single_section(tmp_path):
     assert report["sections"]["performance"]["data"]["accuracy"] == pytest.approx(0.9)
 
 
+def test_audit_runs_the_config_sections_and_perf_its_own(tmp_path):
+    config = json.loads((FIXTURES_DIR / "audit_config.json").read_text())
+    config["sections"] = ["performance", "emissions"]
+    path = tmp_path / "audit.json"
+    path.write_text(json.dumps(config))
+    for command, expected in (("audit", ["emissions", "performance"]), ("perf", ["performance"])):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        assert sorted(json.loads((out / "report.json").read_text())["sections"]) == expected
+
+
 def test_class_bias_subcommand_sections(tmp_path):
     code = main(
         [

@@ -1,4 +1,5 @@
 import math
+from itertools import compress
 
 import numpy as np
 import pytest
@@ -107,7 +108,8 @@ def test_local_explain_degenerate_design_raises():
     l2_lambda=st.floats(1e-6, 1.0),
     kernel_width=st.one_of(st.none(), st.floats(0.5, 2.0)),
 )
-# One weight shared by more than 255 masks: the packed counts need 2-byte fields.
+# 322 masks keep the one token and 278 keep none: each weight's columns are
+# integers of several machine words, not one.
 @example(seed=0, k=1, n_samples=600, l2_lambda=1e-3, kernel_width=0.75)
 def test_ridge_coefficients_match_numpy_solve(seed, k, n_samples, l2_lambda, kernel_width):
     # kernel_width None: a different weight per mask; otherwise the audit's
@@ -119,10 +121,11 @@ def test_ridge_coefficients_match_numpy_solve(seed, k, n_samples, l2_lambda, ker
     rng = np.random.default_rng(seed)
     masks = rng.integers(0, 2, size=(n_samples, k))
     masks[0] = 1
+    bits = (masks << np.arange(k)).sum(axis=1).tolist()  # bit j of a mask keeps token j
     if kernel_width is None:
         weights = rng.uniform(0.05, 1.0, size=n_samples)
     else:
-        weights = np.asarray(explain._mask_weights(masks.tolist(), kernel_width))
+        weights = np.asarray(explain._mask_weights(bits, k, kernel_width))
     y = rng.uniform(0.0, 1.0, size=n_samples)
 
     X = np.hstack([masks, np.ones((n_samples, 1))])
@@ -130,8 +133,20 @@ def test_ridge_coefficients_match_numpy_solve(seed, k, n_samples, l2_lambda, ker
     ridge[k, k] = 0.0
     expected = np.linalg.solve(X.T @ (X * weights[:, None]) + ridge, X.T @ (weights * y))
 
-    got = explain._ridge_coefficients(masks.tolist(), weights.tolist(), y.tolist(), l2_lambda)
+    got = explain._ridge_coefficients(bits, k, weights.tolist(), y.tolist(), l2_lambda)
     assert np.linalg.norm(np.asarray(got) - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampled_masks_draw_one_bit_per_token_in_token_order(seed):
+    # The all-ones mask, then per mask one getrandbits(1) draw per token:
+    # drawing a mask's k bits at once would change every sampled text.
+    words = [f"tok{j}" for j in range(30)]
+    comment = Comment(id="long", text=" ".join(words), label=0)
+    rng = explain._comment_rng(seed, comment.id)
+    keeps = [[1] * 30] + [[rng.getrandbits(1) for _ in range(30)] for _ in range(63)]
+    expected = [" ".join(compress(words, keep)) for keep in keeps]
+    assert explain.plan_local_explain(comment, n_samples=64, rng_seed=seed).texts == expected
 
 
 def test_local_explain_requires_enough_samples():
@@ -275,15 +290,11 @@ def reference_sampled_shapley_effects(
         rng = explain._comment_rng(rng_seed, comment.id)
         value_memo = {}
 
-        def coalition_text(bits):
-            mask = [(bits >> j) & 1 for j in range(k)]
-            return explain._realize_mask(comment.text, spans, mask)
-
         def ensure_values(bit_sets):
             missing = [b for b in dict.fromkeys(bit_sets) if b not in value_memo]
             if not missing:
                 return
-            texts = [coalition_text(b) for b in missing]
+            texts = [explain._realize_mask(comment.text, spans, b) for b in missing]
             for b, p in zip(missing, predict_batch(texts, adapter, cache)):
                 value_memo[b] = p
 
