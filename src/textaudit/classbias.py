@@ -59,7 +59,7 @@ class ClassReport(NamedTuple):
     to_dict = plain
 
 
-def _safe_ratio(numerator: int, denominator: int, flag: str, flags: list[str]) -> float:
+def _safe_ratio(numerator: float, denominator: float, flag: str, flags: list[str]) -> float:
     if denominator == 0:
         flags.append(flag)
         return 0.0
@@ -88,31 +88,19 @@ def performance_report(
         support = tp + fn
         precision = _safe_ratio(tp, tp + fp, f"precision[{name}]", flags)
         recall = _safe_ratio(tp, support, f"recall[{name}]", flags)
-        if precision + recall == 0.0:
-            flags.append(f"f1[{name}]")
-            f1 = 0.0
-        else:
-            f1 = 2 * precision * recall / (precision + recall)
+        f1 = _safe_ratio(2 * precision * recall, precision + recall, f"f1[{name}]", flags)
         per_class[name] = ClassMetrics(precision=precision, recall=recall, f1=f1, support=support)
 
-    macro = ClassMetrics(
-        precision=sum(m.precision for m in per_class.values()) / 2,
-        recall=sum(m.recall for m in per_class.values()) / 2,
-        f1=sum(m.f1 for m in per_class.values()) / 2,
-        support=total,
-    )
-    weighted = ClassMetrics(
-        precision=sum(m.precision * m.support for m in per_class.values()) / total,
-        recall=sum(m.recall * m.support for m in per_class.values()) / total,
-        f1=sum(m.f1 * m.support for m in per_class.values()) / total,
-        support=total,
-    )
-    accuracy = (confusion[(0, 0)] + confusion[(1, 1)]) / total
+    def average(weights: list[int], divisor: int) -> ClassMetrics:
+        """Each rate times its class's weight, summed in class order, over ``divisor``."""
+        rates = (sum(m[i] * w for m, w in zip(per_class.values(), weights)) / divisor for i in range(3))
+        return ClassMetrics(*rates, support=total)
+
     return ClassReport(
         per_class=per_class,
-        macro=macro,
-        weighted=weighted,
-        accuracy=accuracy,
+        macro=average([1, 1], 2),
+        weighted=average([m.support for m in per_class.values()], total),
+        accuracy=(confusion[(0, 0)] + confusion[(1, 1)]) / total,
         threshold=threshold,
         zero_division_flags=tuple(flags),
     )
@@ -262,9 +250,8 @@ def plan_swap_favor(
     n = len(eligible)
 
     def finish(probs: list[float]) -> FavorReport:
-        tallies = {sub_a: 0, sub_b: 0, "no_change": 0}
-        by_label = {CLASS_NAMES[0]: {sub_a: 0, sub_b: 0, "no_change": 0},
-                    CLASS_NAMES[1]: {sub_a: 0, sub_b: 0, "no_change": 0}}
+        outcomes = (sub_a, sub_b, "no_change")
+        by_label = {name: dict.fromkeys(outcomes, 0) for name in CLASS_NAMES.values()}
         for (cid, label, referenced), po, ps in zip(eligible, probs[:n], probs[n:]):
             ro = round(po, rounding_decimals)
             rs = round(ps, rounding_decimals)
@@ -275,16 +262,16 @@ def plan_swap_favor(
                 outcome = referenced if ro < rs else other
             else:
                 outcome = referenced if ro > rs else other
-            tallies[outcome] += 1
             by_label[CLASS_NAMES[label]][outcome] += 1
 
+        overall = {o: sum(counts[o] for counts in by_label.values()) for o in outcomes}
         return FavorReport(
             attribute=attribute,
             sub_a=sub_a,
             sub_b=sub_b,
-            fraction_favor_a=tallies[sub_a] / n,
-            fraction_favor_b=tallies[sub_b] / n,
-            fraction_no_change=tallies["no_change"] / n,
+            fraction_favor_a=overall[sub_a] / n,
+            fraction_favor_b=overall[sub_b] / n,
+            fraction_no_change=overall["no_change"] / n,
             n_swapped=n,
             rounding_decimals=rounding_decimals,
             by_label=by_label,
@@ -332,12 +319,6 @@ class CounterfactualCorpus(NamedTuple):
     """Template realizations, grouped so each group spans all subgroups."""
 
     rows: tuple[CounterfactualRow, ...]
-
-    def groups(self) -> list[list[CounterfactualRow]]:
-        grouped: dict[int, list[CounterfactualRow]] = {}
-        for row in self.rows:
-            grouped.setdefault(row.group_index, []).append(row)
-        return [grouped[g] for g in sorted(grouped)]
 
 
 def expand_templates(
@@ -410,23 +391,22 @@ def counterfactual_bias(
         raise AuditError(
             f"need one probability per row: {len(corpus.rows)} rows, {len(probabilities)} probabilities"
         )
-    p_by_row = dict(zip(corpus.rows, probabilities))
+    # group index -> (first row's label, reference and counterfactual probabilities, in row order)
+    groups: dict[int, tuple[int, list[float], list[float]]] = {}
+    for row, p in zip(corpus.rows, probabilities):
+        _, p_refs, p_cfs = groups.setdefault(row.group_index, (row.label, [], []))
+        (p_refs if row.subgroup == reference else p_cfs).append(p)
     total = 0.0
-    groups = corpus.groups()
-    for group in groups:
-        reference_rows = [row for row in group if row.subgroup == reference]
-        if len(reference_rows) != 1:
+    for index in sorted(groups):
+        label, p_refs, p_cfs = groups[index]
+        if len(p_refs) != 1:
             raise AuditError(
-                f"group {group[0].group_index} needs exactly one {reference!r} realization, "
-                f"found {len(reference_rows)}"
+                f"group {index} needs exactly one {reference!r} realization, found {len(p_refs)}"
             )
-        counterfactuals = [row for row in group if row.subgroup != reference]
-        if not counterfactuals:
-            raise AuditError(f"group {group[0].group_index} has no counterfactual realization")
-        p_ref = p_by_row[reference_rows[0]]
-        p_cf = sum(p_by_row[row] for row in counterfactuals) / len(counterfactuals)
-        sign = 1.0 if group[0].label == 1 else -1.0
-        total += (p_ref - p_cf) * sign
+        if not p_cfs:
+            raise AuditError(f"group {index} has no counterfactual realization")
+        sign = 1.0 if label == 1 else -1.0
+        total += (p_refs[0] - sum(p_cfs) / len(p_cfs)) * sign
     return CBResult(
         reference=reference,
         cb_total=total,
@@ -532,7 +512,7 @@ def fairness_metrics(
         raise AuditError(f"fairness metrics need two subgroups, got {attribute}.{reference} twice")
     parts: dict[str, dict] = {}
     for name in (reference, protected):
-        members = annotated.comments_referencing(attribute, name)
+        members = annotated.members.get((attribute, name), [])
         if not members:
             raise AuditError(f"no annotated comment references {attribute}.{name}")
         probs = comment_probabilities(preds, members)

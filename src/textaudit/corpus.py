@@ -138,8 +138,8 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
     ``split`` optional, RFC-4180 quoting). JSONL is one object per line with
     the same keys. Labels are 0/1 or "hateful"/"not-hateful"
     (case-insensitive). Records without an id column get ids "row-<n>"
-    (1-based). Loading is deterministic: identical bytes yield an identical
-    corpus.
+    (1-based). A file without any record is an error. Loading is
+    deterministic: identical bytes yield an identical corpus.
     """
     if format not in ("csv", "jsonl"):
         raise DatasetError(f"unknown dataset format {format!r}")
@@ -190,6 +190,8 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
                     ) from exc
             _check_duplicate(comment.id, seen_ids, line)
             comments.append(comment)
+    if not comments:
+        raise DatasetError(f"dataset {path} has no records")
     return LabeledCorpus(comments)
 
 

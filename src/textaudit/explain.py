@@ -193,10 +193,8 @@ def plan_local_explain(
         ss_res = sum(wi * (yi - fi) ** 2 for wi, yi, fi in zip(w, y, fitted))
         y_bar = sum(wi * yi for wi, yi in zip(w, y)) / sum(w)
         ss_tot = sum(wi * (yi - y_bar) ** 2 for wi, yi in zip(w, y))
-        if ss_tot > 1e-30:
-            r2 = 1.0 - ss_res / ss_tot
-        else:
-            r2 = 1.0 if ss_res <= 1e-30 else 0.0
+        # A constant response is fitted by the unpenalized intercept: what ss_res holds is rounding.
+        r2 = 1.0 - ss_res / ss_tot if ss_tot > 1e-30 else 1.0
 
         return LocalExplanation(
             comment_id=comment.id,

@@ -58,9 +58,6 @@ class AnnotatedCorpus(NamedTuple):
     def refs(self, comment_id: str) -> tuple[SubgroupRef, ...]:
         return self.annotations.get(comment_id, ())
 
-    def comments_referencing(self, attribute: str, subgroup: str) -> list[Comment]:
-        return list(self.members.get((attribute, subgroup), ()))
-
 
 def term_occurrences(tokens: list[TokenSpan], term: str) -> list[TokenSpan]:
     """Whole-token occurrences of a (possibly multi-token) term.

@@ -511,6 +511,10 @@ class _AuditRun:
         return {"results": results}
 
     def section_subgroup_stats(self):
+        known = {*self.lexicon.attributes, *(attribute for attribute, _ in self.gazetteer.values())}
+        for attribute in self.config.attributes:
+            if attribute not in known:
+                raise AuditError(f"unknown attribute {attribute!r}")
         return self.from_records(lambda records: {
             "per_attribute": [
                 subgroup_probability_stats(self.annotated, records, attribute)

@@ -420,6 +420,14 @@ def test_favor_requires_eligible_comments():
 # counterfactual templates and the CB metric
 # ---------------------------------------------------------------------------
 
+def rows_by_group(corpus):
+    """The corpus rows per group index, in row order."""
+    groups = {}
+    for row in corpus.rows:
+        groups.setdefault(row.group_index, []).append(row)
+    return groups
+
+
 def test_expand_templates_reference_rows():
     fills = {"christianity": ["Christian"], "islam": ["Muslim"]}
     corpus = expand_templates(default_templates(), LEX, "religion", fills)
@@ -431,7 +439,7 @@ def test_expand_templates_reference_rows():
         "Muslim people are gross and universally terrible",
     ]
     assert [row.label for row in corpus.rows] == [0, 0, 1, 1]
-    assert len(corpus.groups()) == 2
+    assert len(rows_by_group(corpus)) == 2
 
 
 def test_expand_templates_counts():
@@ -439,8 +447,9 @@ def test_expand_templates_counts():
     fills = {"christianity": ["Christian"], "islam": ["Muslim"]}
     corpus = expand_templates(templates, LEX, "religion", fills)
     assert len(corpus.rows) == 6
-    assert len(corpus.groups()) == 3
-    for group in corpus.groups():
+    groups = rows_by_group(corpus)
+    assert len(groups) == 3
+    for group in groups.values():
         assert {row.subgroup for row in group} == {"christianity", "islam"}
         assert len({row.label for row in group}) == 1
 
@@ -529,6 +538,51 @@ def test_cb_invariant_to_flat_group():
     grown = counterfactual_bias(CounterfactualCorpus(rows=tuple(extended)), probs + [0.4, 0.4], "a")
     assert grown.cb_total == pytest.approx(base.cb_total, abs=1e-12)
     assert grown.n_examples == 2
+
+
+def _brute_force_cb(scored, reference):
+    """CB total and group count: each group index in ascending order, found by scanning every row."""
+    total = 0.0
+    indices = sorted({row.group_index for row, _ in scored})
+    for index in indices:
+        members = [(row, p) for row, p in scored if row.group_index == index]
+        p_ref = [p for row, p in members if row.subgroup == reference]
+        p_cf = [p for row, p in members if row.subgroup != reference]
+        sign = 1.0 if members[0][0].label == 1 else -1.0
+        total += (p_ref[0] - sum(p_cf) / len(p_cf)) * sign
+    return total, len(indices)
+
+
+@st.composite
+def counterfactual_cases(draw):
+    """(row, p) of 1-5 groups with out-of-order indices, each holding "a" and 1-3 other
+    subgroups under one label, in a shuffled order that interleaves the groups' rows."""
+    scored = []
+    for index in draw(st.lists(st.integers(0, 99), min_size=1, max_size=5, unique=True)):
+        others = draw(st.lists(st.sampled_from("bcd"), min_size=1, max_size=3, unique=True))
+        for row in group_rows(index, draw(st.integers(0, 1)), ["a", *others]):
+            scored.append((row, draw(st.floats(0.0, 1.0))))
+    return draw(st.permutations(scored))
+
+
+@settings(max_examples=200, deadline=None)
+@given(counterfactual_cases())
+def test_counterfactual_bias_matches_a_brute_force_loop(scored):
+    corpus = CounterfactualCorpus(rows=tuple(row for row, _ in scored))
+    probabilities = [p for _, p in scored]
+    total, n = _brute_force_cb(scored, "a")
+    assert counterfactual_bias(corpus, probabilities, "a") == CBResult("a", total, total / n, n)
+    # "b" is missing from some groups; the lowest such group index is the one named
+    missing = sorted(
+        {row.group_index for row, _ in scored}
+        - {row.group_index for row, _ in scored if row.subgroup == "b"}
+    )
+    if missing:
+        with pytest.raises(AuditError, match=f"^group {missing[0]} needs exactly one 'b' "):
+            counterfactual_bias(corpus, probabilities, "b")
+    else:
+        total, n = _brute_force_cb(scored, "b")
+        assert counterfactual_bias(corpus, probabilities, "b") == CBResult("b", total, total / n, n)
 
 
 def test_counterfactual_probability_stats():

@@ -217,6 +217,33 @@ def test_class_bias_subcommand_sections(tmp_path):
     assert set(report["sections"]) == {"subgroup_stats", "fairness_metrics"}
 
 
+def test_unknown_attribute_fails_subgroup_stats(tmp_path):
+    argv = ["class-bias", "--config", str(FIXTURES_DIR / "audit_config.json"), "--attributes", "gendre"]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    sections = json.loads((tmp_path / "report.json").read_text())["sections"]
+    assert sections["subgroup_stats"] == {
+        "status": "failed",
+        "error": "AuditError: unknown attribute 'gendre'",
+    }
+    assert sections["fairness_metrics"]["status"] == "computed"
+
+
+def test_gazetteer_only_attribute_has_subgroup_stats(tmp_path):
+    gazetteer = tmp_path / "gazetteer.json"
+    gazetteer.write_text(json.dumps({"muslim": ["faith", "islam"], "imam": ["faith", "islam"]}))
+    argv = ["class-bias", "--config", str(FIXTURES_DIR / "audit_config.json"), "--attributes", "faith"]
+    out = tmp_path / "out"
+    assert main([*argv, "--gazetteer", str(gazetteer), "--out", str(out)]) == 0
+    stats = json.loads((out / "report.json").read_text())["sections"]["subgroup_stats"]
+    assert stats["status"] == "computed"
+    [per_attribute] = stats["data"]["per_attribute"]
+    assert per_attribute["attribute"] == "faith"
+    assert [(row["actual"], row["subgroup"], row["n"]) for row in per_attribute["rows"]] == [
+        ("not-hateful", "islam", 2),
+        ("hateful", "islam", 1),
+    ]
+
+
 def test_explain_local_mode_override(tmp_path):
     code = main(
         [
@@ -477,6 +504,16 @@ def test_lone_surrogate_dataset_id_exit_one(tmp_path, capsys):
         "config error: dataset: line 1: comment 'a\\ud800': id is not valid Unicode "
         "(surrogates not allowed)\n"
     )
+    assert not out.exists()
+
+
+def test_dataset_without_records_exit_one(tmp_path, capsys):
+    dataset = tmp_path / "header_only.csv"
+    dataset.write_text("id,text,label\n")
+    out = tmp_path / "out"
+    argv = ["audit", "--config", str(FIXTURES_DIR / "audit_config.json"), "--dataset", str(dataset)]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: dataset: dataset {dataset} has no records\n"
     assert not out.exists()
 
 

@@ -59,6 +59,21 @@ def test_local_explain_constant_model_zero_weights():
         assert weight == pytest.approx(0.0, abs=1e-9), token
 
 
+@pytest.mark.parametrize(
+    "text, n_samples",
+    [
+        ("five tokens in this comment", 64),  # every mask enumerated
+        (" ".join(f"w{i}" for i in range(25)), 512),  # sampled masks
+    ],
+)
+def test_local_explain_constant_model_fits_perfectly(text, n_samples):
+    # The intercept reproduces a constant response; the residuals are rounding.
+    comment = Comment(id="c", text=text, label=0)
+    explanation = local_explain(comment, constant_adapter(), n_samples=n_samples, rng_seed=3)
+    assert explanation.intercept == pytest.approx(0.5, abs=1e-12)
+    assert explanation.surrogate_fit_r2 == 1.0
+
+
 def test_local_explain_deterministic():
     comment = Comment(
         id="c",

@@ -89,6 +89,16 @@ def test_csv_header_errors_name_the_file(tmp_path, name, content, message):
     assert str(caught.value) == f"{name} {path} {message}"
 
 
+@pytest.mark.parametrize("format, content", [("csv", "id,text,label\n"), ("jsonl", "\n  \n\n")])
+def test_dataset_without_records_rejected(tmp_path, format, content):
+    # An empty corpus would fail every section that divides by its size.
+    path = tmp_path / f"dataset.{format}"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(DatasetError) as caught:
+        load_dataset(path, format)
+    assert str(caught.value) == f"dataset {path} has no records"
+
+
 # Rows the CSV loaders read as csv.DictReader does: a blank row is skipped, a
 # short row's missing fields are missing, and a line number is the physical
 # line a row ends on. A row longer than the header is an error in both.
