@@ -110,7 +110,8 @@ def _build_comment(
     """The comment of one record's fields, each ``None`` where the record lacks it.
 
     An id is stripped, as :func:`~textaudit.modeliface.load_predictions`
-    strips the ids it reads, so " a1 " and "a1" are one id.
+    strips the ids it reads, so " a1 " and "a1" are one id. It must be one
+    line: the report names comments by id in table cells and list items.
     """
     if text is None:
         raise DatasetError("missing text field", line)
@@ -126,6 +127,8 @@ def _build_comment(
         comment_id = "" if comment_id is None else str(comment_id).strip()
         if not comment_id:
             raise DatasetError("missing id value", line)
+        if comment_id.splitlines() != [comment_id]:
+            raise DatasetError(f"id {comment_id!r} is not one line", line)
     else:
         comment_id = f"row-{ordinal}"
     return Comment(comment_id, text, label, split)

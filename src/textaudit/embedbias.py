@@ -61,56 +61,30 @@ def load_embeddings(path: str | Path) -> dict[str, array]:
     return vectors
 
 
-def _usable(term: str, table: dict[str, array]) -> bool:
-    """Whether a subgroup term enters its profile: one token, in the table."""
-    return " " not in term and term in table
-
-
-class SimilarityProfile(NamedTuple):
-    """Averaged neutral-word/subgroup-term cosine similarities for one subgroup."""
-
-    subgroup: str
-    x: tuple[float, ...]
-    covered_neutral_terms: tuple[str, ...]
-
-
-def subgroup_similarity_profile(
-    neutrals: tuple[str, ...],
-    subgroup_terms: list[str] | tuple[str, ...],
-    table: dict[str, array],
-    subgroup: str = "",
-) -> SimilarityProfile:
-    """Profile entry j = mean over in-vocabulary subgroup terms of cos(neutral_j, term).
-
-    Only single-token, in-vocabulary terms contribute; neutral words missing
-    from the table are dropped from the profile (and from
-    ``covered_neutral_terms``).
-    """
-    usable_terms = [t for t in subgroup_terms if _usable(t, table)]
-    if not usable_terms:
-        missing = [t for t in subgroup_terms]
-        raise EmbeddingError(
-            f"no in-vocabulary subgroup terms for {subgroup or 'subgroup'}: {missing}"
-        )
-    covered = [w for w in neutrals if w in table]
-    if not covered:
+def _neutral_basis(neutrals: list[str], table: dict[str, array]) -> list[tuple[str, float]]:
+    """The neutral words that have an embedding, in order, each with its norm."""
+    basis = [(w, math.hypot(*table[w])) for w in neutrals if w in table]
+    if not basis:
         raise EmbeddingError("no neutral word has an embedding")
-    term_norms = [math.hypot(*table[t]) for t in usable_terms]
-    if 0.0 in term_norms:
-        bad = [t for t, n in zip(usable_terms, term_norms) if n == 0.0]
+    zero = [w for w, n in basis if n == 0.0]
+    if zero:
+        raise EmbeddingError(f"zero-norm embedding for neutral word(s): {zero}")
+    return basis
+
+
+def _profile(
+    terms: list[str], basis: list[tuple[str, float]], table: dict[str, array]
+) -> tuple[float, ...]:
+    """Entry j = mean over ``terms``, as listed, of cos(neutral word j of ``basis``, term)."""
+    norms = [math.hypot(*table[t]) for t in terms]
+    if 0.0 in norms:
+        bad = [t for t, n in zip(terms, norms) if n == 0.0]
         raise EmbeddingError(f"zero-norm embedding for term(s): {bad}")
-    neutral_norms = [math.hypot(*table[w]) for w in covered]
-    if 0.0 in neutral_norms:
-        bad = [w for w, n in zip(covered, neutral_norms) if n == 0.0]
-        raise EmbeddingError(f"zero-norm embedding for neutral word(s): {bad}")
     # The mean of cos(n, t) over terms t is n/|n| . mean(t/|t|): one dot
     # product per neutral word instead of one per (word, term) pair.
-    units = [[v / n for v in table[t]] for t, n in zip(usable_terms, term_norms)]
+    units = [[v / n for v in table[t]] for t, n in zip(terms, norms)]
     centroid = [sum(column) / len(units) for column in zip(*units)]
-    x = tuple(
-        sum(map(mul, table[w], centroid)) / n for w, n in zip(covered, neutral_norms)
-    )
-    return SimilarityProfile(subgroup=subgroup, x=x, covered_neutral_terms=tuple(covered))
+    return tuple(sum(map(mul, table[w], centroid)) / n for w, n in basis)
 
 
 class PairGap(NamedTuple):
@@ -142,15 +116,16 @@ def embedding_bias(
 ) -> EmbeddingBiasResult:
     """MAE/RMSE between subgroup similarity profiles plus their AMAE/ARMSE means.
 
-    All profiles are computed over the same covered neutral set. Neutral
-    words that collide with a subgroup term of the attribute are excluded
-    with a warning (they cannot be neutral for this attribute).
+    Every profile is taken over one basis: the neutral words that have an
+    embedding. Neutral words that collide with a subgroup term of the
+    attribute are excluded with a warning (they cannot be neutral for this
+    attribute). A subgroup term enters its profile if it is one token in
+    the table; the others are skipped and reported.
     """
-    attribute_terms = {
-        term for terms in lexicon.attributes.get(attribute, {}).values() for term in terms
-    }
-    if not attribute_terms:
+    subgroups = lexicon.attributes.get(attribute)
+    if not subgroups:
         raise EmbeddingError(f"unknown attribute {attribute!r}")
+    attribute_terms = {term for terms in subgroups.values() for term in terms}
     clashing = [w for w in neutrals if w in attribute_terms]
     if clashing:
         warnings.warn(
@@ -158,29 +133,29 @@ def embedding_bias(
             f"{clashing[:10]}",
             stacklevel=2,
         )
-    usable_neutrals = tuple(w for w in neutrals if w not in attribute_terms)
-    if not usable_neutrals:
+    if len(clashing) == len(neutrals):
         raise EmbeddingError("no usable neutral words after removing subgroup-term overlaps")
+    basis = _neutral_basis([w for w in neutrals if w not in attribute_terms], table)
 
     skipped: list[str] = []
-    profiles: dict[str, SimilarityProfile] = {}
-    for subgroup in sorted(lexicon.subgroups(attribute)):
-        terms = lexicon.terms(attribute, subgroup)
-        skipped.extend(t for t in dict.fromkeys(terms) if not _usable(t, table))
-        if any(_usable(t, table) for t in terms):
-            profiles[subgroup] = subgroup_similarity_profile(usable_neutrals, terms, table, subgroup)
+    profiles: dict[str, tuple[float, ...]] = {}
+    for subgroup in sorted(subgroups):
+        terms = subgroups[subgroup]
+        usable = [t for t in terms if " " not in t and t in table]
+        skipped += [t for t in dict.fromkeys(terms) if t not in usable]
+        if usable:
+            profiles[subgroup] = _profile(usable, basis, table)
     if len(profiles) < 2:
         raise EmbeddingError(
             f"attribute {attribute!r}: need at least 2 subgroups with in-vocabulary terms, "
             f"got {len(profiles)}"
         )
 
-    # Every profile covers the same neutral words (those in the table), in order.
-    names = sorted(profiles)
+    names = list(profiles)  # sorted, as filled
     pairwise: list[PairGap] = []
     for i, a in enumerate(names):
         for b in names[i + 1 :]:
-            diff = [xa - xb for xa, xb in zip(profiles[a].x, profiles[b].x)]
+            diff = [xa - xb for xa, xb in zip(profiles[a], profiles[b])]
             mae = sum(map(abs, diff)) / len(diff)
             rmse = math.sqrt(sum(d * d for d in diff) / len(diff))
             pairwise.append(PairGap(subgroup_a=a, subgroup_b=b, mae=mae, rmse=rmse))

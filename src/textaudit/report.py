@@ -510,11 +510,19 @@ class _AuditRun:
         self.files["embedding_bias.csv"] = functools.partial(embedding_bias_csv, results)
         return {"results": results}
 
+    def check_known(self, attribute: str, *subgroups: str) -> None:
+        """Fail unless the lexicon or the gazetteer names ``attribute`` and each of ``subgroups``."""
+        known = {(a, s) for a, names in self.lexicon.attributes.items() for s in names}
+        known.update(self.gazetteer.values())
+        if attribute not in {a for a, _ in known}:
+            raise AuditError(f"unknown attribute {attribute!r}")
+        for subgroup in subgroups:
+            if (attribute, subgroup) not in known:
+                raise AuditError(f"unknown subgroup {attribute}.{subgroup}")
+
     def section_subgroup_stats(self):
-        known = {*self.lexicon.attributes, *(attribute for attribute, _ in self.gazetteer.values())}
         for attribute in self.config.attributes:
-            if attribute not in known:
-                raise AuditError(f"unknown attribute {attribute!r}")
+            self.check_known(attribute)
         return self.from_records(lambda records: {
             "per_attribute": [
                 subgroup_probability_stats(self.annotated, records, attribute)
@@ -546,6 +554,8 @@ class _AuditRun:
         return gather(plans, lambda payloads: {"per_attribute": payloads})
 
     def section_fairness_metrics(self):
+        spec = self.config.fairness
+        self.check_known(spec.attribute, spec.reference, spec.protected)
         return self.from_records(lambda records: fairness_metrics(
             self.annotated,
             records,

@@ -228,6 +228,24 @@ def test_unknown_attribute_fails_subgroup_stats(tmp_path):
     assert sections["fairness_metrics"]["status"] == "computed"
 
 
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--fair-attribute", "gendre"], "unknown attribute 'gendre'"),
+        (["--reference", "males"], "unknown subgroup gender.males"),
+        # A subgroup the gazetteer knows but no fixture comment references.
+        (["--fair-attribute", "religion", "--reference", "islam", "--protected", "sikhism"],
+         "no annotated comment references religion.sikhism"),
+    ],
+)
+def test_unknown_fairness_group_named_as_unknown(tmp_path, flags, error):
+    argv = ["class-bias", "--config", str(FIXTURES_DIR / "audit_config.json"), *flags]
+    assert main([*argv, "--out", str(tmp_path)]) == 2
+    sections = json.loads((tmp_path / "report.json").read_text())["sections"]
+    assert sections["fairness_metrics"] == {"status": "failed", "error": f"AuditError: {error}"}
+    assert sections["subgroup_stats"]["status"] == "computed"
+
+
 def test_gazetteer_only_attribute_has_subgroup_stats(tmp_path):
     gazetteer = tmp_path / "gazetteer.json"
     gazetteer.write_text(json.dumps({"muslim": ["faith", "islam"], "imam": ["faith", "islam"]}))

@@ -129,9 +129,14 @@ def test_jsonl_lone_surrogate_rejected(tmp_path):
          "line 2: comment 'b': text is not valid Unicode (surrogates not allowed)"),
         ("jsonl", '{"id": "a\\udc80", "text": "fine", "label": 0}\n',
          "line 1: comment 'a\\udc80': id is not valid Unicode (surrogates not allowed)"),
+        # U+2028 breaks a line as "\n" does; the CSV loader counts it as one.
+        ("csv", 'id,text,label\na,fine,0\n"h0\u20281",odd,1\n', "line 4: id 'h0\\u20281' is not one line"),
+        ("jsonl", '{"id": "a", "text": "fine", "label": 0}\n{"id": "h0\\u20281", "text": "odd", "label": 1}\n',
+         "line 2: id 'h0\\u20281' is not one line"),
     ],
     ids=["jsonl-label-2", "csv-blank-text", "jsonl-blank-text", "unknown-split", "duplicate-id",
-         "csv-padded-duplicate-id", "jsonl-padded-duplicate-id", "text-surrogate", "id-surrogate"],
+         "csv-padded-duplicate-id", "jsonl-padded-duplicate-id", "text-surrogate", "id-surrogate",
+         "csv-id-line-break", "jsonl-id-line-break"],
 )
 def test_loader_rejects_bad_record_naming_its_line(tmp_path, format, body, message):
     path = tmp_path / f"data.{format}"

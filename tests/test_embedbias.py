@@ -1,4 +1,5 @@
 import math
+import warnings
 from array import array
 
 import numpy as np
@@ -7,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textaudit.embedbias import (
+    _neutral_basis,
+    _profile,
     embedding_bias,
     embedding_bias_csv,
     load_embeddings,
-    subgroup_similarity_profile,
 )
 from textaudit.errors import EmbeddingError
 from textaudit.lexicon import _lexicon_from_obj
@@ -18,6 +20,10 @@ from textaudit.lexicon import _lexicon_from_obj
 
 def table_of(**vectors):
     return {k: array("d", v) for k, v in vectors.items()}
+
+
+def profile_of(neutrals, terms, table):
+    return _profile(terms, _neutral_basis(neutrals, table), table)
 
 
 def test_load_embeddings_basic(tmp_path):
@@ -68,29 +74,26 @@ def test_load_embeddings_bad_number(tmp_path):
 
 def test_cosine_closed_form():
     table = table_of(n=[1, 1], t=[1, 0])
-    profile = subgroup_similarity_profile(("n",), ["t"], table, "s")
-    assert profile.x == pytest.approx((1 / math.sqrt(2),), abs=1e-9)
+    assert profile_of(["n"], ["t"], table) == pytest.approx((1 / math.sqrt(2),), abs=1e-9)
 
 
 def test_cosine_zero_norm_rejected():
-    neutrals = ("n",)
+    neutrals = ["n"]
     with pytest.raises(EmbeddingError, match=r"zero-norm embedding for term\(s\): \['z'\]"):
-        subgroup_similarity_profile(neutrals, ["z", "t"], table_of(n=[1, 0], t=[1, 0], z=[0, 0]))
+        profile_of(neutrals, ["z", "t"], table_of(n=[1, 0], t=[1, 0], z=[0, 0]))
     with pytest.raises(EmbeddingError, match=r"zero-norm embedding for neutral word\(s\): \['n'\]"):
-        subgroup_similarity_profile(neutrals, ["t"], table_of(n=[0, 0], t=[1, 0]))
+        _neutral_basis(neutrals, table_of(n=[0, 0], t=[1, 0]))
 
 
 def test_profile_identical_vector():
     table = table_of(n=[0.3, 0.4], t=[0.3, 0.4])
-    profile = subgroup_similarity_profile(("n",), ["t"], table, "s")
-    assert profile.x == pytest.approx((1.0,), abs=1e-12)
+    assert profile_of(["n"], ["t"], table) == pytest.approx((1.0,), abs=1e-12)
 
 
 def test_profile_hand_average():
     # cos(n, t1) = 1, cos(n, t2) = 0 -> mean 0.5
     table = table_of(n=[1, 0], t1=[2, 0], t2=[0, 5])
-    profile = subgroup_similarity_profile(("n",), ["t1", "t2"], table, "s")
-    assert profile.x[0] == pytest.approx(0.5, abs=1e-12)
+    assert profile_of(["n"], ["t1", "t2"], table)[0] == pytest.approx(0.5, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -105,7 +108,7 @@ def test_profile_equals_brute_force_mean_of_cosines(seed, dimension, n_terms, n_
     terms = [f"t{i}" for i in range(n_terms)]
     neutrals = [f"n{i}" for i in range(n_neutrals)]
     vectors = {name: rng.normal(size=dimension) for name in terms + neutrals}
-    profile = subgroup_similarity_profile(tuple(neutrals), terms, table_of(**vectors), "s")
+    profile = profile_of(neutrals, terms, table_of(**vectors))
 
     def cosine(u, v):
         return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
@@ -113,19 +116,12 @@ def test_profile_equals_brute_force_mean_of_cosines(seed, dimension, n_terms, n_
     expected = [
         sum(cosine(vectors[n], vectors[t]) for t in terms) / n_terms for n in neutrals
     ]
-    assert profile.x == pytest.approx(expected, rel=0, abs=1e-12)
-
-
-def test_profile_all_oov_error():
-    table = table_of(n=[1, 0])
-    with pytest.raises(EmbeddingError, match="no in-vocabulary subgroup terms"):
-        subgroup_similarity_profile(("n",), ["ghost", "void"], table, "s")
+    assert profile == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_profile_oov_neutral_dropped():
     table = table_of(n1=[1, 0], t=[1, 0])
-    profile = subgroup_similarity_profile(("n1", "missing"), ["t"], table, "s")
-    assert profile.covered_neutral_terms == ("n1",)
+    assert [word for word, _ in _neutral_basis(["n1", "missing"], table)] == ["n1"]
 
 
 def _unit(*components):
@@ -249,3 +245,61 @@ def test_csv_emission():
     text = embedding_bias_csv([result])
     assert text.splitlines()[0] == "attribute,subgroup_a,subgroup_b,mae,rmse"
     assert "attr,ALL,ALL," in text
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dimension=st.integers(1, 12),
+    n_subgroups=st.integers(2, 4),
+    data=st.data(),
+)
+def test_embedding_bias_equals_brute_force_loop(seed, dimension, n_subgroups, data):
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(8)]  # each in the table
+    pool = words + ["ghost", "void", "old man", "w0 w1"]  # out of vocabulary, multi-token
+    subgroups = {
+        f"s{i}": data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+        for i in range(n_subgroups)
+    }
+    # Neutral words that are terms of a subgroup clash and are left out.
+    neutrals = tuple(data.draw(st.lists(st.sampled_from(words + ["n0", "n1", "gone"]), max_size=6)))
+    vectors = {name: rng.normal(size=dimension) for name in words + ["n0", "n1"]}
+    lexicon = _lexicon_from_obj({"attr": subgroups})
+
+    listed = {term for terms in subgroups.values() for term in terms}
+    basis = [w for w in neutrals if w not in listed and w in vectors]
+    skipped, profiles = [], {}
+    for name in sorted(subgroups):
+        usable = [t for t in subgroups[name] if " " not in t and t in vectors]
+        skipped += [t for t in dict.fromkeys(subgroups[name]) if t not in usable]
+        if usable:
+            profiles[name] = np.array([
+                np.mean([
+                    vectors[w] @ vectors[t] / (np.linalg.norm(vectors[w]) * np.linalg.norm(vectors[t]))
+                    for t in usable
+                ])
+                for w in basis
+            ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        if not basis or len(profiles) < 2:
+            with pytest.raises(EmbeddingError):
+                embedding_bias(neutrals, lexicon, "attr", table_of(**vectors))
+            return
+        result = embedding_bias(neutrals, lexicon, "attr", table_of(**vectors))
+
+    names = sorted(profiles)
+    expected = [
+        (a, b, np.mean(np.abs(profiles[a] - profiles[b])),
+         np.sqrt(np.mean((profiles[a] - profiles[b]) ** 2)))
+        for i, a in enumerate(names)
+        for b in names[i + 1 :]
+    ]
+    assert [(p.subgroup_a, p.subgroup_b) for p in result.pairwise] == [e[:2] for e in expected]
+    for gap, (_, _, mae, rmse) in zip(result.pairwise, expected):
+        assert gap.mae == pytest.approx(mae, rel=0, abs=1e-12)
+        assert gap.rmse == pytest.approx(rmse, rel=0, abs=1e-12)
+    assert result.amae == pytest.approx(np.mean([e[2] for e in expected]), rel=0, abs=1e-12)
+    assert result.armse == pytest.approx(np.mean([e[3] for e in expected]), rel=0, abs=1e-12)
+    assert result.skipped_terms == tuple(skipped)
