@@ -11,13 +11,14 @@ tokens. There is no stemming, sentence splitting or emoji normalization.
 """
 
 import csv
+import io
 import json
 import re
 import unicodedata
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import DatasetError, read_text
+from .errors import DatasetError, numbered_lines, read_text
 
 SPLITS = ("train", "test", "unsplit")
 
@@ -166,9 +167,7 @@ def load_dataset(path: str | Path, format: str = "csv") -> LabeledCorpus:
             comments.append(comment)
     else:
         ordinal = 0
-        for line, text_line in enumerate(read_text(path, DatasetError, "dataset").splitlines(), 1):
-            if not text_line.strip():
-                continue
+        for line, text_line in numbered_lines(read_text(path, DatasetError, "dataset")):
             ordinal += 1
             try:
                 record = json.loads(text_line)
@@ -207,7 +206,7 @@ def csv_rows(path: str | Path, required: tuple[str, ...], name: str) -> tuple[di
     ``line`` is the row's last physical line. A short row's missing fields
     are ``None``; a row longer than the header is an error.
     """
-    reader = csv.reader(read_text(path, DatasetError, name).splitlines(keepends=True))
+    reader = csv.reader(io.StringIO(read_text(path, DatasetError, name), newline=""))
     header = next(reader, None)
     if header is None:
         raise DatasetError(f"{name} {path} is empty (header row required)")

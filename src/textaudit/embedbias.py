@@ -15,7 +15,7 @@ from operator import mul
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import EmbeddingError, read_text
+from .errors import EmbeddingError, numbered_lines, read_text
 from .lexicon import AttributeLexicon
 from .record import csv_text, plain
 
@@ -31,9 +31,7 @@ def load_embeddings(path: str | Path) -> dict[str, array]:
     vectors: dict[str, array] = {}
     dimension: int | None = None
     duplicates = 0
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
+    for line_no, line in numbered_lines(text):
         parts = line.split()
         if len(parts) < 2:
             raise EmbeddingError("expected a term followed by numbers", line_no)

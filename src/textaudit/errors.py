@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterator
 
 
 class AuditError(Exception):
@@ -76,6 +77,18 @@ def read_text(path, error: type[AuditError], name: str = "") -> str:
         raise error(f"cannot read {where}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise error(f"{where} is not valid UTF-8: {exc}") from exc
+
+
+def numbered_lines(text: str) -> Iterator[tuple[int, str]]:
+    """``(line, content)`` for each non-blank line of ``text``, numbered from 1.
+
+    A line ends at "\\n", "\\r\\n" or "\\r" only, as when Python reads a text
+    file: ``str.splitlines`` also ends one at U+2028, U+0085 and the other
+    Unicode separators, which a JSON string or a word may hold.
+    """
+    for line, content in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
+        if content.strip():
+            yield line, content
 
 
 def read_json(path, error: type[AuditError], name: str = ""):

@@ -265,81 +265,6 @@ def _capped_tokens(text: str, max_tokens: int) -> tuple[list[str], list[tuple[in
     return tokens, spans
 
 
-def _plan_occlusion(
-    corpus: LabeledCorpus, max_tokens_per_comment: int
-) -> ScoringPlan:
-    full_texts: list[str] = []
-    deletion_texts: list[str] = []
-    token_lists: list[list[str]] = []
-    for comment in corpus:
-        tokens, spans = _capped_tokens(comment.text, max_tokens_per_comment)
-        full_texts.append(comment.text)
-        every = (1 << len(tokens)) - 1
-        deletion_texts.extend(
-            _realize_mask(comment.text, spans, every ^ 1 << t) for t in range(len(tokens))
-        )
-        token_lists.append(tokens)
-
-    def finish(probs: list[float]) -> dict[str, list[float]]:
-        deletion_probs = iter(probs[len(full_texts) :])
-        effects: dict[str, list[float]] = {}
-        for tokens, p_full in zip(token_lists, probs):
-            for token in tokens:
-                effects.setdefault(token, []).append(p_full - next(deletion_probs))
-        return effects
-
-    return ScoringPlan(full_texts + deletion_texts, finish)
-
-
-def _plan_sampled_shapley(
-    corpus: LabeledCorpus, m_permutations: int, max_tokens_per_comment: int, rng_seed: int
-) -> ScoringPlan:
-    if m_permutations < 1:
-        raise ExplainError(f"m_permutations must be positive, got {m_permutations}")
-    # Draw every order up front (they never depend on model outputs) and
-    # realize each comment's distinct prefix coalitions once.
-    texts: list[str] = []
-    plans: list[tuple[list[str], list[list[int]], dict[int, int]]] = []
-    for comment in corpus:
-        tokens, spans = _capped_tokens(comment.text, max_tokens_per_comment)
-        k = len(tokens)
-        if k == 0:
-            continue
-        rng = _comment_rng(rng_seed, comment.id)
-        orders = [rng.sample(range(k), k) for _ in range(m_permutations)]
-        # coalition bitset -> index into texts: the empty coalition, then
-        # every prefix of every order, in draw order
-        slot_of = {0: len(texts)}
-        texts.append(_realize_mask(comment.text, spans, 0))
-        for order in orders:
-            bits = 0
-            for j in order:
-                bits |= 1 << j
-                if bits not in slot_of:
-                    slot_of[bits] = len(texts)
-                    texts.append(_realize_mask(comment.text, spans, bits))
-        plans.append((tokens, orders, slot_of))
-
-    def finish(values: list[float]) -> dict[str, list[float]]:
-        # Replay the orders, accumulating marginals in draw order.
-        effects: dict[str, list[float]] = {}
-        for tokens, orders, slot_of in plans:
-            marginals = [0.0] * len(tokens)
-            for order in orders:
-                previous = values[slot_of[0]]
-                bits = 0
-                for j in order:
-                    bits |= 1 << j
-                    current = values[slot_of[bits]]
-                    marginals[j] += current - previous
-                    previous = current
-            for token, total in zip(tokens, marginals):
-                effects.setdefault(token, []).append(total / m_permutations)
-        return effects
-
-    return ScoringPlan(texts, finish)
-
-
 def plan_global_importance(
     corpus: LabeledCorpus,
     method: str = "occlusion",
@@ -347,22 +272,69 @@ def plan_global_importance(
     max_tokens_per_comment: int = 12,
     rng_seed: int = 0,
 ) -> ScoringPlan:
-    """The perturbed texts :func:`global_importance` scores, and the aggregation."""
+    """The perturbed texts :func:`global_importance` scores, and the aggregation.
+
+    Both methods walk over a comment's coalitions (bitsets of kept tokens): a
+    walk starts at one coalition and adds tokens one at a time, and each
+    addition is one marginal of the token added. A token's effect on a
+    comment is the mean of its marginals there. Occlusion walks from every
+    token but j to every token, once per token j, after a walk that adds
+    nothing and so plans the full text; sampled Shapley walks from no token
+    along each drawn order.
+    """
     if method not in ("occlusion", "sampled_shapley"):
         raise ExplainError(f"unknown importance method {method!r}")
     if len(corpus) == 0:
         raise ExplainError("corpus is empty")
-    if method == "occlusion":
-        effects_plan = _plan_occlusion(corpus, max_tokens_per_comment)
-    else:
-        effects_plan = _plan_sampled_shapley(
-            corpus, m_permutations, max_tokens_per_comment, rng_seed
-        )
+    occlusion = method == "occlusion"
+    if not occlusion and m_permutations < 1:
+        raise ExplainError(f"m_permutations must be positive, got {m_permutations}")
+    # Occlusion adds each token on one walk, sampled Shapley on every walk.
+    marginals_per_token = 1 if occlusion else m_permutations
+    # Shapley orders never depend on model outputs, so every walk is fixed up
+    # front and each distinct coalition on a comment's walks is realized once.
+    texts: list[str] = []
+    plans: list[tuple[list[str], list[tuple[int, list[int]]], dict[int, int]]] = []
+    for comment in corpus:
+        tokens, spans = _capped_tokens(comment.text, max_tokens_per_comment)
+        k = len(tokens)
+        if occlusion:
+            every = (1 << k) - 1
+            walks = [(every, [])] + [(every ^ 1 << j, [j]) for j in range(k)]
+        elif k:
+            rng = _comment_rng(rng_seed, comment.id)
+            walks = [(0, rng.sample(range(k), k)) for _ in range(m_permutations)]
+        else:
+            continue
+        slot_of: dict[int, int] = {}  # coalition bitset -> index into texts
+        for bits, added in walks:
+            if bits not in slot_of:
+                slot_of[bits] = len(texts)
+                texts.append(_realize_mask(comment.text, spans, bits))
+            for j in added:
+                bits |= 1 << j
+                if bits not in slot_of:
+                    slot_of[bits] = len(texts)
+                    texts.append(_realize_mask(comment.text, spans, bits))
+        plans.append((tokens, walks, slot_of))
 
-    def finish(probs: list[float]) -> GlobalImportance:
-        return _importance_from_effects(effects_plan.finish(probs), method, rng_seed)
+    def finish(values: list[float]) -> GlobalImportance:
+        # Replay the walks, summing each token's marginals in walk order.
+        effects: dict[str, list[float]] = {}
+        for tokens, walks, slot_of in plans:
+            totals = [0.0] * len(tokens)
+            for bits, added in walks:
+                previous = values[slot_of[bits]]
+                for j in added:
+                    bits |= 1 << j
+                    current = values[slot_of[bits]]
+                    totals[j] += current - previous
+                    previous = current
+            for token, total in zip(tokens, totals):
+                effects.setdefault(token, []).append(total / marginals_per_token)
+        return _importance_from_effects(effects, method, rng_seed)
 
-    return ScoringPlan(effects_plan.texts, finish)
+    return ScoringPlan(texts, finish)
 
 
 def _importance_from_effects(

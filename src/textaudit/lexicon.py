@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import LexiconError, read_json, read_text
+from .errors import LexiconError, numbered_lines, read_json, read_text
 
 IDENTITY_SLOT = "[Identity]"
 
@@ -170,7 +170,7 @@ def aligned_swap_pairs(
 
 
 def _word_list(text: str, name: str) -> tuple[str, ...]:
-    words = (_clean_term(line.split("#", 1)[0]) for line in text.splitlines())
+    words = (_clean_term(line.split("#", 1)[0]) for _, line in numbered_lines(text))
     found = tuple(word for word in words if word)
     if not found:
         raise LexiconError(f"{name} list is empty")

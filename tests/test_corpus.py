@@ -111,6 +111,20 @@ def test_jsonl_lone_surrogate_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "format, body",
+    [
+        ("jsonl", '{"id": "a", "text": "fine\u2028more", "label": 1}\n'),
+        ("csv", "id,text,label\na,fine\u2028more,1\n"),
+    ],
+    ids=["jsonl", "csv"],
+)
+def test_unicode_line_separator_inside_a_record_is_text(tmp_path, format, body):
+    path = tmp_path / f"data.{format}"
+    path.write_text(body, encoding="utf-8")
+    assert [tuple(c) for c in load_dataset(path, format)] == [("a", "fine\u2028more", 1, "unsplit")]
+
+
+@pytest.mark.parametrize(
     "format, body, message",
     [
         ("jsonl", '{"id": "a", "text": "fine", "label": 0}\n{"id": "b", "text": "odd", "label": 2}\n',
@@ -129,8 +143,9 @@ def test_jsonl_lone_surrogate_rejected(tmp_path):
          "line 2: comment 'b': text is not valid Unicode (surrogates not allowed)"),
         ("jsonl", '{"id": "a\\udc80", "text": "fine", "label": 0}\n',
          "line 1: comment 'a\\udc80': id is not valid Unicode (surrogates not allowed)"),
-        # U+2028 breaks a line as "\n" does; the CSV loader counts it as one.
-        ("csv", 'id,text,label\na,fine,0\n"h0\u20281",odd,1\n', "line 4: id 'h0\\u20281' is not one line"),
+        # U+2028 ends no line of the file, so the row ends on line 3; it still
+        # makes the id two lines in a table cell.
+        ("csv", 'id,text,label\na,fine,0\n"h0\u20281",odd,1\n', "line 3: id 'h0\\u20281' is not one line"),
         ("jsonl", '{"id": "a", "text": "fine", "label": 0}\n{"id": "h0\\u20281", "text": "odd", "label": 1}\n',
          "line 2: id 'h0\\u20281' is not one line"),
     ],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import compress
 
@@ -10,7 +11,7 @@ from conftest import CallableAdapter
 from stub_model import keyword_probability
 
 from textaudit import explain
-from textaudit.corpus import Comment, LabeledCorpus
+from textaudit.corpus import Comment, LabeledCorpus, splice, tokenize
 from textaudit.errors import ExplainError
 from textaudit.explain import (
     exact_shapley,
@@ -269,6 +270,61 @@ def test_occlusion_duplicate_comment_invariance():
     assert base_top.token == dup_top.token == "filthy"
     assert dup_top.mean_effect == pytest.approx(base_top.mean_effect, abs=1e-9)
     assert dup_top.support == base_top.support + 1
+
+
+OCCLUSION_WORDS = ["filthy", "liar", "Café", "café", "𝐀", "a", "the", "日本", "straße", "x’s", "!!!", "--"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(OCCLUSION_WORDS), min_size=1, max_size=14).map(" ".join),
+        min_size=1,
+        max_size=6,
+    ),
+    max_tokens=st.sampled_from([0, 1, 3, 12]),
+    salt=st.integers(0, 2**32 - 1),
+)
+def test_occlusion_matches_brute_force_loop(texts, max_tokens, salt):
+    def value(text):
+        digest = hashlib.sha256(f"{salt}:{text}".encode("utf-8")).digest()
+        return int.from_bytes(digest[:6], "big") / 2**48
+
+    corpus = LabeledCorpus([Comment(id=f"c{i}", text=t, label=0) for i, t in enumerate(texts)])
+    adapter = CallableAdapter(value)
+    result = global_importance(
+        corpus, adapter, method="occlusion", max_tokens_per_comment=max_tokens, rng_seed=salt
+    )
+
+    effects = {}
+    scored = set()
+    for text in texts:
+        spans = tokenize(text)
+        tokens = list(dict.fromkeys(span.token for span in spans))
+        if max_tokens:
+            tokens = tokens[:max_tokens]
+        scored.add(text)
+        for token in tokens:
+            deleted = " ".join(splice(text, [(s, "") for s in spans if s.token == token]).split())
+            scored.add(deleted)
+            effects.setdefault(token, []).append(value(text) - value(deleted))
+    expected = explain._importance_from_effects(effects, "occlusion", salt)
+
+    assert result == expected
+    assert sorted(adapter.sent) == sorted(scored)
+
+
+@pytest.mark.parametrize("method, planned", [("occlusion", True), ("sampled_shapley", False)])
+def test_comment_without_tokens_gives_no_row(method, planned):
+    corpus = LabeledCorpus(
+        [Comment(id="a", text="you filthy liar", label=1), Comment(id="b", text="!!!", label=0)]
+    )
+    adapter = filthy_adapter()
+    result = global_importance(corpus, adapter, method=method, m_permutations=5)
+    assert ("!!!" in adapter.sent) is planned
+    assert {(row.token, row.support) for row in result.rows} == {
+        ("you", 1), ("filthy", 1), ("liar", 1)
+    }
 
 
 def test_sampled_shapley_matches_exact_on_stub():
